@@ -28,8 +28,6 @@ from .topology import (closure_member, irreducible_components, is_noetherian,
 from .tree import Point
 from .valuations import SecondKind, _MinimalBase
 
-DEFAULT_SEED = 20240817
-
 
 class _Parser(argparse.ArgumentParser):
     """Argparse with JSON usage errors on the diagnostic stream."""
@@ -414,8 +412,6 @@ def _build_parser() -> _Parser:
                            help=f"search depth bound (default {depth})")
         if steps:
             p.add_argument("--steps", help="comma-separated step alphabet, e.g. \"-1,0,1,inf\"")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                       help="seed echoed into the report for reproducible sampling")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the report as JSON instead of text")
         for args_, kwargs in (extra or ()):
@@ -453,7 +449,7 @@ def _build_parser() -> _Parser:
 
 _VALUE_FLAGS = frozenset([
     "--elt", "--f", "--g", "--point", "--family", "--max-depth", "--steps",
-    "--seed", "--dot", "--node-cap", "--member", "--candidates", "--target",
+    "--dot", "--node-cap", "--member", "--candidates", "--target",
     "--gens",
 ])
 

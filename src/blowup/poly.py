@@ -20,6 +20,7 @@ floating point is used anywhere.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -109,11 +110,6 @@ class Poly:
         if not self.terms:
             return -1
         return max(e[slot] for e in self.terms)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
 
     def leading(self) -> Tuple[Exponents, Fraction]:
         """Leading term under graded lex with x > y > a > t."""
@@ -254,9 +250,6 @@ class Poly:
         out = Poly()
         out.terms = {e: c for e, c in quotient.items() if c}
         return out
-
-    def divides(self, other: "Poly") -> bool:
-        return other.divmod_exact(self) is not None
 
     def shift_down(self, slot: int, power: int) -> "Poly":
         """Divide by variable(slot)**power; every term must allow it."""
@@ -629,9 +622,7 @@ def rational_roots(p: Poly, slot: int) -> List[Fraction]:
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
-    denom_lcm = 1
-    for c in coeffs:
-        denom_lcm = denom_lcm * c.denominator // _gcd_int(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
     lead = abs(ints[-1])
     trail = abs(ints[0])
@@ -696,12 +687,6 @@ def _eval_univar(coeffs: Sequence[Fraction], point: Fraction) -> Fraction:
     return acc
 
 
-def _gcd_int(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 def _divisors(n: int) -> Iterator[int]:
     if n == 0:
         yield 1
@@ -761,10 +746,6 @@ class RatFunc:
     @staticmethod
     def from_const(value) -> "RatFunc":
         return RatFunc(Poly.const(value))
-
-    @staticmethod
-    def var(slot: int) -> "RatFunc":
-        return RatFunc(Poly.variable(slot))
 
     # -- queries -----------------------------------------------------------
 

@@ -18,6 +18,7 @@ carrying the scalar parameter a for every value at once.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -149,9 +150,9 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
     diagnostics: List[str] = []
     open_points: List[Point] = []
     depth_used = root.level
-    queue: List[Point] = [root]
+    queue = deque([root])
     while queue:
-        point = queue.pop(0)
+        point = queue.popleft()
         depth_used = max(depth_used, point.level)
         expressed = point.express(f)
         pos = classify_expressed(expressed)
@@ -205,9 +206,9 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
             raise InputError("the zero element is never a parameter")
     matches: List[Point] = []
     open_points: List[Point] = []
-    queue: List[Point] = [Point.root()]
+    queue = deque([Point.root()])
     while queue:
-        point = queue.pop(0)
+        point = queue.popleft()
         ef = point.express(f)
         eg = point.express(g)
         pf = classify_expressed(ef)

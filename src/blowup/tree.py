@@ -11,11 +11,10 @@ The first parameter of the new chart always cuts out the exceptional curve
 of the step.  A path therefore determines a chain of quadratic transforms,
 and the ring at the end is again two-dimensional regular local.
 
-Two translations between charts are kept on every point:
-
-    down_x, down_y   the root coordinates x, y written as polynomials in
-                     the local parameters of this point
-    param_x, param_y the local parameters written as fractions in x, y
+Every point keeps down_x, down_y: the root coordinates x, y written as
+polynomials in the local parameters of this point.  `transform_step` is the
+one place that rewrites a polynomial across a step; `params` derives the
+inverse translation, the local parameters as fractions in x, y, on demand.
 
 `express` pushes any element of the fraction field into the local chart;
 all order, membership and position questions reduce to looking at it there.
@@ -52,6 +51,8 @@ AnyStep = Union[Step, _SymbolicStep]
 
 _PX = Poly.variable(X)
 _PY = Poly.variable(Y)
+_PT = Poly.variable(T)
+_PXY = _PX * _PY
 
 
 class Comparison(Enum):
@@ -62,24 +63,22 @@ class Comparison(Enum):
 
 
 class Point:
-    """A point of the quadratic tree, with its chart data precomputed."""
+    """A point of the quadratic tree with the root coordinates in its chart."""
 
-    __slots__ = ("steps", "parent", "down_x", "down_y", "param_x", "param_y")
+    __slots__ = ("steps", "parent", "down_x", "down_y")
 
     def __init__(self, steps: Tuple[AnyStep, ...], parent: Optional["Point"],
-                 down_x: Poly, down_y: Poly, param_x: RatFunc, param_y: RatFunc):
+                 down_x: Poly, down_y: Poly):
         self.steps = steps
         self.parent = parent
         self.down_x = down_x
         self.down_y = down_y
-        self.param_x = param_x
-        self.param_y = param_y
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def root() -> "Point":
-        return Point((), None, _PX, _PY, RatFunc(_PX), RatFunc(_PY))
+        return Point((), None, _PX, _PY)
 
     @staticmethod
     def from_path(steps: Iterable[AnyStep]) -> "Point":
@@ -90,26 +89,10 @@ class Point:
 
     def child(self, step: AnyStep) -> "Point":
         step = normalize_step(step)
-        if is_inf(step):
-            down_x = self.down_x.subst_xy(_PX * _PY, _PX)
-            down_y = self.down_y.subst_xy(_PX * _PY, _PX)
-            param_x = self.param_y
-            param_y = self.param_x / self.param_y
-        else:
-            if step is TSYM:
-                if self.has_symbolic:
-                    raise InputError("a path may carry at most one symbolic step")
-                shift = Poly.variable(T)
-                offset = RatFunc(shift)
-            else:
-                shift = Poly.const(step)
-                offset = RatFunc.from_const(step)
-            image_y = _PX * (_PY + shift)
-            down_x = self.down_x.subst_xy(_PX, image_y)
-            down_y = self.down_y.subst_xy(_PX, image_y)
-            param_x = self.param_x
-            param_y = self.param_y / self.param_x - offset
-        return Point(self.steps + (step,), self, down_x, down_y, param_x, param_y)
+        if step is TSYM and self.has_symbolic:
+            raise InputError("a path may carry at most one symbolic step")
+        return Point(self.steps + (step,), self,
+                     transform_step(self.down_x, step), transform_step(self.down_y, step))
 
     def ancestor(self, level: int) -> "Point":
         """The point `level` steps from the root along this path."""
@@ -152,8 +135,15 @@ class Point:
         """Rewrite an element of k(x, y) in the local parameters here."""
         return f.subst_xy(self.down_x, self.down_y)
 
-    def express_poly(self, h: Poly) -> Poly:
-        return h.subst_xy(self.down_x, self.down_y)
+    def params(self) -> Tuple[RatFunc, RatFunc]:
+        """The local parameters at this point, as fractions in x, y."""
+        px, py = RatFunc(_PX), RatFunc(_PY)
+        for step in self.steps:
+            if is_inf(step):
+                px, py = py, px / py
+            else:
+                py = py / px - RatFunc(_PT if step is TSYM else Poly.const(step))
+        return px, py
 
     def in_ring(self, f: RatFunc) -> bool:
         """Membership in the local ring at this point.
@@ -199,16 +189,9 @@ class Point:
         """
         if h.is_zero:
             raise ValueError("strict transform of zero undefined")
-        current = h
         for step in self.steps:
-            if is_inf(step):
-                current = current.subst_xy(_PX * _PY, _PX)
-            elif step is TSYM:
-                current = current.subst_xy(_PX, _PX * (_PY + Poly.variable(T)))
-            else:
-                current = current.subst_xy(_PX, _PX * (_PY + Poly.const(step)))
-            current = current.shift_down(X, current.min_exponent(X))
-        return current
+            h = strict_step(h, step)
+        return h
 
     def multiplicity_of(self, h: Poly) -> int:
         """Multiplicity of the strict transform of h at this point."""
@@ -216,6 +199,24 @@ class Point:
 
 
 # -- steps -----------------------------------------------------------------
+
+
+def transform_step(h: Poly, step: AnyStep) -> Poly:
+    """Rewrite h in the chart of the child reached by one step.
+
+    A finite step b (the symbol t for `TSYM`) substitutes (x, x(y + b));
+    the step inf substitutes (xy, x).
+    """
+    if is_inf(step):
+        return h.subst_xy(_PXY, _PX)
+    shift = _PT if step is TSYM else Poly.const(step)
+    return h.subst_xy(_PX, _PX * (_PY + shift))
+
+
+def strict_step(h: Poly, step: AnyStep) -> Poly:
+    """One step of the strict transform: strip the exceptional factor x^m."""
+    out = transform_step(h, step)
+    return out.shift_down(X, out.min_exponent(X))
 
 
 def normalize_step(step) -> AnyStep:
@@ -231,14 +232,6 @@ def format_any_step(step: AnyStep) -> str:
     if step is TSYM:
         return "t"
     return format_step(step)
-
-
-def concrete_steps(steps: Sequence[AnyStep]) -> Tuple[Step, ...]:
-    """Reject symbolic steps; used before printing a path literal."""
-    for s in steps:
-        if s is TSYM:
-            raise ValueError("path contains a symbolic step")
-    return tuple(steps)
 
 
 # -- path order ------------------------------------------------------------

@@ -21,6 +21,7 @@ finitely many steps, so the walk always ends (the cap is a safety net).
 
 from __future__ import annotations
 
+import math
 import threading
 from fractions import Fraction
 from typing import List, Tuple
@@ -30,7 +31,7 @@ from .expr import INF, Step, format_path, is_inf
 from .poly import A, Poly, RatFunc, T, X, Y, factor_multiplicity, poly_gcd, rational_roots
 from .position import Position, classify_expressed, direction_poly
 from .proximity import second_kind_contains
-from .tree import AnyStep, Point, TSYM, _same_step
+from .tree import AnyStep, Point, TSYM, _same_step, strict_step
 
 
 def _check_curve(h: Poly, through_origin: bool) -> Poly:
@@ -217,7 +218,7 @@ class MinimalCurveBranch(_MinimalBase):
             while len(self._entries) <= level:
                 point, strict = self._entries[-1]
                 step = branch_step(strict)
-                self._entries.append((point.child(step), _one_step(strict, step)))
+                self._entries.append((point.child(step), strict_step(strict, step)))
 
     def step_at(self, index: int) -> AnyStep:
         self._extend_to(index + 1)
@@ -242,16 +243,6 @@ class MinimalCurveBranch(_MinimalBase):
 
 
 # -- path steps from curves and monomials -----------------------------------
-
-
-def _one_step(h: Poly, step: AnyStep) -> Poly:
-    if is_inf(step):
-        out = h.subst_xy(Poly.variable(X) * Poly.variable(Y), Poly.variable(X))
-    else:
-        shift = Poly.variable(T) if step is TSYM else Poly.const(step)
-        out = h.subst_xy(Poly.variable(X),
-                         Poly.variable(X) * (Poly.variable(Y) + shift))
-    return out.shift_down(X, out.min_exponent(X))
 
 
 def branch_step(strict: Poly) -> AnyStep:
@@ -284,9 +275,7 @@ def monomial_path(a, b) -> Tuple[Step, ...]:
     a, b = Fraction(a), Fraction(b)
     if a <= 0 or b <= 0:
         raise InputError("monomial weights must be positive")
-    scale = 1
-    for v in (a, b):
-        scale = scale * v.denominator // _gcd(scale, v.denominator)
+    scale = math.lcm(a.denominator, b.denominator)
     ia, ib = int(a * scale), int(b * scale)
     steps: List[Step] = []
     while ia != ib:
@@ -303,10 +292,8 @@ def monomial_valuation(a, b) -> SecondKind:
     """The monomial valuation, normalized to a scaled order valuation."""
     path = monomial_path(a, b)
     a, b = Fraction(a), Fraction(b)
-    denom_lcm = 1
-    for v in (a, b):
-        denom_lcm = denom_lcm * v.denominator // _gcd(denom_lcm, v.denominator)
-    g = _gcd(int(a * denom_lcm), int(b * denom_lcm))
+    denom_lcm = math.lcm(a.denominator, b.denominator)
+    g = math.gcd(int(a * denom_lcm), int(b * denom_lcm))
     point = Point.from_path(path)
     return SecondKind(point, scale=g)
 
@@ -336,9 +323,3 @@ def _canonical_path_form(prefix: Tuple[Step, ...], period: Tuple[Step, ...]):
         prefix.pop()
         period = [period[-1]] + period[:-1]
     return tuple(prefix), tuple(period)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

@@ -65,16 +65,17 @@ def ord_contained(alpha: Point, beta: Point,
     products, so a monomial in the parameters has negative order exactly
     when one of the parameters does.
     """
-    if alpha.ord_at(beta.param_x) < 0:
-        return False, beta.param_x
-    if alpha.ord_at(beta.param_y) < 0:
-        return False, beta.param_y
+    px, py = beta.params()
+    if alpha.ord_at(px) < 0:
+        return False, px
+    if alpha.ord_at(py) < 0:
+        return False, py
     # no monomial in the parameters escapes; look for a unit
     # 1 + sum c*u^i*v^j with positive order, whose inverse then escapes.
     # Work with parameters already expressed in the chart at alpha, where
     # the order is plain order of vanishing at the origin.
-    u = alpha.express(beta.param_x)
-    v = alpha.express(beta.param_y)
+    u = alpha.express(px)
+    v = alpha.express(py)
     monomials = {}
     for i in range(degree + 1):
         for j in range(degree + 1 - i):
@@ -117,14 +118,10 @@ def ord_contained(alpha: Point, beta: Point,
     unit = RatFunc(Poly.const(1))
     for value, key in zip(solution, keys):
         if value:
-            unit = unit + RatFunc(Poly.const(value)) * _monomial_at(beta, key)
+            unit = unit + RatFunc(Poly.const(value)) * (_power(px, key[0]) * _power(py, key[1]))
     witness = RatFunc(unit.den, unit.num)
     assert alpha.ord_at(witness) < 0
     return False, witness
-
-
-def _monomial_at(beta: Point, key: Tuple[int, int]) -> RatFunc:
-    return _power(beta.param_x, key[0]) * _power(beta.param_y, key[1])
 
 
 def _power(f: RatFunc, n: int) -> RatFunc:

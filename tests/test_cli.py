@@ -219,6 +219,11 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "UsageError" and error["exit"] == 2
 
+    def test_seed_flag_is_rejected(self, capsys):
+        code, _, err = run(capsys, "prox", "--point", "[0]", "--seed", "1")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "position", "--elt", "x+", "--point", "[0]")
         assert code == 2

@@ -207,7 +207,7 @@ class TestNoetherian:
         fam = Fiber(D, frozenset(), (Fraction(1),))
         for t in (0, 1, 2):
             beta = fam.member(Fraction(t))
-            assert D.ord_at(beta.param_y) == -1
+            assert D.ord_at(beta.params()[1]) == -1
             assert not second_kind_contains(D, beta)
 
     def test_chain_covered_by_its_valuation(self):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from blowup.errors import InputError
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, T, X, Y, format_poly
-from blowup.tree import Comparison, Point, TSYM, compare, is_prefix
+from blowup.tree import (Comparison, Point, TSYM, compare, is_prefix, strict_step,
+                         transform_step)
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -89,18 +90,16 @@ def test_express_keeps_exactness():
 
 def test_param_elements_track_steps():
     p = P("[0, inf]")
-    assert p.param_x == E("y/x")
-    assert p.param_y == E("x^2/y")
+    assert p.params() == (E("y/x"), E("x^2/y"))
     d = P("[-1/2, inf]")
-    assert d.param_x == E("y/x + 1/2")
+    assert d.params()[0] == E("y/x + 1/2")
 
 
 def test_down_and_param_are_inverse():
     for literal in ("[0]", "[inf]", "[2, -1/3]", "[0, inf, 5]"):
         p = P(literal)
         # expressing the parameter elements lands back on the plain variables
-        assert p.express(p.param_x) == RatFunc(x)
-        assert p.express(p.param_y) == RatFunc(y)
+        assert tuple(map(p.express, p.params())) == (RatFunc(x), RatFunc(y))
 
 
 @st.composite
@@ -121,8 +120,7 @@ def paths(draw):
 @settings(max_examples=40, deadline=None)
 def test_param_inversion_property(steps):
     p = Point.from_path(steps)
-    assert p.express(p.param_x) == RatFunc(x)
-    assert p.express(p.param_y) == RatFunc(y)
+    assert tuple(map(p.express, p.params())) == (RatFunc(x), RatFunc(y))
 
 
 # -- membership and orders --------------------------------------------------
@@ -211,6 +209,38 @@ def test_strict_transform_line_leaves_chart():
     assert p.strict_transform(h) == y
     # any other direction misses the line
     assert P("[3]").strict_transform(h).constant_term() != 0
+
+
+any_steps = st.one_of(
+    st.just(INF), st.just(TSYM),
+    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+polys_xya = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.just(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    min_size=1, max_size=6).map(Poly)
+
+
+@given(polys_xya, any_steps)
+@settings(max_examples=60, deadline=None)
+def test_one_step_matches_sympy_substitution(h, step):
+    sympy = pytest.importorskip("sympy")
+    sx, sy, sa, sym_t = sympy.symbols("x y a t")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator) * sx ** e[0] * sy ** e[1]
+                   * sa ** e[2] * sym_t ** e[3] for e, c in p.terms.items())
+
+    if step is INF:
+        image = {sx: sx * sy, sy: sx}
+    else:
+        shift = sym_t if step is TSYM else sympy.Rational(step.numerator, step.denominator)
+        image = {sx: sx, sy: sx * (sy + shift)}
+    expected = sympy.expand(to_sympy(h).subs(image, simultaneous=True))
+    assert sympy.expand(to_sympy(transform_step(h, step)) - expected) == 0
+    power = min(m[0] for m in sympy.Poly(expected, sx, sy, sa, sym_t).monoms())
+    stripped = sympy.expand(expected / sx ** power)
+    assert sympy.expand(to_sympy(strict_step(h, step)) - stripped) == 0
 
 
 def test_multiplicity_at_symbolic_point():

@@ -232,6 +232,7 @@ def test_branch_coherence_cusp():
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     for level in range(11):
         assert v.strict_at(level).xy_order() >= 1
+        assert v.strict_at(level) == v.point_at(level).strict_transform(v.h)
 
 
 def test_branch_coherence_tacnode():
@@ -241,6 +242,7 @@ def test_branch_coherence_tacnode():
     # the double point survives one blow-up, then the branch is smooth
     assert orders[:3] == [2, 2, 1]
     assert v.step_at(0) == Fraction(1)
+    assert all(v.strict_at(k) == v.point_at(k).strict_transform(v.h) for k in range(11))
 
 
 def test_monomial_value_is_min_term_weight():
