@@ -9,7 +9,6 @@ a computation that cannot complete exits 3.
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence
 
 from .demos import demo_names, run_demo
@@ -19,14 +18,13 @@ from .errors import (CertificateError, ComponentError, ComputationError,
 from .expr import format_path, parse_element, parse_path, parse_step
 from .jsonio import (family_set_from_json, family_set_to_json, steps_to_json,
                      valuation_to_json)
-from .oracle import in_family, in_point, irredundance_certificate, semigroup_member
+from .oracle import in_family, irredundance_certificate, semigroup_member
 from .poly import A, Poly, RatFunc
 from .position import position, position_parametric, resolve
 from .proximity import proximate_ancestors
 from .topology import (closure_member, irreducible_components, is_noetherian,
                        patch_limit_points, zariski_closure)
 from .tree import Point
-from .valuations import SecondKind, _MinimalBase
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,7 +234,7 @@ def _cmd_components(args) -> Dict:
 def _cmd_member(args) -> Dict:
     f = _element_from(args)
     family = _family_from(args.family)
-    answer = in_family(f, family, depth=args.max_depth)
+    answer = in_family(f, family)
     return {
         "command": "member",
         "element": str(f),
@@ -431,7 +429,7 @@ def _build_parser() -> _Parser:
     add("noetherian", "Noetherian certificate for a family's subspace", family=True)
     add("components", "irreducible components of a family's closure", family=True)
     add("member", "membership of an element in every ring of a family",
-        elt=True, family=True, depth=12)
+        elt=True, family=True)
     add("irredundant", "certify one member as non-redundant", family=True, depth=12,
         extra=((("--member",), dict(required=True, help="path literal of the member")),
                (("--candidates",), dict(help="comma-separated candidate curves"))))

@@ -15,7 +15,7 @@ from .errors import InputError
 from .expr import INF, Step, is_inf
 from .tree import (TSYM, AnyStep, Point, _same_step, format_any_step, is_prefix,
                    normalize_step)
-from .valuations import MinimalCurveBranch, MinimalEventuallyPeriodic, _MinimalBase
+from .valuations import _MinimalBase
 
 
 class _Infinite:
@@ -241,15 +241,11 @@ class Chain:
     def is_member(self, beta: Point) -> bool:
         if beta.level < self.from_level or beta.has_symbolic:
             return False
-        return self._on_path(beta)
+        return self.valuation.ring_contains(beta)
 
     def downset_member(self, beta: Point) -> bool:
         # Members are cofinal in the path, so every path prefix qualifies.
-        return not beta.has_symbolic and self._on_path(beta)
-
-    def _on_path(self, beta: Point) -> bool:
-        return all(_same_step(beta.steps[i], self.valuation.step_at(i))
-                   for i in range(beta.level))
+        return not beta.has_symbolic and self.valuation.ring_contains(beta)
 
     def sample_members(self, limit: int = 5) -> List[Point]:
         return [self.member(self.from_level + i) for i in range(limit)]
@@ -293,17 +289,13 @@ class Siblings:
         deviation = beta.level - 1
         if deviation < 1 or beta.has_symbolic:
             return False
-        if not all(_same_step(beta.steps[i], self.valuation.step_at(i))
-                   for i in range(deviation)):
-            return False
-        return _same_step(beta.steps[deviation], self.sibling_step(deviation))
+        return (self.valuation.ring_contains(beta.parent)
+                and _same_step(beta.steps[deviation], self.sibling_step(deviation)))
 
     def downset_member(self, beta: Point) -> bool:
         if beta.has_symbolic:
             return False
-        on_path = all(_same_step(beta.steps[i], self.valuation.step_at(i))
-                      for i in range(beta.level))
-        return on_path or self.is_member(beta)
+        return self.valuation.ring_contains(beta) or self.is_member(beta)
 
     def sample_members(self, limit: int = 5) -> List[Point]:
         return [self.member(i) for i in range(1, limit + 1)]
@@ -375,9 +367,7 @@ def _q1_children(part: Family, alpha: Point):
             return {alpha.child(part.valuation.step_at(alpha.level))}
         return set()
     if isinstance(part, Siblings):
-        on_path = all(_same_step(alpha.steps[i], part.valuation.step_at(i))
-                      for i in range(alpha.level)) and not alpha.has_symbolic
-        if not on_path:
+        if alpha.has_symbolic or not part.valuation.ring_contains(alpha):
             return set()
         out = {alpha.child(part.valuation.step_at(alpha.level))}
         if alpha.level >= 1:

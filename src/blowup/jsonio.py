@@ -15,7 +15,7 @@ from .errors import InputError
 from .expr import Step, format_step, parse_element, parse_step
 from .families import (Chain, Family, Fiber, MoebiusMap, Siblings, Singleton,
                        family_parts)
-from .poly import A, Poly, RatFunc, T
+from .poly import A, Poly, T
 from .tree import Point
 from .valuations import (FirstKind, MinimalCurveBranch,
                          MinimalEventuallyPeriodic, SecondKind, _MinimalBase,

@@ -36,16 +36,15 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import CertificateError, InputError
-from .expr import INF
+from .errors import CertificateError, DepthCapError, InputError
 from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, poly_gcd, rational_roots
-from .position import (Position, _a_collapse_roots, classify_expressed,
-                       position, position_parametric)
+from .position import (Position, _a_collapse_roots, position,
+                       position_parametric)
 from .tree import Point
-from .valuations import FirstKind
+from .valuations import WALK_CAP, FirstKind
 
 _MEMBER = (Position.ZERO, Position.UNIT)
 
@@ -66,7 +65,10 @@ class MembershipAnswer:
     `yes` and `no` hold for every value of a (for all but finitely many
     when the exceptions or flags say so); `yes_except` lists the values
     of a whose verdict differs from the generic yes.  A no always carries
-    a member point where the element fails.
+    a member point where the element fails: for a chain its first member,
+    for siblings the first failing member in index order.  Chain and sibling
+    parts are decided exactly, so the flags only qualify fiber analyses
+    and values of a where the element is undefined.
     """
 
     verdict: str
@@ -78,43 +80,43 @@ class MembershipAnswer:
         return self.verdict == "yes"
 
 
-def in_family(f: RatFunc, family, depth: int = 12) -> MembershipAnswer:
+def in_family(f: RatFunc, family) -> MembershipAnswer:
     """Membership of f in the intersection ring of the family.
 
-    Fibers are decided symbolically for every member at once; chain and
-    sibling parts are walked member by member up to `depth`.  The walk
-    stops early when the expressed denominator repeats identically over
-    three consecutive members while staying a unit: from then on the
-    picture is level-independent.  A walk that does not stabilize is
-    reported in the flags as verified only to the given depth.
+    Every part is decided exactly:
+
+      * a chain's rings grow along the path, so its intersection is the
+        ring at its first member;
+      * sibling member i is a child of the path point P_i, so its ring
+        contains O_{P_i}.  The walk goes down the path and checks member
+        i before classifying f at P_i.  Once f is a zero or a unit at
+        some P_L, every later member contains it; once f is a pole at P_L,
+        member max(L, 1) dominates P_L and is the witness.  f settles on
+        every path (the union is a valuation ring); the walk stops with
+        `DepthCapError` past level `WALK_CAP` (64) all the same;
+      * fibers are decided symbolically for every member at once.
+
+    For f carrying a, the same rules decide the generic value, and the
+    finitely many values of a where some visited position differs are
+    rechecked with the specialized element.
     """
     if f.has_slot(T):
         raise InputError("the symbol t is reserved for fiber steps")
     parts = family_parts(family)
     if f.is_zero:
         return MembershipAnswer("yes")
-    if not f.has_slot(A):
-        ok, witness, flags = _check_concrete(f, parts, depth)
-        return MembershipAnswer("yes" if ok else "no", {}, witness, tuple(flags))
-
     candidates: Set[Fraction] = set()
     flags: List[str] = []
-    undefined = set(_a_collapse_roots(f.den))
-    for part in parts:
-        ok, witness = _generic_part_check(f, part, candidates, flags, depth)
-        if not ok:
-            return MembershipAnswer("no", {}, witness, tuple(flags))
+    ok, witness = _check(f, parts, candidates, flags)
+    if not ok:
+        return MembershipAnswer("no", {}, witness, tuple(flags))
 
     exceptions: Dict[Fraction, str] = {}
     first_witness: Optional[Point] = None
-    for a0 in sorted(candidates):
-        if a0 in undefined:
-            continue
+    undefined = set(_a_collapse_roots(f.den))
+    for a0 in sorted(candidates - undefined):
         special = RatFunc(f.num.subst_const(A, a0), f.den.subst_const(A, a0))
-        ok, witness, extra = _check_concrete(special, parts, depth)
-        for note in extra:
-            if note not in flags:
-                flags.append(note)
+        ok, witness = _check(special, parts, set(), flags)
         if not ok:
             exceptions[a0] = "no"
             if first_witness is None:
@@ -128,25 +130,56 @@ def in_family(f: RatFunc, family, depth: int = 12) -> MembershipAnswer:
     return MembershipAnswer("yes", {}, None, tuple(flags))
 
 
-# -- concrete elements -------------------------------------------------------
-
-
-def _check_concrete(f: RatFunc, parts: Sequence[Family], depth: int,
-                    ) -> Tuple[bool, Optional[Point], List[str]]:
-    flags: List[str] = []
+def _check(f: RatFunc, parts: Sequence[Family], candidates: Set[Fraction],
+           flags: List[str]) -> Tuple[bool, Optional[Point]]:
+    """The (generic) verdict over every part, with the first failing member."""
     for part in parts:
-        if isinstance(part, Singleton):
-            if not in_point(f, part.point):
-                return False, part.point, flags
-        elif isinstance(part, Fiber):
-            ok, witness = _fiber_concrete(f, part)
-            if not ok:
-                return False, witness, flags
+        if isinstance(part, Fiber):
+            if f.has_slot(A):
+                ok, witness = _fiber_parametric(f, part, candidates, flags)
+            else:
+                ok, witness = _fiber_concrete(f, part)
+        elif isinstance(part, Siblings):
+            ok, witness = _sibling_walk(f, part, candidates)
         else:
-            ok, witness = _walk_concrete(f, part, depth, flags)
-            if not ok:
-                return False, witness, flags
-    return True, None, flags
+            # a chain's rings grow along its path: the first member decides
+            witness = (part.point if isinstance(part, Singleton)
+                       else part.member(part.from_level))
+            ok = _position(witness, f, candidates) in _MEMBER
+        if not ok:
+            return False, witness
+    return True, None
+
+
+def _position(point: Point, f: RatFunc, candidates: Set[Fraction]) -> Position:
+    """Position of f at the point; for f carrying a the generic one, with
+    the values of a where f is not in the ring added to `candidates`."""
+    if not f.has_slot(A):
+        return position(point, f)
+    pp = position_parametric(point, f)
+    _collect_exceptions(pp, candidates)
+    return pp.generic
+
+
+def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
+                  ) -> Tuple[bool, Optional[Point]]:
+    for level in range(WALK_CAP + 1):
+        # member i before P_i: the first failing member is the witness
+        if level >= 1:
+            beta = part.member(level)
+            if _position(beta, f, candidates) not in _MEMBER:
+                return False, beta
+        pos = _position(part.valuation.point_at(level), f, candidates)
+        if pos in _MEMBER:
+            return True, None
+        if pos is Position.POLE:
+            return False, part.member(max(level, 1))
+    raise DepthCapError(
+        f"position of {f} along the path of {part.describe()} did not "
+        f"settle within {WALK_CAP} steps")
+
+
+# -- fibers ------------------------------------------------------------------
 
 
 def _fiber_concrete(f: RatFunc, fiber: Fiber) -> Tuple[bool, Optional[Point]]:
@@ -192,76 +225,10 @@ def _failing_member(fiber: Fiber, f: RatFunc) -> Point:
     raise AssertionError("generic failure without a failing member")
 
 
-def _walk_concrete(f: RatFunc, part, depth: int, flags: List[str],
-                   ) -> Tuple[bool, Optional[Point]]:
-    history: List[Poly] = []
-    for beta in _walk_members(part, depth):
-        expressed = beta.express(f)
-        if classify_expressed(expressed) not in _MEMBER:
-            return False, beta
-        history.append(expressed.den)
-        if _stabilized(history):
-            return True, None
-    flags.append(f"{part.describe()} verified to depth {depth} only")
-    return True, None
-
-
-def _walk_members(part, depth: int) -> Iterable[Point]:
-    if isinstance(part, Chain):
-        return (part.member(part.from_level + k) for k in range(depth))
-    return (part.member(1 + k) for k in range(depth))
-
-
-def _stabilized(history: List[Poly]) -> bool:
-    if len(history) < 3:
-        return False
-    last = history[-1]
-    if last != history[-2] or last != history[-3]:
-        return False
-    return not last.xy_constant_part().is_zero
-
-
-# -- elements carrying the parameter a ---------------------------------------
-
-
-def _generic_part_check(f: RatFunc, part, candidates: Set[Fraction],
-                        flags: List[str], depth: int,
-                        ) -> Tuple[bool, Optional[Point]]:
-    if isinstance(part, Singleton):
-        pp = position_parametric(part.point, f)
-        if pp.generic not in _MEMBER:
-            return False, part.point
-        _collect_exceptions(pp, candidates)
-        return True, None
-    if isinstance(part, Fiber):
-        return _fiber_parametric(f, part, candidates, flags)
-    return _walk_parametric(f, part, candidates, flags, depth)
-
-
 def _collect_exceptions(pp, candidates: Set[Fraction]) -> None:
     for a0, pos in pp.exceptional.items():
         if pos not in _MEMBER:
             candidates.add(a0)
-
-
-def _walk_parametric(f: RatFunc, part, candidates: Set[Fraction],
-                     flags: List[str], depth: int,
-                     ) -> Tuple[bool, Optional[Point]]:
-    history: List[Poly] = []
-    for beta in _walk_members(part, depth):
-        pp = position_parametric(beta, f)
-        if pp.generic not in _MEMBER:
-            return False, beta
-        _collect_exceptions(pp, candidates)
-        den = beta.express(f).den
-        const = den.xy_constant_part()
-        if const.has_slot(A):
-            candidates.update(rational_roots(const, A))
-        history.append(den)
-        if _stabilized(history):
-            return True, None
-    flags.append(f"{part.describe()} verified to depth {depth} only")
-    return True, None
 
 
 def _fiber_parametric(f: RatFunc, fiber: Fiber, candidates: Set[Fraction],
@@ -454,9 +421,12 @@ def _linear_curve_witness(fiber: Fiber, u: Poly, w: Poly, f: RatFunc) -> Point:
 class IrredundanceCertificate:
     """Proof object: the valuation contains the member and nothing else.
 
-    `uniqueness_domain` records how far the competitor check reached:
-    fibers are covered in full (the vanishing condition is polynomial in
-    the free step), infinite walks only up to their stated depth."""
+    `uniqueness_domain` records how far the competitor check reached.
+    Fibers are covered in full (the vanishing condition is polynomial in
+    the free step).  Chains are covered in full: their rings grow along
+    the path, so the first two members decide.  Sibling walks stop where
+    the valuation leaves the path, or else at their stated depth.
+    """
 
     member: Point
     valuation: FirstKind
@@ -512,15 +482,12 @@ def _find_competitor(valuation: FirstKind, part, delta: Point,
     if isinstance(part, Fiber):
         return _fiber_competitor(valuation, part, delta)
     if isinstance(part, Chain):
-        for k in range(depth):
-            beta = part.member(part.from_level + k)
-            if not valuation.ring_contains(beta):
-                # the rings only grow down the path, so the deeper ones
-                # cannot fit in the valuation either
-                return None
-            if beta != delta:
-                return str(beta)
-        return f"chain members through depth {depth}"
+        beta = part.member(part.from_level)
+        if beta == delta:
+            beta = part.member(part.from_level + 1)
+        # the rings only grow down the path, so when this one does not fit
+        # in the valuation, no deeper one does either
+        return str(beta) if valuation.ring_contains(beta) else None
     for k in range(depth):
         index = 1 + k
         if not valuation.ring_contains(part.valuation.point_at(index)):
@@ -558,9 +525,9 @@ def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
 def _uniqueness_domain(parts: Sequence[Family], depth: int) -> str:
     pieces: List[str] = []
     for part in parts:
-        if isinstance(part, (Chain, Siblings)):
+        if isinstance(part, Siblings):
             pieces.append(f"{part.describe()} to depth {depth}")
-        elif isinstance(part, Fiber):
+        elif isinstance(part, (Chain, Fiber)):
             pieces.append(f"every member of {part.describe()}")
         else:
             pieces.append(part.describe())

@@ -33,6 +33,10 @@ from .position import Position, classify_expressed, direction_poly
 from .proximity import second_kind_contains
 from .tree import AnyStep, Point, TSYM, _same_step, strict_step
 
+# Cap on walks down a minimal valuation's path; every element settles
+# after finitely many steps, so reaching it means a runaway computation.
+WALK_CAP = 64
+
 
 def _check_curve(h: Poly, through_origin: bool) -> Poly:
     """Validate a polynomial standing for an irreducible curve.
@@ -135,20 +139,28 @@ class _MinimalBase:
     def point_at(self, level: int) -> Point:
         raise NotImplementedError
 
-    def contains_element(self, f: RatFunc, max_depth: int = 64) -> bool:
-        """Walk the path until f settles into or out of the union ring."""
+    def contains_element(self, f: RatFunc) -> bool:
+        """Walk the path until f settles into or out of the union ring.
+
+        The union of the rings O_{P_i} along the path is a valuation ring,
+        so f or 1/f lies in some O_{P_L}: f is then a zero or a unit at
+        P_L (a member) or a pole there (not a member: every deeper ring
+        dominates O_{P_L}, so 1/f stays in its maximal ideal).  The first
+        settled level decides; past `WALK_CAP` steps the walk raises
+        `DepthCapError`.
+        """
         if f.has_slot(A):
             raise InputError("membership needs a concrete element")
         if f.is_zero:
             return True
-        for level in range(max_depth + 1):
+        for level in range(WALK_CAP + 1):
             pos = classify_expressed(self.point_at(level).express(f))
             if pos in (Position.ZERO, Position.UNIT):
                 return True
             if pos is Position.POLE:
                 return False
         raise DepthCapError(
-            f"position of {f} along the path did not settle within {max_depth} steps")
+            f"position of {f} along the path did not settle within {WALK_CAP} steps")
 
     def ring_contains(self, beta: Point) -> bool:
         return all(_same_step(beta.steps[i], self.step_at(i))

@@ -19,7 +19,7 @@ from blowup.expr import INF, format_path, parse_element, parse_path
 from blowup.families import Fiber, Siblings, Singleton
 from blowup.oracle import (in_family, irredundance_certificate,
                            semigroup_member)
-from blowup.position import Position, position, position_parametric, resolve
+from blowup.position import Position, position_parametric, resolve
 from blowup.proximity import is_proximate, proximate_ancestors
 from blowup.topology import (closure_member, is_noetherian,
                              patch_limit_points, zariski_closure)

@@ -224,6 +224,21 @@ class TestErrors:
         assert code == 2
         assert json.loads(err)["error"]["type"] == "UsageError"
 
+    def test_member_has_no_depth_flag(self, capsys, family_file):
+        code, _, err = run(capsys, "member", "--elt", "x", "--family",
+                           family_file(C_FIBER), "--max-depth", "3")
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "UsageError"
+
+    def test_member_walk_cap_exits_3(self, capsys, family_file):
+        # still undetermined at P_64 of the path, every member so far a member
+        code, _, err = run(capsys, "member", "--elt", "x^70/(y - x^71)",
+                           "--family", family_file(SIBLINGS))
+        assert code == 3
+        error = json.loads(err)["error"]
+        assert error["type"] == "DepthCapError"
+        assert "within 64 steps" in error["message"]
+
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "position", "--elt", "x+", "--point", "[0]")
         assert code == 2

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup.errors import CertificateError, InputError
 from blowup.expr import INF, parse_element
@@ -18,6 +19,9 @@ from blowup.valuations import MinimalEventuallyPeriodic
 e = parse_element
 D = Point.root()
 V0 = MinimalEventuallyPeriodic([], [0])
+WALK_PATHS = (V0, MinimalEventuallyPeriodic([], [1]),
+              MinimalEventuallyPeriodic([1], [-1]),
+              MinimalEventuallyPeriodic([INF], [0]))
 
 
 def c_family():
@@ -109,20 +113,65 @@ class TestInFamilyWalks:
         assert answer.verdict == "no"
         assert answer.witness == Point.from_path([0])
 
-    def test_walk_without_stabilization_is_flagged(self):
-        ones = MinimalEventuallyPeriodic([], [1])
-        answer = in_family(e("1/(y+1)"), Chain(ones, 1))
-        assert answer.verdict == "yes"
-        assert any("verified to depth" in flag for flag in answer.flags)
+    def test_chain_answers_are_exact(self):
+        for v in (V0, MinimalEventuallyPeriodic([], [1]),
+                  MinimalEventuallyPeriodic([Fraction(1, 2), INF], [1, INF])):
+            answer = in_family(e("1/(1+y)"), Chain(v, 1))
+            assert answer.verdict == "yes", v
+            assert answer.flags == (), v
+
+    def test_sibling_pole_past_depth_twelve(self):
+        answer = in_family(e("x^13/(y - x^14)"), Siblings(V0, Fraction(1)))
+        assert answer.verdict == "no"
+        assert answer.witness == Point.from_path([0] * 13 + [1])
+        assert answer.flags == ()
 
     def test_sibling_member_catches_the_pole(self):
         answer = in_family(e("x/(y-x^5)"), Siblings(V0, Fraction(1)))
         assert answer.verdict == "no"
         assert answer.witness == Point.from_path([0, 1])
 
+    def test_sibling_fails_before_the_path_settles(self):
+        # a unit from P_2 on, yet a pole at member 1
+        answer = in_family(e("x^2/(y - x^2)"), Siblings(V0, Fraction(1)))
+        assert answer.verdict == "no"
+        assert answer.witness == Point.from_path([0, 1])
+
     def test_siblings_of_units(self):
         answer = in_family(e("1/(1+x)"), Siblings(V0, Fraction(1)))
         assert answer.verdict == "yes"
+
+
+PATH_PARTS = st.one_of(
+    st.builds(Chain, st.sampled_from(WALK_PATHS), st.integers(0, 2)),
+    st.builds(Siblings, st.sampled_from(WALK_PATHS),
+              st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)])))
+
+
+@st.composite
+def curve_quotients(draw):
+    """x^i y^j over a curve that follows one of the paths for a while."""
+    c = draw(st.sampled_from([-1, 1, 2]))
+    k = draw(st.integers(1, 5))
+    curve = draw(st.sampled_from(
+        [f"y - ({c})*x^{k}", f"x - ({c})*y^{k}", f"y + x - ({c})*x^{k}",
+         f"1 + y - ({c})*x^{k}"]))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    return e(f"x^{i}*y^{j}/({curve})")
+
+
+@given(PATH_PARTS, curve_quotients())
+@settings(max_examples=40, deadline=None)
+def test_walk_witness_is_the_first_failing_member(part, f):
+    # sample_members(12): chain members from `from_level` on, siblings 1-12
+    failing = [beta for beta in part.sample_members(12) if not in_point(f, beta)]
+    answer = in_family(f, part)
+    if failing:
+        assert answer.verdict == "no"
+        assert answer.witness == failing[0]
+    if answer.verdict == "no":
+        assert not in_point(f, answer.witness)
+    assert answer.flags == ()
 
 
 class TestInFamilyParametric:
@@ -165,6 +214,13 @@ class TestInFamilyParametric:
         answer = in_family(e("x/(y-a*x)"), Fiber(D, frozenset([Fraction(0)])))
         assert answer.verdict == "no"
         assert answer.witness == Point.from_path([1])
+
+    def test_sibling_exceptions_without_flags(self):
+        answer = in_family(e("x^2/(y - a*x^2)"), Siblings(V0, Fraction(1)))
+        assert answer.verdict == "yes_except"
+        assert answer.exceptions == {Fraction(0): "no", Fraction(1): "no"}
+        assert answer.witness == Point.from_path([0, 0, 1])
+        assert answer.flags == ()
 
     def test_undefined_values_are_flagged_not_excepted(self):
         answer = in_family(e("y/((a-1)*x)"), Singleton(Point.from_path([0])))
@@ -231,6 +287,9 @@ class TestIrredundance:
         delta = Point.from_path([1])
         cert = irredundance_certificate(family, delta, [e("y-x").num])
         assert cert.member == delta
+        assert cert.uniqueness_domain == (
+            "the point D<1>; every member of the chain along "
+            "MinimalEventuallyPeriodic([], [0]) from level 1")
 
     def test_non_members_are_rejected(self):
         with pytest.raises(InputError):

@@ -7,7 +7,6 @@ import pytest
 from blowup.errors import DepthCapError, InputError, LocateError, ResolveError
 from blowup.expr import INF, parse_element, parse_path
 from blowup.position import (
-    ParametricPosition,
     Position,
     locate,
     position,

@@ -10,9 +10,9 @@ from blowup.expr import INF
 from blowup.families import Chain, Fiber, INFINITE, Siblings, Singleton
 from blowup.poly import Poly, X, Y
 from blowup.proximity import is_proximate, second_kind_contains
-from blowup.topology import (DivisorLimitCounts, closure_member,
-                             divisor_limit_counts, irreducible_components,
-                             is_irreducible, is_noetherian, patch_limit_points,
+from blowup.topology import (closure_member, divisor_limit_counts,
+                             irreducible_components, is_irreducible,
+                             is_noetherian, patch_limit_points,
                              zariski_closure)
 from blowup.tree import Point
 from blowup.valuations import (MinimalCurveBranch, MinimalEventuallyPeriodic,
