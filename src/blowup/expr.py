@@ -82,6 +82,35 @@ def format_path(steps: Sequence[Step]) -> str:
 
 _VAR_SLOTS = {"x": X, "y": Y, "a": A}
 
+# Every number in an element must stay printable: Python converts an int of
+# at most 4,300 decimal digits to text, and 13,000 bits is about 3,900 digits.
+MAX_NUMBER_BITS = 13000
+
+
+def _check_bits(bits: int) -> None:
+    if bits > MAX_NUMBER_BITS:
+        raise InputError(f"number too large: the constants and exponents of an "
+                         f"element may have at most {MAX_NUMBER_BITS} bits")
+
+
+def _constant_bits(f: RatFunc) -> int:
+    """Bit length of the largest numerator or denominator among f's coefficients."""
+    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
+               for p in (f.num, f.den) for c in p.terms.values())
+
+
+def _number_bits(f: RatFunc) -> int:
+    """Bit length of the largest coefficient part or exponent in f."""
+    top = max(e for p in (f.num, f.den) for exps in p.terms for e in exps)
+    return max(_constant_bits(f), top.bit_length())
+
+
+def _int_literal(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:  # more digits than Python converts
+        raise InputError(f"number too large: a literal of {len(text)} digits") from exc
+
 
 class _Tokenizer:
     def __init__(self, text: str):
@@ -144,6 +173,7 @@ def parse_element(text: str) -> RatFunc:
     value = _parse_sum(toks)
     if toks.peek()[0] != "end":
         raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
+    _check_bits(_number_bits(value))
     return value
 
 
@@ -190,16 +220,18 @@ def _parse_power(toks: _Tokenizer) -> RatFunc:
         if toks.next()[0] == "-":
             sign = -sign
     tok = toks.expect("num")
-    exponent = sign * int(tok[1])
+    exponent = sign * _int_literal(tok[1])
     if exponent < 0 and base.is_zero:
         raise ExprSyntaxError("division by zero")
+    # c^n has at least (bits(c) - 1) * n bits: refuse before computing it
+    _check_bits((_constant_bits(base) - 1) * abs(exponent))
     return base ** exponent
 
 
 def _parse_atom(toks: _Tokenizer) -> RatFunc:
     kind, text = toks.next()
     if kind == "num":
-        return RatFunc.from_const(int(text))
+        return RatFunc.from_const(_int_literal(text))
     if kind == "name":
         slot = _VAR_SLOTS.get(text)
         if slot is None:

@@ -442,6 +442,8 @@ def irredundance_certificate(family, delta: Point,
     contains delta's ring and provably no other member's wins.  With no
     winner a CertificateError lists what went wrong per candidate.
     """
+    if depth < 0:
+        raise InputError("depth must be nonnegative")
     parts = family_parts(family)
     if not family_member(parts, delta):
         raise InputError(f"{delta} is not a member of the family")

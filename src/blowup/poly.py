@@ -733,6 +733,10 @@ class RatFunc:
                 num = num.divmod_exact(g)
                 den = den.divmod_exact(g)
                 assert num is not None and den is not None
+        self._set_monic(num, den)
+
+    def _set_monic(self, num: Poly, den: Poly) -> None:
+        """Store num/den with the denominator scaled to leading coefficient 1."""
         _, lc = den.leading()
         if lc != 1:
             inv = Fraction(1) / lc
@@ -742,6 +746,23 @@ class RatFunc:
         self.den = den
 
     # -- constructors ------------------------------------------------------
+
+    @staticmethod
+    def coprime(num: Poly, den: Poly) -> "RatFunc":
+        """The fraction num/den when num and den are known to be coprime.
+
+        The gcd is skipped; the denominator is still scaled to leading
+        coefficient 1, so the result equals `RatFunc(num, den)`.  Passing a
+        pair with a common factor gives an unreduced fraction that compares
+        unequal to its reduced form.
+        """
+        if den.is_zero:
+            raise ZeroDivisionError("zero divisor")
+        if num.is_zero:
+            return RatFunc(num)
+        out = RatFunc.__new__(RatFunc)
+        out._set_monic(num, den)
+        return out
 
     @staticmethod
     def from_const(value) -> "RatFunc":
@@ -812,9 +833,6 @@ class RatFunc:
         return f"RatFunc({format_ratfunc(self)})"
 
     # -- substitution ------------------------------------------------------
-
-    def subst_xy(self, px: Poly, py: Poly) -> "RatFunc":
-        return RatFunc(self.num.subst_xy(px, py), self.den.subst_xy(px, py))
 
     def subst_const(self, slot: int, value) -> "RatFunc":
         den = self.den.subst_const(slot, value)

@@ -138,6 +138,8 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
     points of a first neighborhood.  Non-rational directions cannot be
     represented as tree points; they are reported in the diagnostics.
     """
+    if max_depth < 0:
+        raise InputError("max_depth must be nonnegative")
     if f.has_slot(A):
         raise InputError("element carries the parameter a; resolve needs a concrete element")
     if f.is_zero:
@@ -199,6 +201,8 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
     inside a principal one at every deeper point, and the maximal ideal of
     a two-dimensional regular local ring is never principal.
     """
+    if max_depth < 0:
+        raise InputError("max_depth must be nonnegative")
     for e in (f, g):
         if e.has_slot(A):
             raise InputError("parameter pairs must be concrete elements")

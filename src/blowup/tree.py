@@ -11,13 +11,13 @@ The first parameter of the new chart always cuts out the exceptional curve
 of the step.  A path therefore determines a chain of quadratic transforms,
 and the ring at the end is again two-dimensional regular local.
 
-Every point keeps down_x, down_y: the root coordinates x, y written as
-polynomials in the local parameters of this point.  `transform_step` is the
-one place that rewrites a polynomial across a step; `params` derives the
-inverse translation, the local parameters as fractions in x, y, on demand.
-
-`express` pushes any element of the fraction field into the local chart;
-all order, membership and position questions reduce to looking at it there.
+A point stores only its path; chart data is derived when it is needed.
+`transform_step` is the one place that rewrites a polynomial across a step:
+it maps each term by its exponents, x^i y^j to x^(i+j) times y^i, y^j or
+(y + b)^j.  `express` pushes any element of the fraction field into the
+local chart one step at a time, and all order, membership and position
+questions reduce to looking at it there.  `params` derives the inverse
+translation, the local parameters as fractions in x, y.
 
 A path may contain one symbolic step `TSYM`: a child in a generic position
 on the exceptional curve, with the direction kept as the symbol t.  These
@@ -29,11 +29,12 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from math import comb
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import InputError
 from .expr import Step, format_step, is_inf
-from .poly import Poly, RatFunc, T, X, Y
+from .poly import Poly, RatFunc, T, Terms, X, Y
 
 
 class _SymbolicStep:
@@ -52,7 +53,6 @@ AnyStep = Union[Step, _SymbolicStep]
 _PX = Poly.variable(X)
 _PY = Poly.variable(Y)
 _PT = Poly.variable(T)
-_PXY = _PX * _PY
 
 
 class Comparison(Enum):
@@ -63,22 +63,19 @@ class Comparison(Enum):
 
 
 class Point:
-    """A point of the quadratic tree with the root coordinates in its chart."""
+    """A point of the quadratic tree: a path of steps from the root."""
 
-    __slots__ = ("steps", "parent", "down_x", "down_y")
+    __slots__ = ("steps", "parent")
 
-    def __init__(self, steps: Tuple[AnyStep, ...], parent: Optional["Point"],
-                 down_x: Poly, down_y: Poly):
+    def __init__(self, steps: Tuple[AnyStep, ...], parent: Optional["Point"]):
         self.steps = steps
         self.parent = parent
-        self.down_x = down_x
-        self.down_y = down_y
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def root() -> "Point":
-        return Point((), None, _PX, _PY)
+        return Point((), None)
 
     @staticmethod
     def from_path(steps: Iterable[AnyStep]) -> "Point":
@@ -91,8 +88,7 @@ class Point:
         step = normalize_step(step)
         if step is TSYM and self.has_symbolic:
             raise InputError("a path may carry at most one symbolic step")
-        return Point(self.steps + (step,), self,
-                     transform_step(self.down_x, step), transform_step(self.down_y, step))
+        return Point(self.steps + (step,), self)
 
     def ancestor(self, level: int) -> "Point":
         """The point `level` steps from the root along this path."""
@@ -132,8 +128,14 @@ class Point:
     # -- chart work --------------------------------------------------------
 
     def express(self, f: RatFunc) -> RatFunc:
-        """Rewrite an element of k(x, y) in the local parameters here."""
-        return f.subst_xy(self.down_x, self.down_y)
+        """Rewrite an element of k(x, y) in the local parameters here.
+
+        The result is reduced with a monic denominator, exactly as the
+        `RatFunc` constructor would leave it.
+        """
+        for step in self.steps:
+            f = express_step(f, step)
+        return f
 
     def params(self) -> Tuple[RatFunc, RatFunc]:
         """The local parameters at this point, as fractions in x, y."""
@@ -205,12 +207,57 @@ def transform_step(h: Poly, step: AnyStep) -> Poly:
     """Rewrite h in the chart of the child reached by one step.
 
     A finite step b (the symbol t for `TSYM`) substitutes (x, x(y + b));
-    the step inf substitutes (xy, x).
+    the step inf substitutes (xy, x).  A term x^i y^j therefore goes to
+    x^(i+j) y^i for inf, to x^(i+j) y^j for 0, and otherwise to
+    x^(i+j) (y + b)^j = x^(i+j) sum_m C(j, m) b^(j-m) y^m, with b^(j-m)
+    becoming t^(j-m) for `TSYM`.
     """
+    terms: Terms = {}
     if is_inf(step):
-        return h.subst_xy(_PXY, _PX)
-    shift = _PT if step is TSYM else Poly.const(step)
-    return h.subst_xy(_PX, _PX * (_PY + shift))
+        for (i, j, a, t), c in h.terms.items():
+            terms[(i + j, i, a, t)] = c
+    elif step == 0:
+        for (i, j, a, t), c in h.terms.items():
+            terms[(i + j, j, a, t)] = c
+    else:
+        rows = {}
+        for (i, j, a, t), c in h.terms.items():
+            row = rows.get(j)
+            if row is None:
+                row = rows[j] = _binomial_row(j, step)
+            for m, (dt, w) in enumerate(row):
+                key = (i + j, m, a, t + dt)
+                acc = terms.get(key, 0) + c * w
+                if acc:
+                    terms[key] = acc
+                else:
+                    terms.pop(key, None)
+    out = Poly()
+    out.terms = terms
+    return out
+
+
+def _binomial_row(j: int, step: AnyStep) -> List[Tuple[int, Fraction]]:
+    """(t exponent, weight) of y^m in (y + b)^j, for m = 0 .. j."""
+    if step is TSYM:
+        return [(j - m, Fraction(comb(j, m))) for m in range(j + 1)]
+    return [(0, comb(j, m) * step ** (j - m)) for m in range(j + 1)]
+
+
+def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
+    """Rewrite a reduced fraction in the chart of the child one step down.
+
+    Once x is inverted the step is a ring isomorphism, k[x, y][1/x] =
+    k[x, y'][1/x], so the images of a coprime numerator and denominator
+    can share no factor but a power of the new x.  Stripping that power
+    leaves the fraction reduced, with no gcd to compute.
+    """
+    num = transform_step(f.num, step)
+    if num.is_zero:
+        return f
+    den = transform_step(f.den, step)
+    common = min(num.min_exponent(X), den.min_exponent(X))
+    return RatFunc.coprime(num.shift_down(X, common), den.shift_down(X, common))
 
 
 def strict_step(h: Poly, step: AnyStep) -> Poly:

@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from blowup.expr import INF
-from blowup.poly import Poly, RatFunc, poly_gcd
-from blowup.tree import Point
+from blowup.poly import Poly, RatFunc, X, Y, poly_gcd
+from blowup.tree import Point, transform_step
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -135,6 +135,19 @@ def proximate_by_containment(beta: Point, alpha: Point) -> bool:
     """Independent proximity decision: beta proximate to alpha means the
     ring at beta lies inside the order valuation at alpha."""
     return ord_contained(alpha, beta)[0]
+
+
+def reference_express(point: Point, f: RatFunc) -> RatFunc:
+    """`Point.express` the slow canonical way.
+
+    The root coordinates x, y are written in the chart at `point` by
+    folding `transform_step` over the path, substituted into f, and the
+    quotient is reduced by the gcd in the `RatFunc` constructor.
+    """
+    down_x, down_y = Poly.variable(X), Poly.variable(Y)
+    for step in point.steps:
+        down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
+    return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
 
 
 # -- seeded enumeration ------------------------------------------------------

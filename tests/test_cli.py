@@ -257,6 +257,36 @@ class TestErrors:
         assert error["type"] == "DepthCapError"
         assert error["open_points"] == ["[]"]
 
+    @pytest.mark.parametrize("args", [("--elt", "y/x"), ("--f", "x", "--g", "y")])
+    def test_negative_depth_exits_2(self, capsys, args):
+        code, out, err = run(capsys, "resolve", *args, "--max-depth", "-1")
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert "nonnegative" in error["message"]
+
+    def test_irredundant_negative_depth_exits_2(self, capsys, family_file):
+        path = family_file([{"kind": "fiber", "base": [], "excluded": ["inf"]},
+                            {"kind": "fiber", "base": ["inf"]}])
+        code, out, err = run(capsys, "irredundant", "--family", path, "--member", "[2]",
+                             "--candidates", "y-2*x", "--max-depth", "-1")
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["type"] == "InputError"
+
+    @pytest.mark.parametrize("elt", ["2^100000", "(2*x)^20000", "1/3^9000",
+                                     "2^8000*2^8000", "9" * 5000, "7" * 4000,
+                                     "x^" + "9" * 5000, f"(x^{'9' * 2500})^{'9' * 2500}"])
+    def test_huge_number_exits_2(self, capsys, elt):
+        code, out, err = run(capsys, "position", "--elt", elt, "--point", "[0]")
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert "too large" in error["message"]
+
+    def test_large_exponent_of_a_variable_is_fine(self, capsys):
+        code, report, _ = run_json(capsys, "position", "--elt", "x^100000", "--point", "[0]")
+        assert code == 0 and report["position"] == "zero"
+
     def test_missing_family_file(self, capsys):
         code, _, err = run(capsys, "limits", "--family", "/no/such/file.json")
         assert code == 2

@@ -1,9 +1,12 @@
 """Source hygiene checks that need no linter: a stdlib `ast` scan."""
 
 import ast
+import importlib
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "blowup"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "blowup"
+TRACER = ROOT / "perfbench" / "tracer.py"
 
 
 def _unused_imports(source: str):
@@ -27,3 +30,27 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
              for line, name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _traced_layers():
+    """The LAYERS literal of the benchmark tracer, read without importing it."""
+    for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "LAYERS":
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no LAYERS")
+
+
+def test_traced_layers_exist():
+    # the tracer patches methods through the class __dict__ and functions by
+    # module attribute; a renamed or deleted layer would crash a traced run
+    missing = []
+    for _, module_name, attr in _traced_layers():
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            found = method in getattr(owner, cls_name, object).__dict__
+        else:
+            found = hasattr(owner, attr)
+        if not found:
+            missing.append(f"{module_name}.{attr}")
+    assert not missing, "traced layers missing from blowup:\n" + "\n".join(missing)

@@ -21,7 +21,8 @@ D = Point.root()
 V0 = MinimalEventuallyPeriodic([], [0])
 WALK_PATHS = (V0, MinimalEventuallyPeriodic([], [1]),
               MinimalEventuallyPeriodic([1], [-1]),
-              MinimalEventuallyPeriodic([INF], [0]))
+              MinimalEventuallyPeriodic([INF], [0]),
+              MinimalEventuallyPeriodic([], [INF, 0]))
 
 
 def c_family():
@@ -140,6 +141,13 @@ class TestInFamilyWalks:
     def test_siblings_of_units(self):
         answer = in_family(e("1/(1+x)"), Siblings(V0, Fraction(1)))
         assert answer.verdict == "yes"
+
+    def test_inf_period_siblings_agree_with_brute_force(self):
+        # the charts along [inf, 0] repeated grow fast; members 1-12 stay cheap
+        f = e("x^3*y^2/(1 + y + x)")
+        part = Siblings(MinimalEventuallyPeriodic([], [INF, 0]), Fraction(1))
+        assert all(in_point(f, beta) for beta in part.sample_members(12))
+        assert in_family(f, part).verdict == "yes"
 
 
 PATH_PARTS = st.one_of(

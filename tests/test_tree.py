@@ -11,6 +11,8 @@ from blowup.poly import Poly, RatFunc, T, X, Y, format_poly
 from blowup.tree import (Comparison, Point, TSYM, compare, is_prefix, strict_step,
                          transform_step)
 
+from helpers import reference_express
+
 x = Poly.variable(X)
 y = Poly.variable(Y)
 
@@ -79,6 +81,9 @@ def test_express_along_deeper_paths():
     assert str(P("[0, 0]").express(f)) == "(y)/(x*y^2 + 1)"
     assert str(P("[inf]").express(f)) == "(y)/(x*y^3 + 1)"
     assert str(P("[0, inf]").express(f)) == "(1)/(x + y)"
+    # y - x becomes x*y after the 1 step; only the common power of x cancels
+    assert str(P("[1]").express(E("(y - x)/x"))) == "y"
+    assert str(P("[1]").express(E("x^2/(y - x)^3"))) == "(1)/(x*y^3)"
 
 
 def test_express_keeps_exactness():
@@ -212,7 +217,7 @@ def test_strict_transform_line_leaves_chart():
 
 
 any_steps = st.one_of(
-    st.just(INF), st.just(TSYM),
+    st.just(INF), st.just(TSYM), st.just(Fraction(0)),
     st.fractions(min_value=-3, max_value=3, max_denominator=3))
 
 polys_xya = st.dictionaries(
@@ -241,6 +246,35 @@ def test_one_step_matches_sympy_substitution(h, step):
     power = min(m[0] for m in sympy.Poly(expected, sx, sy, sa, sym_t).monoms())
     stripped = sympy.expand(expected / sx ** power)
     assert sympy.expand(to_sympy(strict_step(h, step)) - stripped) == 0
+
+
+@st.composite
+def express_paths(draw):
+    """Paths of depth up to 6 over 0, +-1, +-1/2, 2, inf, with at most one
+    symbolic step inserted anywhere."""
+    steps = draw(st.lists(st.sampled_from(
+        (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
+         Fraction(2), INF)), max_size=6))
+    if draw(st.booleans()):
+        steps.insert(draw(st.integers(0, len(steps))), TSYM)
+    return tuple(steps[:6])
+
+
+small_polys_xya = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.just(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    min_size=1, max_size=4).map(Poly)
+
+
+# The reference's gcd can take minutes on a few elements carrying a at depth
+# 6 (about 3 in 1,000 random draws), so the drawn examples are fixed: these
+# 120 all finish in seconds.
+@given(small_polys_xya, small_polys_xya, express_paths())
+@settings(max_examples=120, deadline=None, derandomize=True)
+def test_express_matches_substitution_and_gcd(num, den, steps):
+    f = RatFunc(num, den)
+    point = Point.from_path(steps)
+    assert point.express(f) == reference_express(point, f)
 
 
 def test_multiplicity_at_symbolic_point():
