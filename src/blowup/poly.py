@@ -24,6 +24,8 @@ import math
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .errors import ComputationError
+
 Exponents = Tuple[int, int, int, int]
 Terms = Dict[Exponents, Fraction]
 
@@ -606,8 +608,20 @@ def _bareiss_det(matrix: List[List[Poly]]) -> Poly:
 # -- univariate helpers -----------------------------------------------------
 
 
+# Largest leading or trailing coefficient whose divisors `rational_roots`
+# enumerates by trial division (about 2^20 divisions for each).
+ROOT_SEARCH_LIMIT = 2 ** 40
+
+
 def rational_roots(p: Poly, slot: int) -> List[Fraction]:
-    """All rational roots of a univariate polynomial, sorted, no repeats."""
+    """All rational roots of a univariate polynomial, sorted, no repeats.
+
+    A linear polynomial (after the root 0 is split off) is solved in
+    closed form.  Otherwise every root is n/d with n dividing the trailing
+    and d the leading coefficient of the primitive integer polynomial; past
+    `ROOT_SEARCH_LIMIT` that divisor search is refused with
+    `ComputationError` rather than left to run for minutes.
+    """
     coeffs = p.as_univariate(slot)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -622,10 +636,17 @@ def rational_roots(p: Poly, slot: int) -> List[Fraction]:
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return roots
+    if len(coeffs) == 2:
+        return sorted(roots + [-coeffs[0] / coeffs[1]])
     denom_lcm = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom_lcm) for c in coeffs]
-    lead = abs(ints[-1])
-    trail = abs(ints[0])
+    content = math.gcd(*ints)
+    lead = abs(ints[-1]) // content
+    trail = abs(ints[0]) // content
+    if max(lead, trail) > ROOT_SEARCH_LIMIT:
+        raise ComputationError(
+            f"rational roots of {p}: the coefficient {max(lead, trail)} exceeds "
+            f"the divisor search limit 2^{ROOT_SEARCH_LIMIT.bit_length() - 1}")
     for num in _divisors(trail):
         for den in _divisors(lead):
             for cand in (Fraction(num, den), Fraction(-num, den)):

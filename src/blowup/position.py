@@ -38,7 +38,7 @@ from .poly import (
     rational_roots,
     sylvester_resultant,
 )
-from .tree import Point
+from .tree import Point, express_step
 
 
 class Position(Enum):
@@ -152,11 +152,12 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
     diagnostics: List[str] = []
     open_points: List[Point] = []
     depth_used = root.level
-    queue = deque([root])
+    # each child's chart is one step from its parent's, so the queue
+    # carries the expressed form down instead of re-folding the path
+    queue = deque([(root, root.express(f))])
     while queue:
-        point = queue.popleft()
+        point, expressed = queue.popleft()
         depth_used = max(depth_used, point.level)
-        expressed = point.express(f)
         pos = classify_expressed(expressed)
         if pos is Position.ZERO:
             zeros.append(point)
@@ -181,7 +182,7 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
             open_points.append(point)
             continue
         for s in step_set.steps:
-            queue.append(point.child(s))
+            queue.append((point.child(s), express_step(expressed, s)))
     if open_points:
         raise DepthCapError(
             f"resolution of {f} still undetermined at depth {max_depth} "
@@ -210,11 +211,9 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
             raise InputError("the zero element is never a parameter")
     matches: List[Point] = []
     open_points: List[Point] = []
-    queue = deque([Point.root()])
+    queue = deque([(Point.root(), f, g)])
     while queue:
-        point = queue.popleft()
-        ef = point.express(f)
-        eg = point.express(g)
+        point, ef, eg = queue.popleft()
         pf = classify_expressed(ef)
         pg = classify_expressed(eg)
         if pf in (Position.UNIT, Position.POLE) or pg in (Position.UNIT, Position.POLE):
@@ -249,7 +248,7 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
             open_points.append(point)
             continue
         for s in sorted(steps, key=lambda v: (v is INF, v if v is not INF else 0)):
-            queue.append(point.child(s))
+            queue.append((point.child(s), express_step(ef, s), express_step(eg, s)))
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:

@@ -22,7 +22,6 @@ finitely many steps, so the walk always ends (the cap is a safety net).
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -31,7 +30,7 @@ from .expr import INF, Step, format_path, is_inf
 from .poly import A, Poly, RatFunc, T, X, Y, factor_multiplicity, poly_gcd, rational_roots
 from .position import Position, classify_expressed, direction_poly
 from .proximity import second_kind_contains
-from .tree import AnyStep, Point, TSYM, _same_step, strict_step
+from .tree import AnyStep, Point, TSYM, _same_step, express_step, strict_step
 
 # Cap on walks down a minimal valuation's path; every element settles
 # after finitely many steps, so reaching it means a runaway computation.
@@ -153,8 +152,11 @@ class _MinimalBase:
             raise InputError("membership needs a concrete element")
         if f.is_zero:
             return True
+        expressed = f
         for level in range(WALK_CAP + 1):
-            pos = classify_expressed(self.point_at(level).express(f))
+            if level:
+                expressed = express_step(expressed, self.step_at(level - 1))
+            pos = classify_expressed(expressed)
             if pos in (Position.ZERO, Position.UNIT):
                 return True
             if pos is Position.POLE:
@@ -223,14 +225,12 @@ class MinimalCurveBranch(_MinimalBase):
     def __init__(self, h: Poly):
         self.h = _check_curve(h, through_origin=True).normalized()
         self._entries: List[Tuple[Point, Poly]] = [(Point.root(), self.h)]
-        self._lock = threading.Lock()
 
     def _extend_to(self, level: int) -> None:
-        with self._lock:
-            while len(self._entries) <= level:
-                point, strict = self._entries[-1]
-                step = branch_step(strict)
-                self._entries.append((point.child(step), strict_step(strict, step)))
+        while len(self._entries) <= level:
+            point, strict = self._entries[-1]
+            step = branch_step(strict)
+            self._entries.append((point.child(step), strict_step(strict, step)))
 
     def step_at(self, index: int) -> AnyStep:
         self._extend_to(index + 1)

@@ -11,11 +11,14 @@ containment at the searched degree.
 """
 
 import random
+from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
+from blowup.errors import DepthCapError, ResolveError
 from blowup.expr import INF
 from blowup.poly import Poly, RatFunc, X, Y, poly_gcd
+from blowup.position import Position, Resolution, _candidate_steps, classify_expressed
 from blowup.tree import Point, transform_step
 
 
@@ -148,6 +151,51 @@ def reference_express(point: Point, f: RatFunc) -> RatFunc:
     for step in point.steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
     return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
+
+
+def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
+    """`resolve` from the root the slow canonical way.
+
+    The same breadth-first descent, but every visited point expresses f
+    from the root instead of taking one step from its parent's chart.
+    """
+    zeros: List[Point] = []
+    poles: List[Point] = []
+    diagnostics: List[str] = []
+    open_points: List[Point] = []
+    depth_used = 0
+    queue = deque([Point.root()])
+    while queue:
+        point = queue.popleft()
+        depth_used = max(depth_used, point.level)
+        expressed = point.express(f)
+        pos = classify_expressed(expressed)
+        if pos is Position.ZERO:
+            zeros.append(point)
+        elif pos is Position.POLE:
+            poles.append(point)
+        if pos is not Position.UNDETERMINED:
+            continue
+        step_set = _candidate_steps(expressed)
+        if step_set.order_gap != 0:
+            side = "vanishes" if step_set.order_gap > 0 else "has a pole"
+            raise ResolveError(
+                f"{f} {side} along the exceptional curve of {point}: "
+                "every direction there is affected, so the zeros and poles "
+                "do not form a finite set of points")
+        if step_set.irrational:
+            diagnostics.append(
+                f"some zero or pole directions at {point} are irrational "
+                "and have no tree point over the rationals")
+        if point.level >= max_depth:
+            open_points.append(point)
+            continue
+        queue.extend(point.child(s) for s in step_set.steps)
+    if open_points:
+        raise DepthCapError(
+            f"resolution of {f} still undetermined at depth {max_depth} "
+            f"below {Point.root()}", open_points=open_points)
+    return Resolution(tuple(zeros), tuple(poles), depth_used, tuple(diagnostics))
 
 
 # -- seeded enumeration ------------------------------------------------------

@@ -55,6 +55,15 @@ class TestCommands:
         assert report["poles"] == ["[0, inf]"]
         assert report["depth_used"] == 2
 
+    def test_resolve_huge_linear_direction(self, capsys):
+        # a linear direction polynomial is solved in closed form, with no
+        # divisor search on its coefficients
+        code, report, err = run_json(capsys, "resolve", "--elt",
+                                     "(y - 1000000000000000003*x)/x")
+        assert code == 0 and not err
+        assert report["zeros"] == ["[1000000000000000003]"]
+        assert report["poles"] == ["[inf]"]
+
     def test_resolve_pair_flags(self, capsys):
         code, report, _ = run_json(capsys, "resolve", "--f", "x*y", "--g", "y^2+x^3")
         assert code == 0
@@ -248,6 +257,14 @@ class TestErrors:
         code, _, err = run(capsys, "resolve", "--elt", "x^2/y")
         assert code == 3
         assert json.loads(err)["error"]["type"] == "ResolveError"
+
+    def test_huge_root_search_exits_3(self, capsys):
+        code, out, err = run(capsys, "resolve", "--elt",
+                             "(y^2 - 1000000000000000003*x^2)/x^2")
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "ComputationError"
+        assert "t^2 - 1000000000000000003" in error["message"]
 
     def test_depth_cap_reports_open_points(self, capsys):
         code, _, err = run(capsys, "resolve", "--elt", "(x-y)/x",

@@ -1,11 +1,14 @@
 """Tests for the exact polynomial / rational function kernel."""
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowup.errors import ComputationError
 from blowup.poly import (
+    ROOT_SEARCH_LIMIT,
     A,
     Poly,
     RatFunc,
@@ -291,6 +294,66 @@ def test_rational_roots_none_found():
 def test_rational_roots_rejects_multivariate():
     with pytest.raises(ValueError):
         rational_roots(x + t, T)
+
+
+def test_rational_roots_of_a_linear_polynomial_with_huge_coefficients():
+    n = 1000000000000000003
+    assert rational_roots(t - C(n), T) == [Fraction(n)]
+    assert rational_roots(C(n) * t ** 3 + C(2) * t ** 2, T) == [Fraction(-2, n), Fraction(0)]
+
+
+def test_rational_roots_refuses_a_huge_divisor_search():
+    with pytest.raises(ComputationError, match="t\\^2 - 1000000000000000003"):
+        rational_roots(t ** 2 - C(1000000000000000003), T)
+    assert rational_roots(t ** 2 - C(ROOT_SEARCH_LIMIT), T) == [Fraction(-2 ** 20), Fraction(2 ** 20)]
+    with pytest.raises(ComputationError):
+        rational_roots(t ** 2 - C(ROOT_SEARCH_LIMIT + 1), T)
+    # the common content of the coefficients does not count
+    assert rational_roots(C(2 ** 50) * (t ** 2 - one), T) == [Fraction(-1), Fraction(1)]
+
+
+root_coefficients = st.one_of(st.integers(-12, 12), st.integers(-2 ** 64, 2 ** 64))
+
+
+@st.composite
+def dense_polys(draw, max_size):
+    coeffs = draw(st.lists(root_coefficients, max_size=max_size))
+    p = Poly()
+    for k, c in enumerate(coeffs):
+        p = p + C(Fraction(c, draw(st.integers(1, 5)))) * t ** k
+    return p if not p.is_zero else one
+
+
+@st.composite
+def planted_polys(draw):
+    """Planted rational roots times a factor with random coefficients, some
+    of them far above the divisor search limit."""
+    p = C(draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * (C(draw(st.integers(1, 12))) * t - C(draw(st.integers(-12, 12))))
+    return p * draw(dense_polys(4))
+
+
+@given(st.one_of(planted_polys(), dense_polys(2).map(lambda p: p * t ** 2)))
+@settings(max_examples=150, deadline=None)
+def test_rational_roots_match_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    sym_t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * sym_t ** e[T]
+               for e, c in p.terms.items())
+    expected = sorted(Fraction(int(r.p), int(r.q))
+                      for r in sympy.roots(sympy.Poly(expr, sym_t), filter="Q"))
+    coeffs = p.as_univariate(T)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    content = math.gcd(*ints)
+    if len(ints) > 2 and max(abs(ints[0]), abs(ints[-1])) // content > ROOT_SEARCH_LIMIT:
+        with pytest.raises(ComputationError):
+            rational_roots(p, T)
+    else:
+        assert rational_roots(p, T) == expected
 
 
 def test_has_irrational_factor():

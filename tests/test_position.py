@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup.errors import DepthCapError, InputError, LocateError, ResolveError
 from blowup.expr import INF, parse_element, parse_path
+from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import (
     Position,
     locate,
@@ -14,6 +16,8 @@ from blowup.position import (
     resolve,
 )
 from blowup.tree import Point
+
+from helpers import reference_resolve
 
 
 def P(literal):
@@ -126,6 +130,59 @@ def test_resolve_rejects_parametric_and_zero():
         resolve(E("0"))
 
 
+_px = Poly.variable(X)
+_py = Poly.variable(Y)
+small_rationals = st.sampled_from(
+    (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)))
+
+
+@st.composite
+def branch_factors(draw):
+    """A factor y - p(x) with p(0) = 0, or a small singular or tangent curve."""
+    if draw(st.booleans()):
+        p = Poly()
+        for k in range(1, draw(st.integers(1, 3)) + 1):
+            p = p + Poly.const(draw(small_rationals)) * _px ** k
+        return _py - p if draw(st.booleans()) else _px - p.subst_poly(X, _py)
+    return draw(st.sampled_from((
+        _px, _py, _py ** 2 - _px ** 3, _px ** 2 - _py ** 3, _py ** 2 - _px ** 2 * (_px + _py),
+        (_py - _px) ** 2 - _px ** 5, Poly.const(1) + _px)))
+
+
+@st.composite
+def branch_elements(draw):
+    """A quotient of such factors, mostly of equal order at the root, so
+    that the descent goes past the first neighborhood."""
+    num, den = Poly.const(1), Poly.const(1)
+    for _ in range(draw(st.integers(1, 3))):
+        num = num * draw(branch_factors())
+    for _ in range(draw(st.integers(0, 3))):
+        den = den * draw(branch_factors())
+    if draw(st.integers(0, 3)):
+        while num.xy_order() != den.xy_order():
+            line = _py - Poly.const(draw(small_rationals)) * _px
+            if num.xy_order() < den.xy_order():
+                num = num * line
+            else:
+                den = den * line
+    return RatFunc(num, den)
+
+
+def _outcome(search, f, max_depth):
+    try:
+        return search(f, max_depth)
+    except DepthCapError as exc:
+        return type(exc), str(exc), exc.open_points
+    except ResolveError as exc:
+        return type(exc), str(exc)
+
+
+@given(branch_elements(), st.integers(0, 5))
+@settings(max_examples=80, deadline=None)
+def test_resolve_matches_expressing_from_the_root(f, max_depth):
+    assert _outcome(resolve, f, max_depth) == _outcome(reference_resolve, f, max_depth)
+
+
 # -- locate ------------------------------------------------------------------
 
 def test_locate_plain_parameters():
@@ -148,6 +205,14 @@ def test_locate_deeper_pairs():
 
 def test_locate_order_insensitive():
     assert locate(E("x^2/y"), E("y/x")) == P("[0, inf]")
+
+
+@given(st.lists(st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2),
+                                 Fraction(-1, 2), Fraction(2), INF)), max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_locate_finds_the_point_of_its_parameters(steps):
+    point = Point.from_path(steps)
+    assert locate(*point.params()) == point
 
 
 def test_locate_rejects_non_pairs():

@@ -4,12 +4,15 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from blowup.errors import BranchError, InputError
+from blowup.errors import BranchError, DepthCapError, InputError
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, X, Y
+from blowup.position import Position, classify_expressed
 from blowup.tree import Point
 from blowup.valuations import (
+    WALK_CAP,
     FirstKind,
     MinimalCurveBranch,
     MinimalEventuallyPeriodic,
@@ -274,3 +277,45 @@ def test_cross_kind_rings_agree_on_samples():
     assert v.same_path(w)
     for text in ("y/x", "y - x", "x + y", "1/x", "1/(y - x)"):
         assert v.contains_element(E(text)) == w.contains_element(E(text))
+
+
+# -- the membership walk against expressing from the root ---------------------
+
+def _walk_from_root(v, f):
+    """`contains_element` with every path point expressing f from the root."""
+    if f.is_zero:
+        return True
+    for level in range(WALK_CAP + 1):
+        pos = classify_expressed(v.point_at(level).express(f))
+        if pos is not Position.UNDETERMINED:
+            return pos is not Position.POLE
+    return DepthCapError
+
+
+def _walk(v, f):
+    try:
+        return v.contains_element(f)
+    except DepthCapError:
+        return DepthCapError
+
+
+walk_steps = st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), INF))
+# no constant terms, so no walk settles at the root
+plane_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.just(0)).filter(
+        lambda e: e[0] + e[1]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+    min_size=1, max_size=4).map(Poly)
+minimal_valuations = st.one_of(
+    st.builds(MinimalEventuallyPeriodic, st.lists(walk_steps, max_size=3),
+              st.lists(walk_steps, min_size=1, max_size=2)),
+    st.sampled_from([MinimalCurveBranch(h) for h in (
+        x ** 2 - y ** 3, y ** 2 - x ** 3, (y - x) ** 2 - x ** 5, y - x ** 2,
+        y ** 3 - x ** 5, y - x - x ** 3)]))
+
+
+@given(minimal_valuations, plane_polys, plane_polys)
+@settings(max_examples=80, deadline=None)
+def test_membership_walk_matches_expressing_from_the_root(v, num, den):
+    f = RatFunc(num, den)
+    assert _walk(v, f) == _walk_from_root(v, f)
