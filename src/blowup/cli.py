@@ -6,6 +6,8 @@ on the diagnostic stream as one JSON object: malformed input exits 2,
 a computation that cannot complete exits 3.
 """
 
+from __future__ import annotations
+
 import argparse
 import json
 import sys

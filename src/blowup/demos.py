@@ -15,6 +15,8 @@ their evidence in the detail string, so the same invocation always
 produces byte-identical output.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from typing import Callable, Dict, List
 

@@ -7,6 +7,8 @@ second proximate ancestor where both ends are drawn.  Node identity is
 the path literal, so output is deterministic and diffable.
 """
 
+from __future__ import annotations
+
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InputError

@@ -19,7 +19,7 @@ Each step is a rational number or `inf`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 from .errors import InputError
 from .poly import A, Poly, RatFunc, X, Y
@@ -40,7 +40,7 @@ class _Infinity:
 
 INF = _Infinity()
 
-Step = Union[Fraction, _Infinity]
+Step = Fraction | _Infinity
 
 
 def is_inf(step) -> bool:

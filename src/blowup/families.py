@@ -7,9 +7,11 @@ family set is a finite union of these.  All queries here are symbolic; no
 family is ever enumerated beyond what a concrete answer needs.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
 from .expr import INF, Step, is_inf
@@ -29,7 +31,7 @@ class _Infinite:
 
 INFINITE = _Infinite()
 
-Count = Union[int, _Infinite]
+Count = int | _Infinite
 
 # Comparisons of lazily described paths are truncated here; two paths that
 # agree this far are treated as identical (see valuations.same_path).
@@ -73,9 +75,6 @@ class MoebiusMap:
 
     def inverse(self) -> "MoebiusMap":
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def to_param(self, step: Step) -> Step:
-        return self.inverse().to_step(step)
 
 
 @dataclass(frozen=True)
@@ -305,8 +304,8 @@ class Siblings:
                 f"at offset {self.offset}")
 
 
-Family = Union[Singleton, Fiber, Chain, Siblings]
-FamilySet = Tuple[Family, ...]
+Family = Singleton | Fiber | Chain | Siblings
+FamilySet = tuple[Family, ...]
 
 
 def family_parts(family) -> FamilySet:

@@ -8,6 +8,8 @@ valuation is spelled {"kind": "monomial", ...} on the way in but comes
 back as the order valuation it constructs.
 """
 
+from __future__ import annotations
+
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ComputationError
 
@@ -303,18 +303,6 @@ class Poly:
         out = Poly()
         out.terms = terms
         return out
-
-    def subst_poly(self, slot: int, value: "Poly") -> "Poly":
-        """Substitute an arbitrary polynomial for one slot."""
-        powers = _PowerCache(value)
-        result = Poly()
-        for exps, coeff in self.terms.items():
-            lst = list(exps)
-            k = lst[slot]
-            lst[slot] = 0
-            term = Poly.monomial(tuple(lst), coeff) * powers[k]
-            result = result + term
-        return result
 
     def derivative(self, slot: int) -> "Poly":
         terms: Terms = {}
@@ -608,74 +596,113 @@ def _bareiss_det(matrix: List[List[Poly]]) -> Poly:
 # -- univariate helpers -----------------------------------------------------
 
 
-# Largest leading or trailing coefficient whose divisors `rational_roots`
+# Largest leading or trailing coefficient whose divisors a root search
 # enumerates by trial division (about 2^20 divisions for each).
 ROOT_SEARCH_LIMIT = 2 ** 40
+# Most (numerator, denominator) divisor pairs a root search tests: a number
+# below ROOT_SEARCH_LIMIT can have thousands of divisors, and testing every
+# pair of two such sets would run for minutes.
+ROOT_PAIR_LIMIT = 2 ** 20
 
 
 def rational_roots(p: Poly, slot: int) -> List[Fraction]:
-    """All rational roots of a univariate polynomial, sorted, no repeats.
+    """All rational roots of a univariate polynomial, sorted, no repeats."""
+    return root_pass(p.as_univariate(slot), slot)[0]
 
-    A linear polynomial (after the root 0 is split off) is solved in
-    closed form.  Otherwise every root is n/d with n dividing the trailing
-    and d the leading coefficient of the primitive integer polynomial; past
-    `ROOT_SEARCH_LIMIT` that divisor search is refused with
-    `ComputationError` rather than left to run for minutes.
+
+def root_pass(coeffs: Sequence[Fraction], slot: int) -> Tuple[List[Fraction], bool]:
+    """Rational roots of sum coeffs[k] s^k (s the variable of `slot`), sorted
+    without repeats, and whether a factor of positive degree is left once
+    every rational root is divided out with its multiplicity.
+
+    A polynomial that is linear after the root 0 is split off is solved in
+    closed form.  Otherwise the search runs on the primitive integer
+    coefficients: a root n/d in lowest terms has n dividing the trailing
+    and d the leading coefficient, is tested by the homogeneous value
+    sum c_k n^k d^(deg - k), and is divided out exactly by (d s - n).  Past
+    `ROOT_SEARCH_LIMIT` on either end coefficient, or `ROOT_PAIR_LIMIT`
+    divisor pairs, the search is refused with `ComputationError` rather
+    than left to run for minutes.
     """
-    coeffs = p.as_univariate(slot)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if not coeffs:
+    high = len(coeffs)
+    while high and not coeffs[high - 1]:
+        high -= 1
+    if not high:
         raise ValueError("zero polynomial has every root")
-    roots: List[Fraction] = []
     low = 0
-    while coeffs[low] == 0:
+    while not coeffs[low]:
         low += 1
-    if low:
-        roots.append(Fraction(0))
-        coeffs = coeffs[low:]
-    if len(coeffs) == 1:
-        return roots
-    if len(coeffs) == 2:
-        return sorted(roots + [-coeffs[0] / coeffs[1]])
-    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom_lcm) for c in coeffs]
+    roots = [Fraction(0)] if low else []
+    if high - low == 1:
+        return roots, False
+    if high - low == 2:
+        roots.append(-coeffs[low] / coeffs[low + 1])
+        return sorted(roots), False
+    window = coeffs[low:high]
+    scale = math.lcm(*(c.denominator for c in window))
+    ints = [c.numerator * (scale // c.denominator) for c in window]
     content = math.gcd(*ints)
-    lead = abs(ints[-1]) // content
-    trail = abs(ints[0]) // content
+    if content != 1:
+        ints = [c // content for c in ints]
+    lead, trail = abs(ints[-1]), abs(ints[0])
     if max(lead, trail) > ROOT_SEARCH_LIMIT:
         raise ComputationError(
-            f"rational roots of {p}: the coefficient {max(lead, trail)} exceeds "
-            f"the divisor search limit 2^{ROOT_SEARCH_LIMIT.bit_length() - 1}")
-    for num in _divisors(trail):
-        for den in _divisors(lead):
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if cand in roots:
-                    continue
-                if _eval_univar(coeffs, cand) == 0:
-                    roots.append(cand)
-    return sorted(roots)
+            f"rational roots of {_from_univar(coeffs, slot)}: the coefficient "
+            f"{max(lead, trail)} exceeds the divisor search limit "
+            f"2^{ROOT_SEARCH_LIMIT.bit_length() - 1}")
+    nums = _divisors(trail)
+    dens = _divisors(lead)
+    if len(nums) * len(dens) > ROOT_PAIR_LIMIT:
+        raise ComputationError(
+            f"rational roots of {_from_univar(coeffs, slot)}: the coefficients "
+            f"{trail} and {lead} give {len(nums) * len(dens)} divisor pairs, "
+            f"over the search limit 2^{ROOT_PAIR_LIMIT.bit_length() - 1}")
+    found, rest = _integer_roots(ints, nums, dens)
+    roots += found
+    if len(rest) == 2:
+        roots.append(Fraction(-rest[0], rest[1]))
+    return sorted(set(roots)), len(rest) > 2
 
 
-def has_irrational_factor(p: Poly, slot: int) -> bool:
-    """True when a univariate polynomial keeps positive degree after all
-    rational roots (with multiplicity) are divided out."""
-    coeffs = p.as_univariate(slot)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    if len(coeffs) <= 1:
-        return False
-    low = 0
-    while coeffs[low] == 0:
-        low += 1
-    coeffs = coeffs[low:]
-    for root in rational_roots(_from_univar(coeffs, slot), slot):
-        while True:
-            quo = _synthetic_div(coeffs, root)
-            if quo is None:
-                break
-            coeffs = quo
-    return len(coeffs) > 1
+def _integer_roots(ints: List[int], nums: List[int],
+                   dens: List[int]) -> Tuple[List[Fraction], List[int]]:
+    """The roots among ±n/d, n in `nums` and d in `dens`, each divided out
+    as often as it divides; stops once what is left is linear, and returns
+    the roots found and what is left."""
+    found: List[Fraction] = []
+    rest = ints
+    for n in nums:
+        for d in dens:
+            if len(rest) <= 2:
+                return found, rest
+            # n and d must still divide the ends of what is left
+            if rest[0] % n or rest[-1] % d or math.gcd(n, d) != 1:
+                continue
+            for num in (n, -n):
+                while len(rest) > 1 and _homogeneous_value(rest, num, d) == 0:
+                    rest = _deflate(rest, num, d)
+                    found.append(Fraction(num, d))
+    return found, rest
+
+
+def _homogeneous_value(c: List[int], n: int, d: int) -> int:
+    """d^deg times the value of sum c[k] s^k at s = n/d."""
+    acc = 0
+    power = 1
+    for ck in reversed(c):
+        acc = acc * n + ck * power
+        power *= d
+    return acc
+
+
+def _deflate(c: List[int], n: int, d: int) -> List[int]:
+    """The exact quotient of sum c[k] s^k by (d s - n), n/d a root of it."""
+    quotient = [0] * (len(c) - 1)
+    acc = 0
+    for k in range(len(c) - 1, 0, -1):
+        acc = (c[k] + n * acc) // d
+        quotient[k - 1] = acc
+    return quotient
 
 
 def _from_univar(coeffs: Sequence[Fraction], slot: int) -> Poly:
@@ -688,31 +715,8 @@ def _from_univar(coeffs: Sequence[Fraction], slot: int) -> Poly:
     return Poly(terms)
 
 
-def _synthetic_div(coeffs: List[Fraction], root: Fraction) -> Optional[List[Fraction]]:
-    """Divide by (X - root); None when root is not actually a root."""
-    if _eval_univar(coeffs, root) != 0:
-        return None
-    rev = list(reversed(coeffs))
-    acc = rev[0]
-    quo_rev = [acc]
-    for c in rev[1:-1]:
-        acc = acc * root + c
-        quo_rev.append(acc)
-    return list(reversed(quo_rev))
-
-
-def _eval_univar(coeffs: Sequence[Fraction], point: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * point + c
-    return acc
-
-
-def _divisors(n: int) -> Iterator[int]:
-    if n == 0:
-        yield 1
-        return
-    n = abs(n)
+def _divisors(n: int) -> List[int]:
+    """Positive divisors of n >= 1 in increasing order."""
     small = []
     big = []
     d = 1
@@ -722,8 +726,7 @@ def _divisors(n: int) -> Iterator[int]:
             if d != n // d:
                 big.append(n // d)
         d += 1
-    yield from small
-    yield from reversed(big)
+    return small + big[::-1]
 
 
 # -- rational functions -----------------------------------------------------

@@ -33,9 +33,9 @@ from .poly import (
     T,
     X,
     Y,
-    has_irrational_factor,
     poly_gcd,
     rational_roots,
+    root_pass,
     sylvester_resultant,
 )
 from .tree import Point, express_step
@@ -91,29 +91,36 @@ class _StepSet:
     irrational: bool
 
 
-def direction_poly(lowest: Poly) -> Poly:
-    """The lowest form restricted to the exceptional line, as a poly in t."""
-    return lowest.subst_const(X, 1).subst_poly(Y, Poly.variable(T))
+def lowest_form(p: Poly) -> List[Fraction]:
+    """Coefficients c_0 .. c_d of the lowest form sum c_j x^(d-j) y^j of p.
+
+    On the exceptional line (x = 1, y = t) the form becomes the direction
+    polynomial sum c_j t^j, whose roots are the finite steps where it
+    vanishes; it vanishes in the direction inf exactly when c_d = 0.
+    """
+    order = p.xy_order()
+    coeffs: List[Fraction] = [0] * (order + 1)
+    for (i, j, a, t), c in p.terms.items():
+        if i + j == order:
+            if a or t:
+                raise ValueError("the lowest form carries the symbols a or t")
+            coeffs[j] = c
+    return coeffs
 
 
 def _candidate_steps(expressed: RatFunc) -> _StepSet:
-    num, den = expressed.num, expressed.den
-    lf = num.lowest_xy_form()
-    lg = den.lowest_xy_form()
-    gap = num.xy_order() - den.xy_order()
-    phi_f = direction_poly(lf)
-    phi_g = direction_poly(lg)
+    cf = lowest_form(expressed.num)
+    cg = lowest_form(expressed.den)
     steps: set = set()
-    for phi in (phi_f, phi_g):
-        if not phi.is_constant:
-            steps.update(rational_roots(phi, T))
-        elif phi.is_zero:
-            raise AssertionError("lowest form vanished on the exceptional line")
-    if lf.min_exponent(X) > 0 or lg.min_exponent(X) > 0:
-        steps.add(INF)
-    irrational = has_irrational_factor(phi_f, T) or has_irrational_factor(phi_g, T)
-    ordered = tuple(sorted((s for s in steps if s is not INF))) + \
-        ((INF,) if INF in steps else ())
+    irrational = False
+    for coeffs in (cf, cg):
+        roots, rest = root_pass(coeffs, T)
+        steps.update(roots)
+        irrational = irrational or rest
+    ordered = tuple(sorted(steps))
+    if not cf[-1] or not cg[-1]:
+        ordered += (INF,)
+    gap = len(cf) - len(cg)
     return _StepSet(ordered, binding=gap <= 0, order_gap=gap, irrational=irrational)
 
 

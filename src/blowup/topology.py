@@ -6,8 +6,10 @@ symbolic: each family shape admits or rules out limits by its form, so no
 enumeration is ever needed.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .errors import ComponentError, InputError
 from .expr import is_inf
@@ -18,8 +20,8 @@ from .proximity import second_kind_contains
 from .tree import Point, is_prefix
 from .valuations import SecondKind, _MinimalBase
 
-Descriptor = Union[SecondKind, _MinimalBase]
-Generator = Union[Point, SecondKind, _MinimalBase]
+Descriptor = SecondKind | _MinimalBase
+Generator = Point | SecondKind | _MinimalBase
 
 
 def patch_limit_points(family) -> Tuple[Descriptor, ...]:

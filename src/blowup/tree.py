@@ -16,8 +16,7 @@ A point stores only its path; chart data is derived when it is needed.
 it maps each term by its exponents, x^i y^j to x^(i+j) times y^i, y^j or
 (y + b)^j.  `express` pushes any element of the fraction field into the
 local chart one step at a time, and all order, membership and position
-questions reduce to looking at it there.  `params` derives the inverse
-translation, the local parameters as fractions in x, y.
+questions reduce to looking at it there.
 
 A path may contain one symbolic step `TSYM`: a child in a generic position
 on the exceptional curve, with the direction kept as the symbol t.  These
@@ -30,11 +29,11 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import comb
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .expr import Step, format_step, is_inf
-from .poly import Poly, RatFunc, T, Terms, X, Y
+from .poly import Poly, RatFunc, Terms, X
 
 
 class _SymbolicStep:
@@ -48,11 +47,7 @@ class _SymbolicStep:
 
 TSYM = _SymbolicStep()
 
-AnyStep = Union[Step, _SymbolicStep]
-
-_PX = Poly.variable(X)
-_PY = Poly.variable(Y)
-_PT = Poly.variable(T)
+AnyStep = Step | _SymbolicStep
 
 
 class Comparison(Enum):
@@ -137,16 +132,6 @@ class Point:
             f = express_step(f, step)
         return f
 
-    def params(self) -> Tuple[RatFunc, RatFunc]:
-        """The local parameters at this point, as fractions in x, y."""
-        px, py = RatFunc(_PX), RatFunc(_PY)
-        for step in self.steps:
-            if is_inf(step):
-                px, py = py, px / py
-            else:
-                py = py / px - RatFunc(_PT if step is TSYM else Poly.const(step))
-        return px, py
-
     def in_ring(self, f: RatFunc) -> bool:
         """Membership in the local ring at this point.
 
@@ -163,24 +148,6 @@ class Point:
             raise ValueError("order of zero undefined")
         return expressed.num.xy_order() - expressed.den.xy_order()
 
-    def residue_of(self, f: RatFunc) -> Poly:
-        """Image of a ring element in the residue field.
-
-        The result is a constant polynomial for a concrete point; a point
-        with a symbolic step may give a polynomial in t.  Raises if f is
-        not in the local ring (or lands outside the polynomial part of the
-        residue field).
-        """
-        expressed = self.express(f)
-        num = expressed.num.xy_constant_part()
-        den = expressed.den.xy_constant_part()
-        if den.is_zero:
-            raise ValueError("element is not in the local ring at this point")
-        value = num.divmod_exact(den)
-        if value is None:
-            raise ValueError("residue is not polynomial in the symbolic direction")
-        return value
-
     # -- strict transforms -------------------------------------------------
 
     def strict_transform(self, h: Poly) -> Poly:
@@ -194,10 +161,6 @@ class Point:
         for step in self.steps:
             h = strict_step(h, step)
         return h
-
-    def multiplicity_of(self, h: Poly) -> int:
-        """Multiplicity of the strict transform of h at this point."""
-        return self.strict_transform(h).xy_order()
 
 
 # -- steps -----------------------------------------------------------------

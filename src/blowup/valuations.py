@@ -27,8 +27,8 @@ from typing import List, Tuple
 
 from .errors import BranchError, DepthCapError, InputError
 from .expr import INF, Step, format_path, is_inf
-from .poly import A, Poly, RatFunc, T, X, Y, factor_multiplicity, poly_gcd, rational_roots
-from .position import Position, classify_expressed, direction_poly
+from .poly import A, Poly, RatFunc, T, X, Y, factor_multiplicity, poly_gcd, root_pass
+from .position import Position, classify_expressed, lowest_form
 from .proximity import second_kind_contains
 from .tree import AnyStep, Point, TSYM, _same_step, express_step, strict_step
 
@@ -240,10 +240,6 @@ class MinimalCurveBranch(_MinimalBase):
         self._extend_to(level)
         return self._entries[level][0]
 
-    def strict_at(self, level: int) -> Poly:
-        self._extend_to(level)
-        return self._entries[level][1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, MinimalCurveBranch) and self.h == other.h
 
@@ -259,14 +255,11 @@ class MinimalCurveBranch(_MinimalBase):
 
 def branch_step(strict: Poly) -> AnyStep:
     """The unique direction in which a curve germ continues, or an error."""
-    if strict.xy_order() < 1:
+    coeffs = lowest_form(strict)
+    if len(coeffs) < 2:
         raise BranchError("the curve does not pass through this point")
-    lowest = strict.lowest_xy_form()
-    phi = direction_poly(lowest)
-    candidates: List[AnyStep] = []
-    if not phi.is_constant:
-        candidates.extend(rational_roots(phi, T))
-    if lowest.min_exponent(X) > 0:
+    candidates: List[AnyStep] = list(root_pass(coeffs, T)[0])
+    if not coeffs[-1]:
         candidates.append(INF)
     if len(candidates) == 1:
         return candidates[0]

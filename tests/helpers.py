@@ -10,16 +10,57 @@ order, so finding one refutes containment; finding neither is evidence of
 containment at the searched degree.
 """
 
+import math
 import random
 from collections import deque
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from blowup.errors import DepthCapError, ResolveError
-from blowup.expr import INF
-from blowup.poly import Poly, RatFunc, X, Y, poly_gcd
-from blowup.position import Position, Resolution, _candidate_steps, classify_expressed
-from blowup.tree import Point, transform_step
+from blowup.errors import ComputationError, DepthCapError, ResolveError
+from blowup.expr import INF, is_inf
+from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, poly_gcd
+from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
+                             classify_expressed)
+from blowup.tree import TSYM, Point, transform_step
+from blowup.valuations import MinimalCurveBranch
+
+
+# -- chart data the package derives only on the way down ----------------------
+
+
+def params(point: Point) -> Tuple[RatFunc, RatFunc]:
+    """The local parameters at `point`, as fractions in x, y."""
+    px, py = RatFunc(Poly.variable(X)), RatFunc(Poly.variable(Y))
+    for step in point.steps:
+        if is_inf(step):
+            px, py = py, px / py
+        else:
+            py = py / px - RatFunc(Poly.variable(T) if step is TSYM else Poly.const(step))
+    return px, py
+
+
+def residue_of(point: Point, f: RatFunc) -> Poly:
+    """Image of a ring element in the residue field at `point`.
+
+    A constant polynomial at a concrete point; a point with a symbolic step
+    may give a polynomial in t.  Raises ValueError if f is not in the local
+    ring, or lands outside the polynomial part of the residue field.
+    """
+    expressed = point.express(f)
+    num = expressed.num.xy_constant_part()
+    den = expressed.den.xy_constant_part()
+    if den.is_zero:
+        raise ValueError("element is not in the local ring at this point")
+    value = num.divmod_exact(den)
+    if value is None:
+        raise ValueError("residue is not polynomial in the symbolic direction")
+    return value
+
+
+def branch_strict_at(branch: MinimalCurveBranch, level: int) -> Poly:
+    """The strict transform a curve branch keeps for the point at `level`."""
+    branch.point_at(level)
+    return branch._entries[level][1]
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -68,7 +109,7 @@ def ord_contained(alpha: Point, beta: Point,
     products, so a monomial in the parameters has negative order exactly
     when one of the parameters does.
     """
-    px, py = beta.params()
+    px, py = params(beta)
     if alpha.ord_at(px) < 0:
         return False, px
     if alpha.ord_at(py) < 0:
@@ -151,6 +192,105 @@ def reference_express(point: Point, f: RatFunc) -> RatFunc:
     for step in point.steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
     return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
+
+
+def subst_poly(p: Poly, slot: int, value: Poly) -> Poly:
+    """Substitute an arbitrary polynomial for one slot."""
+    powers = [Poly.const(1)]
+    result = Poly()
+    for exps, coeff in p.terms.items():
+        lst = list(exps)
+        k = lst[slot]
+        lst[slot] = 0
+        while len(powers) <= k:
+            powers.append(powers[-1] * value)
+        result = result + Poly.monomial(tuple(lst), coeff) * powers[k]
+    return result
+
+
+def _divisors(n: int) -> List[int]:
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _eval_univar(coeffs: List[Fraction], point: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def reference_rational_roots(p: Poly, slot: int) -> List[Fraction]:
+    """Rational roots, sorted, by the divisor search over Fractions: every
+    ±n/d with n dividing the trailing and d the leading coefficient of the
+    primitive integer polynomial is evaluated by Horner's rule."""
+    coeffs = p.as_univariate(slot)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        raise ValueError("zero polynomial has every root")
+    roots: List[Fraction] = []
+    low = 0
+    while coeffs[low] == 0:
+        low += 1
+    if low:
+        roots.append(Fraction(0))
+        coeffs = coeffs[low:]
+    if len(coeffs) == 1:
+        return roots
+    if len(coeffs) == 2:
+        return sorted(roots + [-coeffs[0] / coeffs[1]])
+    denom_lcm = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom_lcm) for c in coeffs]
+    content = math.gcd(*ints)
+    lead = abs(ints[-1]) // content
+    trail = abs(ints[0]) // content
+    if max(lead, trail) > ROOT_SEARCH_LIMIT:
+        raise ComputationError(f"rational roots of {p}: divisor search too large")
+    for num in _divisors(trail):
+        for den in _divisors(lead):
+            for cand in (Fraction(num, den), Fraction(-num, den)):
+                if cand not in roots and _eval_univar(coeffs, cand) == 0:
+                    roots.append(cand)
+    return sorted(roots)
+
+
+def reference_has_irrational_factor(p: Poly, slot: int) -> bool:
+    """True when a univariate polynomial keeps positive degree after all
+    rational roots, with multiplicity, are divided out one at a time by
+    synthetic division."""
+    coeffs = p.as_univariate(slot)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    while coeffs and coeffs[0] == 0:
+        coeffs.pop(0)
+    for root in reference_rational_roots(p, slot) if len(coeffs) > 1 else ():
+        while len(coeffs) > 1 and _eval_univar(coeffs, root) == 0:
+            quotient = [coeffs[-1]]
+            for c in reversed(coeffs[1:-1]):
+                quotient.append(quotient[-1] * root + c)
+            coeffs = quotient[::-1]
+    return len(coeffs) > 1
+
+
+def reference_candidate_steps(expressed: RatFunc) -> _StepSet:
+    """`_candidate_steps` the slow canonical way: each lowest form becomes a
+    polynomial in t by substitution (x -> 1, y -> t), its roots come from
+    the Fraction divisor search, and a second search decides whether an
+    irrational factor remains."""
+    steps: set = set()
+    irrational = False
+    lowests = (expressed.num.lowest_xy_form(), expressed.den.lowest_xy_form())
+    for lowest in lowests:
+        phi = subst_poly(lowest.subst_const(X, 1), Y, Poly.variable(T))
+        if not phi.is_constant:
+            steps.update(reference_rational_roots(phi, T))
+        irrational = irrational or reference_has_irrational_factor(phi, T)
+    ordered = tuple(sorted(steps))
+    if any(lowest.min_exponent(X) > 0 for lowest in lowests):
+        ordered += (INF,)
+    gap = expressed.num.xy_order() - expressed.den.xy_order()
+    return _StepSet(ordered, binding=gap <= 0, order_gap=gap, irrational=irrational)
 
 
 def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:

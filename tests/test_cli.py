@@ -266,6 +266,22 @@ class TestErrors:
         assert error["type"] == "ComputationError"
         assert "t^2 - 1000000000000000003" in error["message"]
 
+    @pytest.mark.parametrize("elt, direction", [
+        ("(963761198400*y^2 + x*y + 963761198400*x^2)/x^2",
+         "963761198400*t^2 + t + 963761198400"),
+        ("(963761198400*y^3 + x*y^2 + 2*x^2*y + 963761198400*x^3)/x^3",
+         "963761198400*t^3 + t^2 + 2*t + 963761198400"),
+    ])
+    def test_too_many_divisor_pairs_exit_3(self, capsys, elt, direction):
+        # 963761198400 < 2^40 has 6720 divisors: the search would test
+        # 6720^2 pairs, so it is refused instead of running for minutes
+        code, out, err = run(capsys, "resolve", "--elt", elt)
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "ComputationError"
+        assert direction in error["message"]
+        assert "45158400 divisor pairs" in error["message"]
+
     def test_depth_cap_reports_open_points(self, capsys):
         code, _, err = run(capsys, "resolve", "--elt", "(x-y)/x",
                            "--max-depth", "0")

@@ -36,7 +36,7 @@ class TestMoebius:
         assert NEG_RECIP.to_step(INF) == 0
 
     def test_round_trip(self):
-        assert NEG_RECIP.to_param(Fraction(-1, 2)) == 2
+        assert NEG_RECIP.to_step(NEG_RECIP.inverse().to_step(Fraction(-1, 2))) == Fraction(-1, 2)
         assert NEG_RECIP.inverse().to_step(Fraction(-1, 2)) == 2
 
     def test_identity(self):

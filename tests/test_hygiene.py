@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,3 +57,26 @@ def test_traced_layers_exist():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert not missing, "traced layers missing from blowup:\n" + "\n".join(missing)
+
+
+_RELOAD = """
+import gc, sys, weakref
+import blowup
+old = weakref.ref(blowup.tree.Point)
+for name in [m for m in sys.modules if m == "blowup" or m.startswith("blowup.")]:
+    del sys.modules[name]
+import blowup
+gc.collect()
+sys.exit(0 if old() is None else 1)
+"""
+
+
+def test_unloaded_package_is_released():
+    # a long-lived process that imports the package afresh (the benchmark
+    # harness does, for every set-up) must not keep the old modules alive;
+    # typing caches hold Union[...] and List[...] objects built over package
+    # classes, and through those every module of the package
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    result = subprocess.run([sys.executable, "-c", _RELOAD], env=env, timeout=60)
+    assert result.returncode == 0, "the modules of the first import stayed alive"

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from blowup.errors import ComputationError
 from blowup.poly import (
+    ROOT_PAIR_LIMIT,
     ROOT_SEARCH_LIMIT,
     A,
     Poly,
@@ -18,11 +19,13 @@ from blowup.poly import (
     factor_multiplicity,
     format_poly,
     format_ratfunc,
-    has_irrational_factor,
     poly_gcd,
     rational_roots,
+    root_pass,
     sylvester_resultant,
 )
+
+from helpers import reference_has_irrational_factor, subst_poly
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -176,7 +179,7 @@ def test_subst_const_in_parameter_slot():
 
 def test_subst_poly_replaces_symbol():
     p = a ** 2 + a * x
-    q = p.subst_poly(A, y + one)
+    q = subst_poly(p, A, y + one)
     assert q == (y + one) ** 2 + (y + one) * x
 
 
@@ -302,6 +305,17 @@ def test_rational_roots_of_a_linear_polynomial_with_huge_coefficients():
     assert rational_roots(C(n) * t ** 3 + C(2) * t ** 2, T) == [Fraction(-2, n), Fraction(0)]
 
 
+def test_rational_roots_refuses_too_many_divisor_pairs():
+    # 963761198400 < 2^40 has 6720 divisors, so 6720^2 pairs
+    with pytest.raises(ComputationError, match="45158400 divisor pairs"):
+        rational_roots(C(963761198400) * t ** 2 + t + C(963761198400), T)
+    # 245044800 has 1008 divisors: 1008^2 pairs stay under the limit
+    assert 1008 ** 2 <= ROOT_PAIR_LIMIT
+    assert rational_roots(C(245044800) * t ** 2 + t + C(245044800), T) == []
+    assert rational_roots(C(245044800) * t ** 2 - C(245044801) * t + one, T) == \
+        [Fraction(1, 245044800), Fraction(1)]
+
+
 def test_rational_roots_refuses_a_huge_divisor_search():
     with pytest.raises(ComputationError, match="t\\^2 - 1000000000000000003"):
         rational_roots(t ** 2 - C(1000000000000000003), T)
@@ -349,18 +363,70 @@ def test_rational_roots_match_sympy(p):
     denom = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     content = math.gcd(*ints)
-    if len(ints) > 2 and max(abs(ints[0]), abs(ints[-1])) // content > ROOT_SEARCH_LIMIT:
+    if len(ints) > 2 and _search_refused(abs(ints[0]) // content, abs(ints[-1]) // content):
         with pytest.raises(ComputationError):
             rational_roots(p, T)
     else:
         assert rational_roots(p, T) == expected
 
 
+def _search_refused(trail, lead):
+    if max(trail, lead) > ROOT_SEARCH_LIMIT:
+        return True
+    sympy = pytest.importorskip("sympy")
+    return sympy.divisor_count(trail) * sympy.divisor_count(lead) > ROOT_PAIR_LIMIT
+
+
+@st.composite
+def factored_polys(draw):
+    """A rational multiple of planted linear factors, some repeated, and of
+    factors of degree 2 or 3 with integer coefficients up to 2^40."""
+    p = C(Fraction(draw(st.integers(1, 2 ** 40)), draw(st.integers(1, 2 ** 40))))
+    for _ in range(draw(st.integers(0, 3))):
+        linear = C(draw(st.integers(1, 2 ** 12))) * t - C(draw(st.integers(-2 ** 12, 2 ** 12)))
+        p = p * linear ** draw(st.integers(1, 3))
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=3, max_size=4))
+        factor = sum((C(c) * t ** k for k, c in enumerate(coeffs)), Poly())
+        if not factor.is_zero:
+            p = p * factor
+    return p
+
+
+@given(factored_polys())
+@settings(max_examples=100, deadline=None)
+def test_root_pass_matches_sympy_factor_list(p):
+    sympy = pytest.importorskip("sympy")
+    sym_t = sympy.Symbol("t")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * sym_t ** e[T]
+               for e, c in p.terms.items())
+    roots, irrational = [], False
+    for factor, _ in sympy.Poly(expr, sym_t).factor_list()[1]:
+        if factor.degree() == 1:
+            c1, c0 = factor.all_coeffs()
+            roots.append(Fraction(int(-c0), int(c1)))
+        elif factor.degree() > 1:
+            irrational = True
+    coeffs = p.as_univariate(T)
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    denom = math.lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * denom) for c in coeffs]
+    content = math.gcd(*ints)
+    if len(ints) > 2 and _search_refused(abs(ints[0]) // content, abs(ints[-1]) // content):
+        with pytest.raises(ComputationError):
+            root_pass(p.as_univariate(T), T)
+    else:
+        assert root_pass(p.as_univariate(T), T) == (sorted(roots), irrational)
+
+
 def test_has_irrational_factor():
-    assert has_irrational_factor(t ** 2 - C(2), T)
-    assert not has_irrational_factor((t - one) ** 2, T)
-    assert has_irrational_factor((t - one) * (t ** 2 + one), T)
-    assert not has_irrational_factor(C(5), T)
+    cases = ((t ** 2 - C(2), True), ((t - one) ** 2, False),
+             ((t - one) * (t ** 2 + one), True), (C(5), False),
+             (t ** 3 * (C(3) * t - C(2)) ** 2, False), (t * (t ** 4 + C(4)), True))
+    for p, irrational in cases:
+        assert root_pass(p.as_univariate(T), T)[1] is irrational
+        assert reference_has_irrational_factor(p, T) is irrational
 
 
 # -- rational functions -----------------------------------------------------

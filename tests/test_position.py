@@ -5,11 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup.errors import DepthCapError, InputError, LocateError, ResolveError
+from blowup.errors import (ComputationError, DepthCapError, InputError, LocateError,
+                           ResolveError)
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import (
     Position,
+    _candidate_steps,
     locate,
     position,
     position_parametric,
@@ -17,7 +19,7 @@ from blowup.position import (
 )
 from blowup.tree import Point
 
-from helpers import reference_resolve
+from helpers import params, reference_candidate_steps, reference_resolve, subst_poly
 
 
 def P(literal):
@@ -143,7 +145,7 @@ def branch_factors(draw):
         p = Poly()
         for k in range(1, draw(st.integers(1, 3)) + 1):
             p = p + Poly.const(draw(small_rationals)) * _px ** k
-        return _py - p if draw(st.booleans()) else _px - p.subst_poly(X, _py)
+        return _py - p if draw(st.booleans()) else _px - subst_poly(p, X, _py)
     return draw(st.sampled_from((
         _px, _py, _py ** 2 - _px ** 3, _px ** 2 - _py ** 3, _py ** 2 - _px ** 2 * (_px + _py),
         (_py - _px) ** 2 - _px ** 5, Poly.const(1) + _px)))
@@ -175,6 +177,54 @@ def _outcome(search, f, max_depth):
         return type(exc), str(exc), exc.open_points
     except ResolveError as exc:
         return type(exc), str(exc)
+
+
+@st.composite
+def lowest_form_factors(draw):
+    """A direction y - r*x with r a fraction whose denominator may be large,
+    the direction inf (x), or a quadratic with no rational direction."""
+    kind = draw(st.sampled_from(("line", "line", "inf", "real", "complex")))
+    if kind == "line":
+        r = Fraction(draw(st.integers(-2 ** 8, 2 ** 8)),
+                     draw(st.sampled_from((1, 2, 3, 8, 12, 1024, 65537))))
+        return _py - Poly.const(r) * _px
+    if kind == "inf":
+        return _px
+    if kind == "real":
+        return _py ** 2 - Poly.const(draw(st.sampled_from((2, 3, Fraction(1, 2))))) * _px ** 2
+    b = draw(small_rationals)
+    c = b * b / 4 + Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9)))
+    return _py ** 2 + Poly.const(b) * _px * _py + Poly.const(c) * _px ** 2
+
+
+@st.composite
+def chart_polys(draw):
+    """A rational multiple of a product of such factors, repeats allowed,
+    plus terms of higher order."""
+    p = Poly.const(Fraction(draw(st.integers(1, 2 ** 30)), draw(st.integers(1, 2 ** 30))))
+    for _ in range(draw(st.integers(0, 3))):
+        p = p * draw(lowest_form_factors())
+    order = p.xy_order()
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, order + 2))
+        j = draw(st.integers(max(0, order + 1 - i), order + 2))
+        p = p + Poly.const(draw(small_rationals)) * _px ** i * _py ** j
+    return p
+
+
+def _steps_outcome(candidate_steps, f):
+    try:
+        return candidate_steps(f)
+    except ComputationError as exc:
+        return type(exc)
+
+
+@given(chart_polys(), chart_polys())
+@settings(max_examples=100, deadline=None)
+def test_candidate_steps_match_substitution_and_divisor_search(num, den):
+    f = RatFunc(num, den)
+    assert _steps_outcome(_candidate_steps, f) == \
+        _steps_outcome(reference_candidate_steps, f)
 
 
 @given(branch_elements(), st.integers(0, 5))
@@ -212,7 +262,7 @@ def test_locate_order_insensitive():
 @settings(max_examples=60, deadline=None)
 def test_locate_finds_the_point_of_its_parameters(steps):
     point = Point.from_path(steps)
-    assert locate(*point.params()) == point
+    assert locate(*params(point)) == point
 
 
 def test_locate_rejects_non_pairs():

@@ -13,6 +13,8 @@ from blowup.proximity import (
 )
 from blowup.tree import Point
 
+from helpers import params
+
 
 def P(literal):
     return Point.from_path(parse_path(literal))
@@ -82,13 +84,13 @@ def test_second_kind_contains_matches_parameter_orders():
     # valuation values negatively: the root does not contain that ring
     beta = P("[0, 1]")
     root = P("[]")
-    beta_y = beta.params()[1]
+    beta_y = params(beta)[1]
     assert beta.ord_at(beta_y) >= 0
     assert Point.root().ord_at(beta_y) == -1
     assert not second_kind_contains(root, beta)
     # while the proximate sibling D<0><inf> is contained
     gamma = P("[0, inf]")
-    assert all(Point.root().ord_at(p) >= 0 for p in gamma.params())
+    assert all(Point.root().ord_at(p) >= 0 for p in params(gamma))
     assert second_kind_contains(root, gamma)
 
 

@@ -18,6 +18,8 @@ from blowup.tree import Point
 from blowup.valuations import (MinimalCurveBranch, MinimalEventuallyPeriodic,
                                SecondKind)
 
+from helpers import params
+
 
 D = Point.root()
 V0 = MinimalEventuallyPeriodic([], [0])
@@ -207,7 +209,7 @@ class TestNoetherian:
         fam = Fiber(D, frozenset(), (Fraction(1),))
         for t in (0, 1, 2):
             beta = fam.member(Fraction(t))
-            assert D.ord_at(beta.params()[1]) == -1
+            assert D.ord_at(params(beta)[1]) == -1
             assert not second_kind_contains(D, beta)
 
     def test_chain_covered_by_its_valuation(self):

@@ -22,6 +22,8 @@ from blowup.valuations import (
     monomial_valuation,
 )
 
+from helpers import branch_strict_at
+
 x = Poly.variable(X)
 y = Poly.variable(Y)
 
@@ -234,18 +236,18 @@ def test_branch_coherence_cusp():
     # the strict transform vanishes at the origin of every expanded level
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     for level in range(11):
-        assert v.strict_at(level).xy_order() >= 1
-        assert v.strict_at(level) == v.point_at(level).strict_transform(v.h)
+        assert branch_strict_at(v, level).xy_order() >= 1
+        assert branch_strict_at(v, level) == v.point_at(level).strict_transform(v.h)
 
 
 def test_branch_coherence_tacnode():
     v = MinimalCurveBranch((y - x) ** 2 - x ** 5)
-    orders = [v.strict_at(level).xy_order() for level in range(11)]
+    orders = [branch_strict_at(v, level).xy_order() for level in range(11)]
     assert all(o >= 1 for o in orders)
     # the double point survives one blow-up, then the branch is smooth
     assert orders[:3] == [2, 2, 1]
     assert v.step_at(0) == Fraction(1)
-    assert all(v.strict_at(k) == v.point_at(k).strict_transform(v.h) for k in range(11))
+    assert all(branch_strict_at(v, k) == v.point_at(k).strict_transform(v.h) for k in range(11))
 
 
 def test_monomial_value_is_min_term_weight():
