@@ -25,7 +25,7 @@ from blowup.tree import TSYM, Point, transform_step
 from blowup.valuations import MinimalCurveBranch
 
 
-# -- chart data the package derives only on the way down ----------------------
+# -- chart data that only the tests read -------------------------------------
 
 
 def params(point: Point) -> Tuple[RatFunc, RatFunc]:
@@ -264,7 +264,9 @@ def reference_has_irrational_factor(p: Poly, slot: int) -> bool:
         coeffs.pop()
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)
-    for root in reference_rational_roots(p, slot) if len(coeffs) > 1 else ():
+    if len(coeffs) <= 1:
+        return False
+    for root in reference_rational_roots(p, slot):
         while len(coeffs) > 1 and _eval_univar(coeffs, root) == 0:
             quotient = [coeffs[-1]]
             for c in reversed(coeffs[1:-1]):

@@ -76,7 +76,7 @@ def test_unloaded_package_is_released():
     # harness does, for every set-up) must not keep the old modules alive;
     # typing caches hold Union[...] and List[...] objects built over package
     # classes, and through those every module of the package
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(PACKAGE.parent)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent)] + extra))
     result = subprocess.run([sys.executable, "-c", _RELOAD], env=env, timeout=60)
     assert result.returncode == 0, "the modules of the first import stayed alive"
