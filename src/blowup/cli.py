@@ -9,6 +9,7 @@ a computation that cannot complete exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -388,7 +389,15 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on the first call and shared after it.
+
+    Building the 14 subcommand parsers costs more than answering most
+    commands, so in-process callers of `main` share one parser.  Sharing is
+    safe: `parse_args` starts each call from a fresh namespace, and the help
+    formatter reads the terminal width when it formats.
+    """
     parser = _Parser(prog="blowup",
                      description="Exact workbench for the quadratic tree of a "
                                  "two-dimensional regular local ring")

@@ -19,6 +19,7 @@ Each step is a rational number or `inf`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import List, Sequence, Tuple
 
 from .errors import InputError
@@ -103,6 +104,24 @@ def _number_bits(f: RatFunc) -> int:
     """Bit length of the largest coefficient part or exponent in f."""
     top = max(e for p in (f.num, f.den) for exps in p.terms for e in exps)
     return max(_constant_bits(f), top.bit_length())
+
+
+# A power is expanded before anything else sees it, and the expansion's cost
+# grows with its term count: (1+x+y)^100 has 5,151 terms and takes half a
+# minute.  Powers that may exceed this many terms are refused unexpanded.
+MAX_POWER_TERMS = 500
+
+
+def _power_terms(p: Poly, n: int) -> int:
+    """An upper bound on the term count of p^n, for n >= 0.
+
+    The smaller of two counts: the multisets of n of p's k terms, and the
+    monomials of total degree at most n*deg(p) in p's variables.
+    """
+    k = max(len(p.terms), 1)
+    variables = len(p.slots_present())
+    degree = max((sum(exps) for exps in p.terms), default=0)
+    return min(comb(k + n - 1, n), comb(n * degree + variables, variables))
 
 
 def _int_literal(text: str) -> int:
@@ -211,6 +230,7 @@ def _parse_factor(toks: _Tokenizer) -> RatFunc:
 
 
 def _parse_power(toks: _Tokenizer) -> RatFunc:
+    first = toks.index
     base = _parse_atom(toks)
     if toks.peek()[0] != "^":
         return base
@@ -223,8 +243,14 @@ def _parse_power(toks: _Tokenizer) -> RatFunc:
     exponent = sign * _int_literal(tok[1])
     if exponent < 0 and base.is_zero:
         raise ExprSyntaxError("division by zero")
+    n = abs(exponent)
     # c^n has at least (bits(c) - 1) * n bits: refuse before computing it
-    _check_bits((_constant_bits(base) - 1) * abs(exponent))
+    _check_bits((_constant_bits(base) - 1) * n)
+    terms = max(_power_terms(base.num, n), _power_terms(base.den, n))
+    if terms > MAX_POWER_TERMS:
+        power = "".join(text for _, text in toks.tokens[first:toks.index])
+        raise InputError(f"power too large: {power} may have up to {terms} "
+                         f"terms, and a power may have at most {MAX_POWER_TERMS}")
     return base ** exponent
 
 

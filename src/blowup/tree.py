@@ -132,15 +132,6 @@ class Point:
             f = express_step(f, step)
         return f
 
-    def in_ring(self, f: RatFunc) -> bool:
-        """Membership in the local ring at this point.
-
-        The expressed fraction is reduced, so membership is exactly a unit
-        denominator: nonzero constant term.
-        """
-        expressed = self.express(f)
-        return bool(expressed.den.constant_term())
-
     def ord_at(self, f: RatFunc) -> int:
         """Value of the order valuation of this ring on a nonzero element."""
         expressed = self.express(f)

@@ -1,11 +1,17 @@
 """Command line behavior: dispatch, exit codes, and the print/parse round trips."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from blowup import cli
 from blowup.cli import main
 from blowup.expr import INF, format_path, parse_element, parse_path
 from blowup.families import Chain, Fiber, MoebiusMap, Siblings, Singleton
@@ -218,6 +224,41 @@ class TestCommands:
         assert code == 0 and report["nodes"] == 1
 
 
+# -- one parser per process -------------------------------------------------
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_fresh(*argv):
+    extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + extra),
+               PYTHONIOENCODING="utf-8")
+    result = subprocess.run([sys.executable, "-m", "blowup.cli", *argv], env=env,
+                            capture_output=True, encoding="utf-8", timeout=60)
+    return result.returncode, result.stdout, result.stderr
+
+
+def test_reused_parser_answers_like_a_fresh_process(capsys, family_file):
+    # main builds its parser once per process; a flag given in one call
+    # must not leak into the next, and a usage error must not stick
+    assert cli._build_parser() is cli._build_parser()
+    path = family_file(C_FIBER)
+    elt = "(y - x^2)/(y - x^2 + x^5)"
+    sequence = [
+        ("resolve", "--elt", elt, "--max-depth", "2"),
+        ("resolve", "--elt", elt),
+        ("dot", "--family", path, "--node-cap", "5", "--steps", "0,inf"),
+        ("dot", "--family", path),
+        ("demo", "two-ring-cover"),
+        ("demo",),
+        ("position", "--elt", "x"),
+        ("position", "--elt", "x", "--point", "[0]"),
+    ]
+    for argv in sequence:
+        assert run(capsys, *argv) == run_fresh(*argv), argv
+
+
 # -- exit codes and error JSON -----------------------------------------------
 
 
@@ -315,6 +356,21 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError"
         assert "too large" in error["message"]
+
+    @pytest.mark.parametrize("elt, power", [
+        ("(1+x+y)^100", "(1+x+y)^100"),
+        ("1/(1+x+y)^100", "(1+x+y)^100"),
+        ("x*(1/(1 + x + y))^-100", "(1/(1+x+y))^-100"),
+    ])
+    def test_power_over_term_budget_exits_2(self, capsys, elt, power):
+        # expanding would take half a minute; the term bound refuses it first
+        start = time.perf_counter()
+        code, out, err = run(capsys, "position", "--elt", elt, "--point", "[]")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert f"{power} may have up to 5151 terms" in error["message"]
 
     def test_large_exponent_of_a_variable_is_fine(self, capsys):
         code, report, _ = run_json(capsys, "position", "--elt", "x^100000", "--point", "[0]")

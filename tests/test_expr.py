@@ -3,10 +3,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from blowup.expr import (
     INF,
+    MAX_POWER_TERMS,
     ExprSyntaxError,
+    _power_terms,
     format_path,
     format_step,
     parse_element,
@@ -90,3 +93,18 @@ def test_parse_path_rejects_malformed(bad):
 def test_format_step():
     assert format_step(INF) == "inf"
     assert format_step(Fraction(-7, 3)) == "-7/3"
+
+
+@given(st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                       st.integers(min_value=-3, max_value=3).filter(bool), max_size=5),
+       st.integers(min_value=0, max_value=5))
+def test_power_term_bound_holds(terms, n):
+    p = Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
+    assert len((p ** n).terms) <= _power_terms(p, n)
+
+
+def test_power_term_bound_is_exact_for_dense_powers():
+    assert _power_terms(x + y + Poly.const(1), 100) == 5151  # C(102, 2)
+    assert _power_terms(x, 10 ** 6) == 1
+    assert _power_terms(x + Poly.const(1), 10 ** 6) == 10 ** 6 + 1
+    assert len(parse_element("(1+x+y)^30").num.terms) == 496 <= MAX_POWER_TERMS
