@@ -393,7 +393,7 @@ _HANDLERS = {
 def _build_parser() -> _Parser:
     """The command-line parser, built on the first call and shared after it.
 
-    Building the 14 subcommand parsers costs more than answering most
+    Building the subcommand parsers costs more than answering most
     commands, so in-process callers of `main` share one parser.  Sharing is
     safe: `parse_args` starts each call from a fresh namespace, and the help
     formatter reads the terminal width when it formats.
