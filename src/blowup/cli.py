@@ -3,7 +3,8 @@
 Every command builds one JSON-safe report dict; `--json` prints it as
 JSON, otherwise it is rendered as indented key/value text.  Errors leave
 on the diagnostic stream as one JSON object: malformed input exits 2,
-a computation that cannot complete exits 3.
+a computation that cannot complete exits 3.  A reader that closes the
+output pipe early ends the command quietly with exit 1.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Dict, List, Optional, Sequence
 
@@ -506,10 +508,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ComputationError as exc:
         _emit_error(type(exc).__name__, str(exc), 3)
         return 3
-    if args.as_json:
-        print(json.dumps(report, indent=2, sort_keys=False))
-    else:
-        _render_text(report)
+    try:
+        if args.as_json:
+            print(json.dumps(report, indent=2, sort_keys=False))
+        else:
+            _render_text(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe; what is still buffered goes to devnull
+        # so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

@@ -106,9 +106,10 @@ def _number_bits(f: RatFunc) -> int:
     return max(_constant_bits(f), top.bit_length())
 
 
-# A power is expanded before anything else sees it, and the expansion's cost
-# grows with its term count: (1+x+y)^100 has 5,151 terms and takes half a
-# minute.  Powers that may exceed this many terms are refused unexpanded.
+# A power or product is expanded before anything else sees it, and the
+# expansion's cost grows with its term count: (1+x+y)^100 has 5,151 terms and
+# takes half a minute.  Powers and products that may exceed this many terms
+# are refused unexpanded.
 MAX_POWER_TERMS = 500
 
 
@@ -122,6 +123,18 @@ def _power_terms(p: Poly, n: int) -> int:
     variables = len(p.slots_present())
     degree = max((sum(exps) for exps in p.terms), default=0)
     return min(comb(k + n - 1, n), comb(n * degree + variables, variables))
+
+
+def _product_terms(p: Poly, q: Poly) -> int:
+    """An upper bound on the term count of p*q.
+
+    The smaller of two counts: the products of a term of p with a term of
+    q, and the monomials of total degree at most deg(p) + deg(q) in the
+    variables of p and q.
+    """
+    variables = len(set(p.slots_present()) | set(q.slots_present()))
+    degree = sum(max((sum(exps) for exps in f.terms), default=0) for f in (p, q))
+    return min(len(p.terms) * len(q.terms), comb(degree + variables, variables))
 
 
 def _int_literal(text: str) -> int:
@@ -206,16 +219,20 @@ def _parse_sum(toks: _Tokenizer) -> RatFunc:
 
 
 def _parse_product(toks: _Tokenizer) -> RatFunc:
+    first = toks.index
     value = _parse_factor(toks)
     while toks.peek()[0] in ("*", "/"):
         op = toks.next()[0]
         rhs = _parse_factor(toks)
-        if op == "*":
-            value = value * rhs
-        else:
-            if rhs.is_zero:
-                raise ExprSyntaxError("division by zero")
-            value = value / rhs
+        if op == "/" and rhs.is_zero:
+            raise ExprSyntaxError("division by zero")
+        num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+        terms = max(_product_terms(value.num, num), _product_terms(value.den, den))
+        if terms > MAX_POWER_TERMS:
+            product = "".join(text for _, text in toks.tokens[first:toks.index])
+            raise InputError(f"product too large: {product} may have up to {terms} "
+                             f"terms, and a product may have at most {MAX_POWER_TERMS}")
+        value = value * rhs if op == "*" else value / rhs
     return value
 
 

@@ -17,7 +17,7 @@ from .errors import InputError
 from .expr import INF, Step, is_inf
 from .tree import (TSYM, AnyStep, Point, _same_step, format_any_step, is_prefix,
                    normalize_step)
-from .valuations import _MinimalBase
+from .valuations import PATH_BOUND, _MinimalBase
 
 
 class _Infinite:
@@ -32,10 +32,6 @@ class _Infinite:
 INFINITE = _Infinite()
 
 Count = int | _Infinite
-
-# Comparisons of lazily described paths are truncated here; two paths that
-# agree this far are treated as identical (see valuations.same_path).
-PATH_BOUND = 64
 
 
 @dataclass(frozen=True)
@@ -534,25 +530,18 @@ def _fiber_path_comparable(fiber: Fiber, part: Family) -> bool:
     raise InputError(f"not a family: {part!r}")
 
 
-def _paths_agreement(v: _MinimalBase, w: _MinimalBase) -> int:
-    for i in range(PATH_BOUND):
-        if not _same_step(v.step_at(i), w.step_at(i)):
-            return i
-    return PATH_BOUND
-
-
 def _path_parts_comparable(a: Family, b: Family) -> bool:
     va, vb = a.valuation, b.valuation
-    agreement = _paths_agreement(va, vb)
+    agreement = va.agreement(vb)
     a_chain = isinstance(a, Chain)
     b_chain = isinstance(b, Chain)
     if a_chain and b_chain:
-        if agreement >= PATH_BOUND:
+        if agreement == PATH_BOUND:
             return True  # same path: members are nested across the parts
         return a.from_level <= agreement or b.from_level <= agreement
     if a_chain or b_chain:
         chain, sib = (a, b) if a_chain else (b, a)
-        if agreement >= PATH_BOUND:
+        if agreement == PATH_BOUND:
             return True  # chain points sit below the deep siblings
         if chain.from_level <= agreement:
             return True

@@ -18,12 +18,14 @@ fraction: the point's ring is a localization of a polynomial ring in its
 two parameters at the origin, so f belongs to it exactly when the reduced
 denominator does not vanish there, i.e. the position is Zero or Unit.
 
-For a fiber the free step is the symbol t, and the zero set of the
-expressed denominator's constant part c(a, t) carries every possible
-membership failure: away from it the specialized denominator keeps a unit
-constant term.  The analysis splits c into factors in t alone (suspicious
-members, checked for all a at once), factors in a alone (candidate
-parameter values, rechecked concretely), and mixed factors, which are
+One route serves elements with and without a: without it, an element is
+the parametric case with no exceptional values.  For a fiber the free
+step is the symbol t, and the zero set of the expressed denominator's
+constant part c(a, t) carries every possible membership failure: away
+from it the specialized denominator keeps a unit constant term.  The
+analysis splits c into factors in t alone (suspicious members, checked
+for all a at once), factors in a alone (candidate parameter values,
+rechecked concretely), and the square-free rest, whose factors are
 followed along their rational parameterization when one variable appears
 linearly.  Specializing can cancel further common factors, so candidates
 are always rechecked with the specialized element; the symbolic pass only
@@ -37,6 +39,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CertificateError, DepthCapError, InputError
+from .expr import INF, Step
 from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
@@ -115,8 +118,7 @@ def in_family(f: RatFunc, family) -> MembershipAnswer:
     first_witness: Optional[Point] = None
     undefined = set(_a_collapse_roots(f.den))
     for a0 in sorted(candidates - undefined):
-        special = RatFunc(f.num.subst_const(A, a0), f.den.subst_const(A, a0))
-        ok, witness = _check(special, parts, set(), flags)
+        ok, witness = _check(f.subst_const(A, a0), parts, set(), flags)
         if not ok:
             exceptions[a0] = "no"
             if first_witness is None:
@@ -135,10 +137,7 @@ def _check(f: RatFunc, parts: Sequence[Family], candidates: Set[Fraction],
     """The (generic) verdict over every part, with the first failing member."""
     for part in parts:
         if isinstance(part, Fiber):
-            if f.has_slot(A):
-                ok, witness = _fiber_parametric(f, part, candidates, flags)
-            else:
-                ok, witness = _fiber_concrete(f, part)
+            ok, witness = _fiber(f, part, candidates, flags)
         elif isinstance(part, Siblings):
             ok, witness = _sibling_walk(f, part, candidates)
         else:
@@ -152,12 +151,11 @@ def _check(f: RatFunc, parts: Sequence[Family], candidates: Set[Fraction],
 
 
 def _position(point: Point, f: RatFunc, candidates: Set[Fraction]) -> Position:
-    """Position of f at the point; for f carrying a the generic one, with
-    the values of a where f is not in the ring added to `candidates`."""
-    if not f.has_slot(A):
-        return position(point, f)
+    """Generic position of f at the point, with the values of a where f is
+    not in the ring added to `candidates`."""
     pp = position_parametric(point, f)
-    _collect_exceptions(pp, candidates)
+    candidates.update(a0 for a0, pos in pp.exceptional.items()
+                      if pos not in _MEMBER)
     return pp.generic
 
 
@@ -182,61 +180,36 @@ def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
 # -- fibers ------------------------------------------------------------------
 
 
-def _fiber_concrete(f: RatFunc, fiber: Fiber) -> Tuple[bool, Optional[Point]]:
-    expressed = fiber.symbolic_member().express(f)
-    den_const = expressed.den.xy_constant_part()
-    if den_const.is_zero:
-        return False, _failing_member(fiber, f)
-    if den_const.has_slot(T):
-        for t0 in rational_roots(den_const, T):
-            beta = _allowed_member(fiber, t0)
-            if beta is not None and not in_point(f, beta):
-                return False, beta
-    inf_member = fiber.inf_member()
-    if inf_member is not None and not in_point(f, inf_member):
-        return False, inf_member
-    return True, None
-
-
-def _allowed_member(fiber: Fiber, step: Fraction) -> Optional[Point]:
+def _allowed_member(fiber: Fiber, step: Step) -> Optional[Point]:
     try:
         return fiber.member(step)
     except InputError:
         return None
 
 
-def _failing_member(fiber: Fiber, f: RatFunc) -> Point:
-    """A concrete member where a generically failing element fails.
+def _failing_member(fiber: Fiber, pairs: Iterable[Tuple[Step, RatFunc]],
+                    candidates: Set[Fraction]) -> Optional[Point]:
+    """The first member base<s>·tail, over (s, g) pairs in order, where the
+    generic position of g is not a member; excluded steps are skipped.
 
-    Generic failure means failure at all but finitely many steps, so a
-    short scan cannot miss."""
-    parametric = f.has_slot(A)
-    value = Fraction(0)
-    for _ in range(16):
-        beta = _allowed_member(fiber, value)
-        value += 1
-        if beta is None:
-            continue
-        if parametric:
-            if position_parametric(beta, f).generic not in _MEMBER:
-                return beta
-        elif not in_point(f, beta):
+    A generic failure fails at all but finitely many steps, so callers
+    scanning for one pass 16 steps: a short scan cannot miss."""
+    for step, g in pairs:
+        beta = _allowed_member(fiber, step)
+        if beta is not None and _position(beta, g, candidates) not in _MEMBER:
             return beta
-    raise AssertionError("generic failure without a failing member")
+    return None
 
 
-def _collect_exceptions(pp, candidates: Set[Fraction]) -> None:
-    for a0, pos in pp.exceptional.items():
-        if pos not in _MEMBER:
-            candidates.add(a0)
-
-
-def _fiber_parametric(f: RatFunc, fiber: Fiber, candidates: Set[Fraction],
-                      flags: List[str]) -> Tuple[bool, Optional[Point]]:
+def _fiber(f: RatFunc, fiber: Fiber, candidates: Set[Fraction],
+           flags: List[str]) -> Tuple[bool, Optional[Point]]:
     expressed = fiber.symbolic_member().express(f)
     den_const = expressed.den.xy_constant_part()
     if den_const.is_zero:
-        return False, _failing_member(fiber, f)
+        witness = _failing_member(
+            fiber, ((Fraction(k), f) for k in range(16)), candidates)
+        assert witness is not None, "generic failure without a failing member"
+        return False, witness
 
     t_suspects: Set[Fraction] = set()
     for factor in _split_locus(den_const, candidates, t_suspects):
@@ -245,22 +218,9 @@ def _fiber_parametric(f: RatFunc, fiber: Fiber, candidates: Set[Fraction],
         if not ok:
             return False, witness
 
-    for t0 in sorted(t_suspects):
-        beta = _allowed_member(fiber, t0)
-        if beta is None:
-            continue
-        pp = position_parametric(beta, f)
-        if pp.generic not in _MEMBER:
-            return False, beta
-        _collect_exceptions(pp, candidates)
-
-    inf_member = fiber.inf_member()
-    if inf_member is not None:
-        pp = position_parametric(inf_member, f)
-        if pp.generic not in _MEMBER:
-            return False, inf_member
-        _collect_exceptions(pp, candidates)
-    return True, None
+    steps = [*sorted(t_suspects), INF]
+    witness = _failing_member(fiber, ((s, f) for s in steps), candidates)
+    return witness is None, witness
 
 
 def _split_locus(locus: Poly, candidates: Set[Fraction],
@@ -289,7 +249,10 @@ def _split_locus(locus: Poly, candidates: Set[Fraction],
     assert core is not None
     if core.is_constant:
         return []
-    return [core]
+    # a repeated factor cuts out the same curve: keep each factor once
+    square_free = core.divmod_exact(poly_gcd(core, core.derivative(T)))
+    assert square_free is not None
+    return [square_free]
 
 
 def _coefficient_gcd(polys: Iterable[Poly]) -> Poly:
@@ -317,12 +280,20 @@ def _mixed_factor(factor: Poly, expressed: RatFunc, fiber: Fiber,
         v = parts.get(0, Poly.zero())
         if u.has_slot(A):
             candidates.update(rational_roots(u, A))
-        diagonal = expressed.subst_ratfunc(T, RatFunc(-v, u))
+        step = RatFunc(-v, u)
+        diagonal = expressed.subst_ratfunc(T, step)
         const = diagonal.den.xy_constant_part()
         if const.is_zero:
             # for all but finitely many a the element fails at the member
-            # step matched to a by this factor
-            witness = _diagonal_witness(fiber, u, v, f)
+            # step matched to a by this factor; sample the values of a where
+            # the step and the element are both defined
+            dens = u * f.den
+            witness = _failing_member(
+                fiber, ((step.subst_const(A, a0).num.constant_term(),
+                         f.subst_const(A, a0))
+                        for a0 in map(Fraction, range(16))
+                        if not dens.subst_const(A, a0).is_zero), candidates)
+            assert witness is not None, "generic failure without a failing member"
             flags.append(
                 "failure occurs at the member step matched to each "
                 "parameter value by " + str(factor))
@@ -332,86 +303,38 @@ def _mixed_factor(factor: Poly, expressed: RatFunc, fiber: Fiber,
         return True, None
 
     if factor.degree(A) == 1:
+        # the factor has degree at least 2 in t here, so a = rho(t) is never
+        # a bijection of the steps
         parts = factor.coeffs_in(A)
         u = parts[1]
         w = parts.get(0, Poly.zero())
         shared = poly_gcd(u, w)
         if shared.has_slot(T):
             # steps killing the whole factor: suspicious for every a
-            for t0 in rational_roots(shared, T):
-                beta = _allowed_member(fiber, t0)
-                if beta is not None:
-                    pp = position_parametric(beta, f)
-                    if pp.generic not in _MEMBER:
-                        return False, beta
-                    _collect_exceptions(pp, candidates)
+            witness = _failing_member(
+                fiber, ((t0, f) for t0 in rational_roots(shared, T)), candidates)
+            if witness is not None:
+                return False, witness
         curve = expressed.subst_ratfunc(A, RatFunc(-w, u))
         const = curve.den.xy_constant_part()
         if const.is_zero:
-            if u.is_constant and w.degree(T) <= 1:
-                # a = rho(t) is an affine bijection, so the failing values
-                # of a are all but finitely many
-                witness = _linear_curve_witness(fiber, u, w, f)
-                flags.append(
-                    "failure occurs at the member step matched to each "
-                    "parameter value by " + str(factor))
-                return False, witness
             flags.append(
                 "infinitely many parameter values fail along " + str(factor) +
                 "; they are not a cofinite set, the verdict is generic only")
             return True, None
         if const.has_slot(T):
             for t0 in rational_roots(const, T):
-                u0 = u.subst_const(T, t0)
-                if u0.is_zero:
-                    continue
-                a0 = -w.subst_const(T, t0).constant_value() / u0.constant_value()
-                candidates.add(a0)
+                u0 = u.subst_const(T, t0).constant_term()
+                if u0:
+                    candidates.add(-w.subst_const(T, t0).constant_term() / u0)
         return True, None
 
     flags.append(
         "coincidence locus " + str(factor) + " is nonlinear in both symbols; "
         "generic answer with sampled extra checks only")
-    for sample in (Fraction(0), Fraction(1), Fraction(2)):
-        beta = _allowed_member(fiber, sample)
-        if beta is None:
-            continue
-        pp = position_parametric(beta, f)
-        if pp.generic not in _MEMBER:
-            return False, beta
-        _collect_exceptions(pp, candidates)
-    return True, None
-
-
-def _diagonal_witness(fiber: Fiber, u: Poly, v: Poly, f: RatFunc) -> Point:
-    """Failing member for a factor u(a)t + v(a), sampling the parameter."""
-    for k in range(16):
-        a0 = Fraction(k)
-        un = u.subst_const(A, a0)
-        if un.is_zero:
-            continue
-        t0 = -v.subst_const(A, a0).constant_value() / un.constant_value()
-        beta = _allowed_member(fiber, t0)
-        if beta is None:
-            continue
-        special = RatFunc(f.num.subst_const(A, a0), f.den.subst_const(A, a0))
-        if not in_point(special, beta):
-            return beta
-    raise AssertionError("generic failure without a failing member")
-
-
-def _linear_curve_witness(fiber: Fiber, u: Poly, w: Poly, f: RatFunc) -> Point:
-    """Failing member for a factor u·a + w(t) with u constant, w linear."""
-    for k in range(16):
-        t0 = Fraction(k)
-        beta = _allowed_member(fiber, t0)
-        if beta is None:
-            continue
-        a0 = -w.subst_const(T, t0).constant_value() / u.constant_value()
-        special = RatFunc(f.num.subst_const(A, a0), f.den.subst_const(A, a0))
-        if not in_point(special, beta):
-            return beta
-    raise AssertionError("generic failure without a failing member")
+    witness = _failing_member(
+        fiber, ((Fraction(s), f) for s in range(3)), candidates)
+    return witness is None, witness
 
 
 # -- irredundance ------------------------------------------------------------
@@ -510,17 +433,10 @@ def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
             if beta != delta and valuation.ring_contains(beta):
                 return str(beta)
         return "every member (the vanishing condition is identically zero)"
-    if condition.has_slot(T):
-        for t0 in rational_roots(condition, T):
-            beta = _allowed_member(fiber, t0)
-            if beta is None or beta == delta:
-                continue
-            if valuation.ring_contains(beta):
-                return str(beta)
-    inf_member = fiber.inf_member()
-    if inf_member is not None and inf_member != delta and \
-            valuation.ring_contains(inf_member):
-        return str(inf_member)
+    steps = rational_roots(condition, T) if condition.has_slot(T) else []
+    for beta in (_allowed_member(fiber, s) for s in [*steps, INF]):
+        if beta is not None and beta != delta and valuation.ring_contains(beta):
+            return str(beta)
     return None
 
 

@@ -88,10 +88,6 @@ class Poly:
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ZERO_EXP in self.terms)
 
-    def constant_value(self) -> Fraction:
-        """Value as a rational; only meaningful when `is_constant`."""
-        return self.terms.get(_ZERO_EXP, Fraction(0))
-
     def constant_term(self) -> Fraction:
         """Coefficient of the monomial 1."""
         return self.terms.get(_ZERO_EXP, Fraction(0))
@@ -229,7 +225,7 @@ class Poly:
         if self.is_zero:
             return Poly()
         if divisor.is_constant:
-            return self.scale(Fraction(1) / divisor.constant_value())
+            return self.scale(Fraction(1) / divisor.constant_term())
         lead_exp, lead_coeff = divisor.leading()
         quotient: Terms = {}
         rem = dict(self.terms)
@@ -888,6 +884,6 @@ def _subst_slot_frac(p: Poly, slot: int, vn: Poly, vd: Poly, clear: int) -> Poly
 
 
 def format_ratfunc(r: RatFunc, names: Sequence[str] = VAR_NAMES) -> str:
-    if r.den.is_constant and r.den.constant_value() == 1:
+    if r.den.is_constant and r.den.constant_term() == 1:
         return format_poly(r.num, names)
     return f"({format_poly(r.num, names)})/({format_poly(r.den, names)})"

@@ -310,8 +310,8 @@ def position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
     """Classify f(a) at a concrete point, uniformly in the parameter a."""
     if point.has_symbolic:
         raise InputError("parametric position needs a concrete point")
-    if f.is_zero:
-        return ParametricPosition(Position.ZERO)
+    if not f.has_slot(A):
+        return ParametricPosition(position(point, f))
     expressed = point.express(f)
     num, den = expressed.num, expressed.den
     cf = num.xy_constant_part()

@@ -13,12 +13,12 @@ from typing import List, Optional, Tuple
 
 from .errors import ComponentError, InputError
 from .expr import is_inf
-from .families import (Chain, Family, FamilySet, Fiber, INFINITE, PATH_BOUND,
-                       Siblings, Singleton, downset_member, family_parts,
+from .families import (Chain, Family, FamilySet, Fiber, INFINITE, Siblings,
+                       Singleton, downset_member, family_parts,
                        q1_downset_count)
 from .proximity import second_kind_contains
 from .tree import Point, is_prefix
-from .valuations import SecondKind, _MinimalBase
+from .valuations import PATH_BOUND, SecondKind, _MinimalBase
 
 Descriptor = SecondKind | _MinimalBase
 Generator = Point | SecondKind | _MinimalBase

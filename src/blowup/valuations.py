@@ -36,6 +36,10 @@ from .tree import AnyStep, Point, TSYM, _same_step, express_step, strict_step
 # after finitely many steps, so reaching it means a runaway computation.
 WALK_CAP = 64
 
+# Comparisons of lazily described paths are truncated here; two paths that
+# agree this far are treated as identical (see `_MinimalBase.same_path`).
+PATH_BOUND = 64
+
 
 def _check_curve(h: Poly, through_origin: bool) -> Poly:
     """Validate a polynomial standing for an irreducible curve.
@@ -168,17 +172,23 @@ class _MinimalBase:
         return all(_same_step(beta.steps[i], self.step_at(i))
                    for i in range(beta.level))
 
-    def same_path(self, other: "_MinimalBase", bound: int = 64) -> bool:
-        """Step-by-step comparison up to a bound.
+    def agreement(self, other: "_MinimalBase") -> int:
+        """Number of leading steps the two paths share, up to `PATH_BOUND`."""
+        for i in range(PATH_BOUND):
+            if not _same_step(self.step_at(i), other.step_at(i)):
+                return i
+        return PATH_BOUND
+
+    def same_path(self, other: "_MinimalBase") -> bool:
+        """Step-by-step comparison up to `PATH_BOUND`.
 
         Paths from different constructors can describe the same valuation;
-        agreement over `bound` steps is taken as equality.  Distinct
-        eventually periodic paths separate well before the default bound,
-        and a curve branch that tracks a periodic path settles into the
-        period at latest when its strict transform becomes smooth.
+        agreement over `PATH_BOUND` steps is taken as equality.  Distinct
+        eventually periodic paths separate well before it, and a curve
+        branch that tracks a periodic path settles into the period at
+        latest when its strict transform becomes smooth.
         """
-        return all(_same_step(self.step_at(i), other.step_at(i))
-                   for i in range(bound))
+        return self.agreement(other) == PATH_BOUND
 
 
 class MinimalEventuallyPeriodic(_MinimalBase):

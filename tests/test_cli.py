@@ -372,6 +372,35 @@ class TestErrors:
         assert error["type"] == "InputError"
         assert f"{power} may have up to 5151 terms" in error["message"]
 
+    @pytest.mark.parametrize("elt, product", [
+        ("(1+x)^30*(1+y)^30", "(1+x)^30*(1+y)^30"),
+        ("x + 1/(1+x)^30/(1-y)^30", "1/(1+x)^30/(1-y)^30"),
+    ])
+    def test_product_over_term_budget_exits_2(self, capsys, elt, product):
+        # each power is within the budget; their product is refused unexpanded
+        start = time.perf_counter()
+        code, out, err = run(capsys, "position", "--elt", elt, "--point", "[]")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert f"{product} may have up to 961 terms" in error["message"]
+
+    def test_closed_pipe_ends_quietly(self, family_file):
+        # about 1 MB of text: the writer is still going when the reader stops
+        path = family_file({"kind": "chain", "from": 1, "valuation": {
+            "kind": "minimal", "prefix": [], "period": ["0"]}})
+        extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + extra))
+        with subprocess.Popen([sys.executable, "-m", "blowup.cli", "dot", "--family", path,
+                               "--max-depth", "399"], env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline() == b"command: dot\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_large_exponent_of_a_variable_is_fine(self, capsys):
         code, report, _ = run_json(capsys, "position", "--elt", "x^100000", "--point", "[0]")
         assert code == 0 and report["position"] == "zero"

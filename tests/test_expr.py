@@ -10,6 +10,7 @@ from blowup.expr import (
     MAX_POWER_TERMS,
     ExprSyntaxError,
     _power_terms,
+    _product_terms,
     format_path,
     format_step,
     parse_element,
@@ -101,6 +102,21 @@ def test_format_step():
 def test_power_term_bound_holds(terms, n):
     p = Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
     assert len((p ** n).terms) <= _power_terms(p, n)
+
+
+@given(*[st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+                         st.integers(min_value=-3, max_value=3).filter(bool), max_size=5)] * 2)
+def test_product_term_bound_holds(p_terms, q_terms):
+    p, q = (Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
+            for terms in (p_terms, q_terms))
+    assert len((p * q).terms) <= _product_terms(p, q)
+
+
+def test_product_term_bound_is_exact_for_dense_products():
+    dense = parse_element("(1+x+y)^30").num
+    assert _product_terms(dense, dense) == 1891  # C(62, 2)
+    assert _product_terms(dense, x) == 496
+    assert _product_terms(x + y, x - y) == 4
 
 
 def test_power_term_bound_is_exact_for_dense_powers():

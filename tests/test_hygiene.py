@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -33,6 +34,45 @@ def test_no_unused_imports():
              for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"
              for line, name in _unused_imports(path.read_text(encoding="utf-8"))]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def _references(node) -> Counter:
+    """How often each name is read, as a name, an attribute or an import."""
+    found = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def _private_definitions(tree):
+    """(name, node) of each module-level _private function, class or constant;
+    node is the definition whose own body does not count as a use."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            pairs = [(node.name, node)]
+        elif isinstance(node, ast.Assign):
+            pairs = [(t.id, None) for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            pairs = [(node.target.id, None)]
+        else:
+            continue
+        yield from ((name, owner) for name, owner in pairs
+                    if name.startswith("_") and not name.startswith("__"))
+
+
+def test_no_unused_private_names():
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    uses = sum((_references(tree) for tree in trees.values()), Counter())
+    found = [f"{module}: {name}" for module, tree in trees.items()
+             for name, owner in _private_definitions(tree)
+             if uses[name] == (_references(owner)[name] if owner else 0)]
+    assert not found, "private names nothing uses:\n" + "\n".join(found)
 
 
 def _traced_layers():

@@ -12,7 +12,7 @@ from blowup.expr import INF, parse_element
 from blowup.families import Chain, Fiber, Siblings, Singleton
 from blowup.oracle import (MembershipAnswer, in_family, in_point,
                            irredundance_certificate, semigroup_member)
-from blowup.poly import Poly, RatFunc, T
+from blowup.poly import A, Poly, RatFunc, T
 from blowup.tree import Point
 from blowup.valuations import MinimalEventuallyPeriodic
 
@@ -235,6 +235,94 @@ class TestInFamilyParametric:
         assert answer.verdict == "yes"
         assert answer.exceptions == {}
         assert any("undefined at a = 1" in flag for flag in answer.flags)
+
+
+    def test_undefined_sample_is_skipped_by_the_witness_scan(self):
+        # at a = 0 the element is undefined; the scan goes on to a = 1
+        answer = in_family(e("x/(a*(y - a*x))"), Fiber(D))
+        assert answer.verdict == "no"
+        assert answer.witness == Point.from_path([1])
+
+    def test_repeated_moving_pole_fails_for_every_a(self):
+        # (y - a*x)^2 puts a double pole on the member at step a
+        answer = in_family(e("x^2/(y - a*x)^2"), Fiber(D))
+        assert answer.verdict == "no"
+        assert answer.witness == Point.from_path([0])
+        assert all("matched to each parameter value" in flag
+                   for flag in answer.flags)
+
+
+# -- fibers against brute force ----------------------------------------------
+
+SLOPES = [Fraction(v) for v in ("-2", "-1", "-1/2", "0", "1", "2")]
+# every direction a line y = c*x or x = c*y through the origin, or the
+# exceptional curve, takes at a point of the tree: the slopes, their
+# inverses, 0 and inf
+LINE_STEPS = sorted({*SLOPES, *(1 / c for c in SLOPES if c)}) + [INF]
+GENERIC_A = Fraction(1, 7)
+
+
+@st.composite
+def line_fibers(draw):
+    steps = st.lists(st.sampled_from(LINE_STEPS), max_size=2)
+    return Fiber(Point.from_path(draw(steps)), frozenset(draw(steps)),
+                 tuple(draw(steps)))
+
+
+@st.composite
+def line_quotients(draw):
+    """Powers of lines y - c*x and x - c*y, times at most one power of the
+    moving line y - (c + a)*x; returns the element and the moving slope."""
+    powers = st.sampled_from([-2, -1, 1, 2])
+    lines = draw(st.lists(st.tuples(st.sampled_from(["y - ({})*x", "x - ({})*y"]),
+                                    st.sampled_from(SLOPES), powers),
+                          min_size=1, max_size=3))
+    text = "*".join(f"({form.format(c)})^{k}" for form, c, k in lines)
+    moving = draw(st.none() | st.tuples(st.sampled_from(SLOPES), powers))
+    if moving is None:
+        return e(text), None
+    c, k = moving
+    return e(f"{text}*(y - ({c} + a)*x)^{k}"), c
+
+
+def _failing_members(f, fiber, moving, a0):
+    """Members at the steps where lines can pass at which f(a0) fails."""
+    g = f.subst_const(A, a0)
+    steps = LINE_STEPS if moving is None else LINE_STEPS + [moving + a0]
+    members = [fiber.member(s) for s in steps
+               if s not in fiber.excluded]
+    return [beta for beta in members if not in_point(g, beta)]
+
+
+@given(line_fibers(), line_quotients())
+@settings(max_examples=60, deadline=None)
+def test_fiber_verdict_agrees_with_brute_force(fiber, drawn):
+    f, moving = drawn
+    answer = in_family(f, fiber)
+    generic = _failing_members(f, fiber, moving, GENERIC_A)
+    assert (answer.verdict == "no") == bool(generic)
+    matched = [flag for flag in answer.flags
+               if "matched to each parameter value" in flag]
+    assert len(matched) == len(answer.flags)
+    if answer.verdict == "no":
+        assert answer.exceptions == {}
+        assert fiber.is_member(answer.witness)
+        # a moving failure is witnessed at a sampled value of a
+        tried = map(Fraction, range(16)) if matched else [GENERIC_A]
+        assert any(not in_point(f.subst_const(A, a0), answer.witness)
+                   for a0 in tried if not f.den.subst_const(A, a0).is_zero)
+        return
+    assert not matched
+    values = set(SLOPES)
+    if moving is not None:
+        values |= {s - moving for s in LINE_STEPS if s is not INF}
+    expected = {a0: "no" for a0 in sorted(values)
+                if _failing_members(f, fiber, moving, a0)}
+    assert answer.exceptions == expected
+    assert answer.verdict == ("yes_except" if expected else "yes")
+    if expected:
+        assert fiber.is_member(answer.witness)
+        assert not in_point(f.subst_const(A, min(expected)), answer.witness)
 
 
 class TestIrredundance:

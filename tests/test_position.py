@@ -1,5 +1,6 @@
 """Tests for position classification, resolve, and locate."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from blowup.errors import (ComputationError, DepthCapError, InputError, LocateEr
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import (
+    ParametricPosition,
     Position,
     _candidate_steps,
     locate,
@@ -328,6 +330,17 @@ def test_parametric_element_without_parameter():
     pp = position_parametric(Point.root(), E("x/y"))
     assert pp.generic is Position.UNDETERMINED
     assert not pp.exceptional and not pp.undefined
+
+
+def test_parametric_concrete_element_is_its_position(monkeypatch):
+    # undetermined at the root: the parametric analysis would run resultants
+    def refuse(*args):
+        raise AssertionError("sylvester_resultant ran for an element without a")
+    # the package re-exports the function `position` under the module's name
+    monkeypatch.setattr(sys.modules["blowup.position"], "sylvester_resultant", refuse)
+    f = E("(x + y)/(x - y)")
+    assert position_parametric(Point.root(), f) == \
+        ParametricPosition(position(Point.root(), f))
 
 
 def test_parametric_rejects_symbolic_point():

@@ -12,6 +12,7 @@ from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import Position, classify_expressed
 from blowup.tree import Point
 from blowup.valuations import (
+    PATH_BOUND,
     WALK_CAP,
     FirstKind,
     MinimalCurveBranch,
@@ -270,7 +271,9 @@ def test_same_path_across_constructors():
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     w = MinimalEventuallyPeriodic([INF, INF, 1], [0])
     assert v.same_path(w)
+    assert v.agreement(w) == PATH_BOUND
     assert not v.same_path(MinimalEventuallyPeriodic([], [0]))
+    assert v.agreement(MinimalEventuallyPeriodic([INF, INF, 1, 1], [0])) == 3
 
 
 def test_cross_kind_rings_agree_on_samples():
