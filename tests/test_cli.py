@@ -230,11 +230,14 @@ class TestCommands:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_fresh(*argv):
+def fresh_env():
     extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + extra),
-               PYTHONIOENCODING="utf-8")
-    result = subprocess.run([sys.executable, "-m", "blowup.cli", *argv], env=env,
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + extra),
+                PYTHONIOENCODING="utf-8")
+
+
+def run_fresh(*argv):
+    result = subprocess.run([sys.executable, "-m", "blowup.cli", *argv], env=fresh_env(),
                             capture_output=True, encoding="utf-8", timeout=60)
     return result.returncode, result.stdout, result.stderr
 
@@ -390,11 +393,9 @@ class TestErrors:
         # about 1 MB of text: the writer is still going when the reader stops
         path = family_file({"kind": "chain", "from": 1, "valuation": {
             "kind": "minimal", "prefix": [], "period": ["0"]}})
-        extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC)] + extra))
         with subprocess.Popen([sys.executable, "-m", "blowup.cli", "dot", "--family", path,
-                               "--max-depth", "399"], env=env, stdout=subprocess.PIPE,
-                              stderr=subprocess.PIPE) as proc:
+                               "--max-depth", "399"], env=fresh_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
             assert proc.stdout.readline() == b"command: dot\n"
             proc.stdout.close()
             err = proc.stderr.read()

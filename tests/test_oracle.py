@@ -236,7 +236,6 @@ class TestInFamilyParametric:
         assert answer.exceptions == {}
         assert any("undefined at a = 1" in flag for flag in answer.flags)
 
-
     def test_undefined_sample_is_skipped_by_the_witness_scan(self):
         # at a = 0 the element is undefined; the scan goes on to a = 1
         answer = in_family(e("x/(a*(y - a*x))"), Fiber(D))
@@ -289,8 +288,7 @@ def _failing_members(f, fiber, moving, a0):
     """Members at the steps where lines can pass at which f(a0) fails."""
     g = f.subst_const(A, a0)
     steps = LINE_STEPS if moving is None else LINE_STEPS + [moving + a0]
-    members = [fiber.member(s) for s in steps
-               if s not in fiber.excluded]
+    members = [fiber.member(s) for s in steps if s not in fiber.excluded]
     return [beta for beta in members if not in_point(g, beta)]
 
 
