@@ -15,6 +15,7 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
 from .expr import INF, Step, is_inf
+from .proximity import is_ray_tail
 from .tree import (TSYM, AnyStep, Point, _same_step, format_any_step, is_prefix,
                    normalize_step)
 from .valuations import PATH_BOUND, _MinimalBase
@@ -132,22 +133,22 @@ class Fiber:
 
     def member(self, step: Step) -> Point:
         step = normalize_step(step)
-        if any(_same_step(step, e) for e in self.excluded):
+        if not self._fits(self.base.level, step):
             raise InputError(f"step {format_any_step(step)} is excluded")
+        return self._member_at(step)
+
+    def symbolic_member(self) -> Point:
+        """The member at an indeterminate finite step, for parametric work."""
+        return self._member_at(TSYM)
+
+    def _member_at(self, step: AnyStep) -> Point:
         point = self.base.child(step)
         for s in self.tail:
             point = point.child(s)
         return point
 
-    def symbolic_member(self) -> Point:
-        """The member at an indeterminate finite step, for parametric work."""
-        point = self.base.child(TSYM)
-        for s in self.tail:
-            point = point.child(s)
-        return point
-
     def inf_member(self) -> Optional[Point]:
-        if any(is_inf(e) for e in self.excluded):
+        if not self._fits(self.base.level, INF):
             return None
         return self.member(INF)
 
@@ -164,37 +165,30 @@ class Fiber:
         return self._pattern_match(beta.steps)
 
     def _pattern_match(self, steps: Sequence[AnyStep]) -> bool:
-        base_steps = self.base.steps
-        if len(steps) <= len(base_steps):
-            return False
-        for i, s in enumerate(base_steps):
-            if not _same_step(steps[i], s):
-                return False
-        free = steps[len(base_steps)]
-        if free is TSYM or any(_same_step(free, e) for e in self.excluded):
-            return False
-        for j, s in enumerate(steps[len(base_steps) + 1:]):
-            if not _same_step(s, self.tail[j]):
-                return False
-        return True
+        """Whether a path of at most member length starts a member's path."""
+        return len(steps) > self.base.level and all(
+            self._fits(index, step) for index, step in enumerate(steps))
+
+    def _fits(self, index: int, step: AnyStep) -> bool:
+        """Whether some member's path may have `step` at `index`: the base
+        or tail step there, or at the free index any concrete step not
+        excluded."""
+        expected = _fiber_pattern(self, index)
+        if expected is _FREE:
+            return step is not TSYM and not any(
+                _same_step(step, e) for e in self.excluded)
+        return _same_step(step, expected)
 
     def has_ray_tail(self) -> bool:
-        """Whether members sit inside the order valuation of the base.
-
-        A member base<s>·tail is proximate to the base exactly when the
-        tail is empty or climbs the exceptional curve: one infinity step
-        followed by zero steps only."""
-        if not self.tail:
-            return True
-        if not is_inf(self.tail[0]):
-            return False
-        return all(isinstance(s, Fraction) and s == 0 for s in self.tail[1:])
+        """Whether members sit inside the order valuation of the base,
+        that is, whether they are proximate to it."""
+        return is_ray_tail(self.tail)
 
     def sample_members(self, limit: int = 5) -> List[Point]:
         out: List[Point] = []
         value = Fraction(0)
         while len(out) < limit:
-            if not any(_same_step(value, e) for e in self.excluded):
+            if self._fits(self.base.level, value):
                 out.append(self.member(value))
             value += 1
         inf_pt = self.inf_member()
@@ -416,15 +410,13 @@ def _point_comparable(part: Family, gamma: Point) -> bool:
             return part._pattern_match(gamma.steps[:part.member_level])
         return False
     if isinstance(part, Chain):
-        v = part.valuation
-        agreement = _point_path_agreement(gamma, v)
+        agreement = part.valuation.agreement(gamma.steps)
         if agreement == gamma.level:
             # On the path: strictly below the deeper members.
             return True
         return part.from_level <= agreement
     if isinstance(part, Siblings):
-        v = part.valuation
-        agreement = _point_path_agreement(gamma, v)
+        agreement = part.valuation.agreement(gamma.steps)
         if agreement == gamma.level:
             return True  # on the path, hence below every deep member
         # gamma leaves the path at index `agreement`; the only member
@@ -436,14 +428,6 @@ def _point_comparable(part: Family, gamma: Point) -> bool:
             return gamma.level > deviation + 1
         return False
     raise InputError(f"not a family: {part!r}")
-
-
-def _point_path_agreement(gamma: Point, v: _MinimalBase) -> int:
-    """Number of leading steps gamma shares with the path."""
-    for i in range(gamma.level):
-        if not _same_step(gamma.steps[i], v.step_at(i)):
-            return i
-    return gamma.level
 
 
 _FREE = object()
@@ -468,26 +452,7 @@ def _fibers_comparable(a: Fiber, b: Fiber) -> bool:
         s, t = _fiber_pattern(short, index), _fiber_pattern(long_, index)
         if s is _FREE and t is _FREE:
             continue  # cofinitely many shared values remain
-        if s is _FREE:
-            if any(_same_step(t, e) for e in short.excluded):
-                return False
-        elif t is _FREE:
-            if any(_same_step(s, e) for e in long_.excluded):
-                return False
-        elif not _same_step(s, t):
-            return False
-    return True
-
-
-def _pattern_matches_path(fiber: Fiber, v: _MinimalBase, length: int) -> bool:
-    """Whether the path's first `length` steps fit the fiber pattern."""
-    for index in range(length):
-        s = _fiber_pattern(fiber, index)
-        step = v.step_at(index)
-        if s is _FREE:
-            if any(_same_step(step, e) for e in fiber.excluded):
-                return False
-        elif not _same_step(s, step):
+        if not (long_._fits(index, s) if t is _FREE else short._fits(index, t)):
             return False
     return True
 
@@ -495,7 +460,7 @@ def _pattern_matches_path(fiber: Fiber, v: _MinimalBase, length: int) -> bool:
 def _path_pattern_agreement(fiber: Fiber, v: _MinimalBase) -> int:
     """Longest pattern prefix the path satisfies (up to member length)."""
     for index in range(fiber.member_level):
-        if not _pattern_matches_path(fiber, v, index + 1):
+        if not fiber._fits(index, v.step_at(index)):
             return index
     return fiber.member_level
 
@@ -518,21 +483,14 @@ def _fiber_path_comparable(fiber: Fiber, part: Family) -> bool:
         # A sibling strictly inside a fiber member: deviation at index
         # i <= lf - 2 (a deviation at lf - 1 would give equal levels,
         # which is at worst coincidence, not proper containment).
-        for i in range(1, min(agreement, lf - 2) + 1):
-            s = _fiber_pattern(fiber, i)
-            t = part.sibling_step(i)
-            if s is _FREE:
-                if not any(_same_step(t, e) for e in fiber.excluded):
-                    return True
-            elif _same_step(s, t):
-                return True
-        return False
+        return any(fiber._fits(i, part.sibling_step(i))
+                   for i in range(1, min(agreement, lf - 2) + 1))
     raise InputError(f"not a family: {part!r}")
 
 
 def _path_parts_comparable(a: Family, b: Family) -> bool:
     va, vb = a.valuation, b.valuation
-    agreement = va.agreement(vb)
+    agreement = vb.agreement(map(va.step_at, range(PATH_BOUND)))
     a_chain = isinstance(a, Chain)
     b_chain = isinstance(b, Chain)
     if a_chain and b_chain:

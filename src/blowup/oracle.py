@@ -44,8 +44,8 @@ from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, poly_gcd, rational_roots
-from .position import (Position, _a_collapse_roots, position,
-                       position_parametric)
+from .position import (Position, _a_collapse_roots, _coefficient_gcd,
+                       position, position_parametric)
 from .tree import Point
 from .valuations import WALK_CAP, FirstKind
 
@@ -255,16 +255,6 @@ def _split_locus(locus: Poly, candidates: Set[Fraction],
     return [square_free]
 
 
-def _coefficient_gcd(polys: Iterable[Poly]) -> Poly:
-    acc: Optional[Poly] = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.is_constant:
-            break
-    assert acc is not None
-    return acc
-
-
 def _mixed_factor(factor: Poly, expressed: RatFunc, fiber: Fiber,
                   candidates: Set[Fraction], flags: List[str], f: RatFunc,
                   ) -> Tuple[bool, Optional[Point]]:
@@ -372,11 +362,6 @@ def irredundance_certificate(family, delta: Point,
         raise InputError(f"{delta} is not a member of the family")
     obstructions: List[str] = []
     for h in candidates:
-        if isinstance(h, RatFunc):
-            if not h.is_polynomial:
-                obstructions.append(f"{h}: not a polynomial")
-                continue
-            h = h.num
         if h.constant_term() != 0:
             obstructions.append(f"{h}: does not pass through the origin")
             continue

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import DepthCapError, InputError, LocateError, ResolveError
 from .expr import INF
@@ -352,10 +352,18 @@ def _a_collapse_roots(p: Poly) -> List[Fraction]:
         rest = (exps[X], exps[Y], 0, exps[T])
         key = (0, 0, exps[A], 0)
         by_monomial.setdefault(rest, {})[key] = coeff
-    shared: Optional[Poly] = None
-    for terms in by_monomial.values():
-        q = Poly(terms)
-        shared = q if shared is None else poly_gcd(shared, q)
-        if shared.is_constant:
-            return []
+    shared = _coefficient_gcd(Poly(terms) for terms in by_monomial.values())
+    if shared.is_constant:
+        return []
     return rational_roots(shared, A)
+
+
+def _coefficient_gcd(polys: Iterable[Poly]) -> Poly:
+    """The gcd of nonempty polys, stopping at the first constant."""
+    acc: Optional[Poly] = None
+    for p in polys:
+        acc = p if acc is None else poly_gcd(acc, p)
+        if acc.is_constant:
+            break
+    assert acc is not None
+    return acc

@@ -10,7 +10,8 @@ exactly when
     path(q) = path(p) + (s, inf, 0, 0, ..., 0)
 
 Every point is proximate to its parent; at most one earlier ancestor can
-be proximate as well.
+be proximate as well.  `is_ray_tail` is the one statement of the ray rule;
+fibers use it for their tails and the topology for paths of valuations.
 
 The valuation ring of the order valuation at p contains the local ring at
 q exactly when q is at or above p, or q is proximate to p.
@@ -19,22 +20,23 @@ q exactly when q is at or above p, or q is proximate to p.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, List, Tuple
 
 from .expr import INF, is_inf
-from .tree import AnyStep, Comparison, Point, TSYM, compare
+from .tree import AnyStep, Comparison, Point, _same_step, compare
 
 _ZERO = Fraction(0)
 
 
-def _is_ray_suffix(suffix: Sequence[AnyStep]) -> bool:
-    if len(suffix) < 1:
-        return False
-    if len(suffix) == 1:
+def is_ray_tail(tail: Iterable[AnyStep]) -> bool:
+    """Whether the steps after a free step stay on the exceptional curve
+    of the point that the free step leaves: no steps at all, or one inf
+    step followed by 0 steps only."""
+    steps = iter(tail)
+    first = next(steps, None)
+    if first is None:
         return True
-    if not is_inf(suffix[1]):
-        return False
-    return all(s is not TSYM and not is_inf(s) and s == _ZERO for s in suffix[2:])
+    return is_inf(first) and all(_same_step(s, _ZERO) for s in steps)
 
 
 def is_proximate(beta: Point, alpha: Point) -> bool:
@@ -42,7 +44,7 @@ def is_proximate(beta: Point, alpha: Point) -> bool:
     exceptional ray)."""
     if compare(alpha, beta) is not Comparison.BELOW:
         return False
-    return _is_ray_suffix(beta.steps[alpha.level:])
+    return is_ray_tail(beta.steps[alpha.level + 1:])
 
 
 def proximate_ancestors(beta: Point) -> Tuple[Point, ...]:
@@ -50,7 +52,7 @@ def proximate_ancestors(beta: Point) -> Tuple[Point, ...]:
     found: List[Point] = []
     alpha = beta.parent
     while alpha is not None:
-        if _is_ray_suffix(beta.steps[alpha.level:]):
+        if is_ray_tail(beta.steps[alpha.level + 1:]):
             found.append(alpha)
         alpha = alpha.parent
     return tuple(found)

@@ -12,11 +12,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .errors import ComponentError, InputError
-from .expr import is_inf
-from .families import (Chain, Family, FamilySet, Fiber, INFINITE, Siblings,
-                       Singleton, downset_member, family_parts,
-                       q1_downset_count)
-from .proximity import second_kind_contains
+from .families import (Chain, Family, FamilySet, Fiber, Siblings, Singleton,
+                       downset_member, family_parts, q1_downset_count)
+from .proximity import is_ray_tail, second_kind_contains
 from .tree import Point, is_prefix
 from .valuations import PATH_BOUND, SecondKind, _MinimalBase
 
@@ -29,24 +27,15 @@ def patch_limit_points(family) -> Tuple[Descriptor, ...]:
 
     Two kinds can occur.  The order valuation at alpha is a limit exactly
     when infinitely many children of alpha lie in the family's downset;
-    only a fiber based at alpha can arrange that, so the candidates are
-    the fiber bases and their prefixes.  A minimal valuation is a limit
-    exactly when members appear cofinally along its path, which is the
-    defining shape of the chain and sibling parts.  Finite families have
-    no limits at all.
+    only a fiber based at alpha can arrange that (`q1_downset_count`), so
+    the divisor limits are the order valuations at the fiber bases.  A
+    minimal valuation is a limit exactly when members appear cofinally
+    along its path, which is the defining shape of the chain and sibling
+    parts.  Finite families have no limits at all.
     """
     parts = family_parts(family)
-    divisors: List[SecondKind] = []
-    candidates: List[Point] = []
-    for part in parts:
-        if isinstance(part, Fiber):
-            for level in range(part.base.level + 1):
-                candidates.append(part.base.ancestor(level))
-    for alpha in sorted(set(candidates), key=str):
-        if q1_downset_count(parts, alpha) is INFINITE:
-            divisor = SecondKind(alpha)
-            if divisor not in divisors:
-                divisors.append(divisor)
+    bases = {part.base for part in parts if isinstance(part, Fiber)}
+    divisors = [SecondKind(alpha) for alpha in sorted(bases, key=str)]
     minimals: List[_MinimalBase] = []
     for part in parts:
         if isinstance(part, (Chain, Siblings)):
@@ -99,12 +88,8 @@ def _ray_below(v: _MinimalBase, alpha: Point) -> bool:
     """Whether the path of v eventually climbs the exceptional ray of alpha,
     so that every point of the path sits inside the order valuation there.
     Decided up to PATH_BOUND like every other lazy-path comparison."""
-    level = alpha.level
-    if v.point_at(level) != alpha:
-        return False
-    if not is_inf(v.step_at(level + 1)):
-        return False
-    return all(v.step_at(i) == 0 for i in range(level + 2, PATH_BOUND))
+    return v.ring_contains(alpha) and is_ray_tail(
+        map(v.step_at, range(alpha.level + 1, PATH_BOUND)))
 
 
 def irreducible_components(closed: ClosedSetRepr) -> Tuple[Generator, ...]:
@@ -115,7 +100,7 @@ def irreducible_components(closed: ClosedSetRepr) -> Tuple[Generator, ...]:
     or else it scatters into one maximal point per member and the
     decomposition is infinite, which is reported as an error carrying the
     offending part."""
-    generators: List[Generator] = list(closed.divisor_downsets)
+    generators: List[Descriptor] = list(closed.divisor_downsets)
     for v in closed.minimal_downsets:
         if not any(isinstance(g, SecondKind) and _ray_below(v, g.point)
                    for g in generators):
@@ -151,9 +136,7 @@ def irreducible_components(closed: ClosedSetRepr) -> Tuple[Generator, ...]:
     return tuple(generators) + tuple(maximal)
 
 
-def _point_under(gamma: Point, generator: Generator) -> bool:
-    if isinstance(generator, Point):
-        return is_prefix(gamma, generator) and gamma != generator
+def _point_under(gamma: Point, generator: Descriptor) -> bool:
     if isinstance(generator, SecondKind):
         return second_kind_contains(generator.point, gamma)
     return generator.ring_contains(gamma)

@@ -31,9 +31,15 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import ComputationError, InputError
 from .expr import Step, format_step, is_inf
 from .poly import Poly, RatFunc, Terms, X
+
+
+# Most products one finite nonzero step may form across a fraction's
+# numerator and denominator.  The tests stay below 3,000, the demos and the
+# benchmark workloads below 100; a chart past the budget takes seconds a step.
+CHART_BUDGET = 10_000
 
 
 class _SymbolicStep:
@@ -205,13 +211,29 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
     k[x, y'][1/x], so the images of a coprime numerator and denominator
     can share no factor but a power of the new x.  Stripping that power
     leaves the fraction reduced, with no gcd to compute.
+
+    A finite nonzero step forms one product per term of (y + b)^j for
+    every term x^i y^j; past `CHART_BUDGET` products in all the step is
+    refused with `ComputationError` rather than left to run for minutes.
     """
+    if not is_inf(step) and step != 0:
+        work = _products(f.num) + _products(f.den)
+        if work > CHART_BUDGET:
+            raise ComputationError(
+                f"the step {format_any_step(step)} would form {work} "
+                f"products, over the chart budget of {CHART_BUDGET}")
     num = transform_step(f.num, step)
     if num.is_zero:
         return f
     den = transform_step(f.den, step)
     common = min(num.min_exponent(X), den.min_exponent(X))
     return RatFunc.coprime(num.shift_down(X, common), den.shift_down(X, common))
+
+
+def _products(h: Poly) -> int:
+    """How many products `transform_step` forms for h at a finite nonzero
+    step: j + 1 for each term x^i y^j."""
+    return sum(j + 1 for _, j, _, _ in h.terms)
 
 
 def strict_step(h: Poly, step: AnyStep) -> Poly:

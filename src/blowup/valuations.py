@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import BranchError, DepthCapError, InputError
 from .expr import INF, Step, format_path, is_inf
@@ -169,15 +169,21 @@ class _MinimalBase:
             f"position of {f} along the path did not settle within {WALK_CAP} steps")
 
     def ring_contains(self, beta: Point) -> bool:
-        return all(_same_step(beta.steps[i], self.step_at(i))
-                   for i in range(beta.level))
+        return self.agreement(beta.steps) == beta.level
 
-    def agreement(self, other: "_MinimalBase") -> int:
-        """Number of leading steps the two paths share, up to `PATH_BOUND`."""
-        for i in range(PATH_BOUND):
-            if not _same_step(self.step_at(i), other.step_at(i)):
-                return i
-        return PATH_BOUND
+    def agreement(self, steps: Iterable[AnyStep]) -> int:
+        """Number of leading `steps` that follow this path.
+
+        The steps are read one at a time, each before the path step it is
+        compared with, and no further than the first disagreement.  To
+        compare two paths, pass `map(other.step_at, range(PATH_BOUND))`.
+        """
+        agreed = 0
+        for step in steps:
+            if not _same_step(step, self.step_at(agreed)):
+                break
+            agreed += 1
+        return agreed
 
     def same_path(self, other: "_MinimalBase") -> bool:
         """Step-by-step comparison up to `PATH_BOUND`.
@@ -188,7 +194,7 @@ class _MinimalBase:
         branch that tracks a periodic path settles into the period at
         latest when its strict transform becomes smooth.
         """
-        return self.agreement(other) == PATH_BOUND
+        return other.agreement(map(self.step_at, range(PATH_BOUND))) == PATH_BOUND
 
 
 class MinimalEventuallyPeriodic(_MinimalBase):

@@ -18,11 +18,13 @@ from typing import List, Optional, Tuple
 
 from blowup.errors import ComputationError, DepthCapError, ResolveError
 from blowup.expr import INF, is_inf
+from blowup.families import (INFINITE, Chain, Fiber, Siblings, family_parts,
+                             q1_downset_count)
 from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, poly_gcd
 from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
                              classify_expressed)
 from blowup.tree import TSYM, Point, transform_step
-from blowup.valuations import MinimalCurveBranch
+from blowup.valuations import MinimalCurveBranch, SecondKind
 
 
 # -- chart data that only the tests read -------------------------------------
@@ -359,3 +361,22 @@ def random_comparable_pair(rng: random.Random, max_level: int = 6,
     beta = random_point(rng, max_level, alphabet)
     alpha = beta.ancestor(rng.randint(0, beta.level - 1))
     return beta, alpha
+
+
+def reference_patch_limit_points(family) -> tuple:
+    """`topology.patch_limit_points` by enumeration: every prefix of every
+    fiber base is a candidate, and it is a divisor limit when infinitely
+    many of its children lie in the family's downset."""
+    parts = family_parts(family)
+    candidates = {part.base.ancestor(level) for part in parts
+                  if isinstance(part, Fiber)
+                  for level in range(part.base.level + 1)}
+    divisors = [SecondKind(alpha) for alpha in sorted(candidates, key=str)
+                if q1_downset_count(parts, alpha) is INFINITE]
+    minimals: list = []
+    for part in parts:
+        if isinstance(part, (Chain, Siblings)):
+            v = part.valuation
+            if not any(v.same_path(seen) for seen in minimals):
+                minimals.append(v)
+    return tuple(divisors) + tuple(minimals)

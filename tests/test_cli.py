@@ -326,6 +326,19 @@ class TestErrors:
         assert direction in error["message"]
         assert "45158400 divisor pairs" in error["message"]
 
+    def test_chart_over_budget_exits_3(self, capsys):
+        # the denominator reaches 14,708 terms at level 5; without the
+        # budget, the search runs for minutes before its depth cap
+        start = time.perf_counter()
+        code, out, err = run(capsys, "resolve", "--elt",
+                             "((y^2 - x^3)^2 - x^5*y)/((y^2 - x^3)^2 - x^5*y + x^90)")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "ComputationError"
+        assert error["message"] == ("the step 1 would form 14717 products, "
+                                    "over the chart budget of 10000")
+
     def test_depth_cap_reports_open_points(self, capsys):
         code, _, err = run(capsys, "resolve", "--elt", "(x-y)/x",
                            "--max-depth", "0")

@@ -3,13 +3,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blowup.errors import InputError
 from blowup.expr import INF
 from blowup.families import (Chain, Fiber, INFINITE, MoebiusMap, Siblings,
                              Singleton, downset_member, member,
                              pairwise_incomparable, q1_downset_count)
+from blowup.proximity import is_proximate
 from blowup.tree import TSYM, Point
 from blowup.valuations import MinimalEventuallyPeriodic
 
@@ -258,3 +259,17 @@ def test_infinite_child_count_means_dense_downset(n):
     fam = fiber_b()
     assert q1_downset_count(fam, D) is INFINITE
     assert downset_member(fam, D.child(Fraction(n)))
+
+
+RAY_STEPS = (INF, Fraction(0), Fraction(1), Fraction(-1))
+
+
+@given(st.lists(st.sampled_from(RAY_STEPS), max_size=3),
+       st.lists(st.sampled_from(RAY_STEPS), max_size=4),
+       st.lists(st.sampled_from(RAY_STEPS), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_ray_tail_means_members_are_proximate_to_the_base(base, tail, excluded):
+    fiber = Fiber(Point.from_path(base), frozenset(excluded), tuple(tail))
+    members = fiber.sample_members(3)
+    assert [is_proximate(beta, fiber.base) for beta in members] == \
+        [fiber.has_ray_tail()] * len(members)

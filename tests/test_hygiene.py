@@ -50,10 +50,15 @@ def _references(node) -> Counter:
 
 
 def _private_definitions(tree):
-    """(name, node) of each module-level _private function, class or constant;
-    node is the definition whose own body does not count as a use."""
+    """(name, node) of each module-level _private function, class or constant
+    and of each _private method of a module-level class; node is the
+    definition whose own body does not count as a use."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
+            pairs = [(node.name, node)] + [
+                (item.name, item) for item in node.body
+                if isinstance(item, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef):
             pairs = [(node.name, node)]
         elif isinstance(node, ast.Assign):
             pairs = [(t.id, None) for t in node.targets if isinstance(t, ast.Name)]

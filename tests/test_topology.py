@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from blowup.errors import ComponentError
 from blowup.expr import INF
@@ -18,7 +19,7 @@ from blowup.tree import Point
 from blowup.valuations import (MinimalCurveBranch, MinimalEventuallyPeriodic,
                                SecondKind)
 
-from helpers import params
+from helpers import params, reference_patch_limit_points
 
 
 D = Point.root()
@@ -65,6 +66,30 @@ class TestPatchLimits:
     def test_duplicate_paths_merge(self):
         assert patch_limit_points(
             (Chain(V0, 1), Siblings(V0, Fraction(1)))) == (V0,)
+
+
+STEPS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), INF)
+paths = st.lists(st.sampled_from(STEPS), max_size=3)
+# curves with a single branch at the origin: the path of any other curve
+# is not a valuation
+minimal_valuations = st.one_of(
+    st.builds(MinimalEventuallyPeriodic, paths,
+              st.lists(st.sampled_from(STEPS), min_size=1, max_size=2)),
+    st.sampled_from([MinimalCurveBranch(Poly.variable(X) ** i - Poly.variable(Y) ** j)
+                     for i, j in ((2, 3), (3, 2), (1, 2), (2, 1), (3, 5))]))
+family_parts = st.one_of(
+    st.builds(Singleton, paths.map(Point.from_path)),
+    st.builds(Fiber, paths.map(Point.from_path), paths.map(frozenset),
+              paths.map(tuple)),
+    st.builds(Chain, minimal_valuations, st.integers(0, 3)),
+    st.builds(Siblings, minimal_valuations,
+              st.sampled_from((Fraction(1), Fraction(-1), Fraction(1, 2)))))
+
+
+@given(st.lists(family_parts, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_limit_points_match_the_prefix_enumeration(parts):
+    assert patch_limit_points(parts) == reference_patch_limit_points(parts)
 
 
 class TestDivisorCounts:

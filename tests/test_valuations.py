@@ -271,9 +271,10 @@ def test_same_path_across_constructors():
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     w = MinimalEventuallyPeriodic([INF, INF, 1], [0])
     assert v.same_path(w)
-    assert v.agreement(w) == PATH_BOUND
+    assert v.agreement(map(w.step_at, range(PATH_BOUND))) == PATH_BOUND
     assert not v.same_path(MinimalEventuallyPeriodic([], [0]))
-    assert v.agreement(MinimalEventuallyPeriodic([INF, INF, 1, 1], [0])) == 3
+    u = MinimalEventuallyPeriodic([INF, INF, 1, 1], [0])
+    assert v.agreement(map(u.step_at, range(PATH_BOUND))) == 3
 
 
 def test_cross_kind_rings_agree_on_samples():
@@ -317,6 +318,16 @@ minimal_valuations = st.one_of(
     st.sampled_from([MinimalCurveBranch(h) for h in (
         x ** 2 - y ** 3, y ** 2 - x ** 3, (y - x) ** 2 - x ** 5, y - x ** 2,
         y ** 3 - x ** 5, y - x - x ** 3)]))
+
+
+@given(minimal_valuations, st.integers(0, 6), st.lists(walk_steps, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_agreement_counts_the_leading_steps_on_the_path(v, shared, rest):
+    steps = [v.step_at(i) for i in range(shared)] + rest
+    brute = max(n for n in range(len(steps) + 1)
+                if Point.from_path(steps[:n]) == v.point_at(n))
+    assert v.agreement(steps) == brute
+    assert v.agreement(iter(steps)) == brute
 
 
 @given(minimal_valuations, plane_polys, plane_polys)
