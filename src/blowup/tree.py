@@ -29,6 +29,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import comb
+from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ComputationError, InputError
@@ -216,12 +217,11 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
     every term x^i y^j; past `CHART_BUDGET` products in all the step is
     refused with `ComputationError` rather than left to run for minutes.
     """
-    if not is_inf(step) and step != 0:
-        work = _products(f.num) + _products(f.den)
-        if work > CHART_BUDGET:
-            raise ComputationError(
-                f"the step {format_any_step(step)} would form {work} "
-                f"products, over the chart budget of {CHART_BUDGET}")
+    work = _products(f.num) + _products(f.den)
+    if work > CHART_BUDGET and not is_inf(step) and step != 0:
+        raise ComputationError(
+            f"the step {format_any_step(step)} would form {work} "
+            f"products, over the chart budget of {CHART_BUDGET}")
     num = transform_step(f.num, step)
     if num.is_zero:
         return f
@@ -230,10 +230,13 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
     return RatFunc.coprime(num.shift_down(X, common), den.shift_down(X, common))
 
 
+_Y_EXPONENT = itemgetter(1)
+
+
 def _products(h: Poly) -> int:
     """How many products `transform_step` forms for h at a finite nonzero
     step: j + 1 for each term x^i y^j."""
-    return sum(j + 1 for _, j, _, _ in h.terms)
+    return len(h.terms) + sum(map(_Y_EXPONENT, h.terms))
 
 
 def strict_step(h: Poly, step: AnyStep) -> Poly:
