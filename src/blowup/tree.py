@@ -33,7 +33,7 @@ from operator import itemgetter
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ComputationError, InputError
-from .expr import Step, format_step, is_inf
+from .expr import INF, Step, format_step, is_inf
 from .poly import Poly, RatFunc, Terms, X
 
 
@@ -217,11 +217,13 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
     every term x^i y^j; past `CHART_BUDGET` products in all the step is
     refused with `ComputationError` rather than left to run for minutes.
     """
-    work = _products(f.num) + _products(f.den)
-    if work > CHART_BUDGET and not is_inf(step) and step != 0:
-        raise ComputationError(
-            f"the step {format_any_step(step)} would form {work} "
-            f"products, over the chart budget of {CHART_BUDGET}")
+    # inf and 0 only move exponents; every other step, TSYM too, is truthy
+    if step is not INF and step:
+        work = _products(f.num) + _products(f.den)
+        if work > CHART_BUDGET:
+            raise ComputationError(
+                f"the step {format_any_step(step)} would form {work} "
+                f"products, over the chart budget of {CHART_BUDGET}")
     num = transform_step(f.num, step)
     if num.is_zero:
         return f
