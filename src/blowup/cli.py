@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from .demos import demo_names, run_demo
 from .dot import DEFAULT_STEPS, export_dot
-from .errors import (CertificateError, ComponentError, ComputationError,
+from .errors import (BlowupError, CertificateError, ComponentError,
                      DepthCapError, InputError)
 from .expr import format_path, parse_element, parse_path, parse_step
 from .jsonio import (family_set_from_json, family_set_to_json, steps_to_json,
@@ -43,6 +43,17 @@ class _Parser(argparse.ArgumentParser):
 def _emit_error(kind: str, message: str, exit_code: int, **extra) -> None:
     payload = {"error": dict(type=kind, message=message, exit=exit_code, **extra)}
     print(json.dumps(payload), file=sys.stderr)
+
+
+def _evidence(exc: BlowupError) -> Dict:
+    """The structured evidence an error carries into its report."""
+    if isinstance(exc, CertificateError):
+        return {"obstructions": list(exc.obstructions)}
+    if isinstance(exc, ComponentError):
+        return {"witness": exc.witness.describe() if exc.witness is not None else None}
+    if isinstance(exc, DepthCapError):
+        return {"open_points": _sorted_literals(exc.open_points)}
+    return {}
 
 
 def _literal(point: Point) -> str:
@@ -198,7 +209,6 @@ def _cmd_closure(args) -> Dict:
         "command": "closure",
         "family": family_set_to_json(family),
         "closure": {
-            "point_downsets": _sorted_literals(closed.point_downsets),
             "divisor_downsets": _sorted_descriptors(closed.divisor_downsets),
             "minimal_downsets": _sorted_descriptors(closed.minimal_downsets),
             "residual": family_set_to_json(closed.residual),
@@ -257,8 +267,7 @@ def _cmd_irredundant(args) -> Dict:
     if not args.candidates:
         raise InputError("candidate curves are required: --candidates \"p1,p2\"")
     candidates = [_curve_from(piece) for piece in args.candidates.split(",")]
-    cert = irredundance_certificate(family, delta, candidates,
-                                    depth=args.max_depth)
+    cert = irredundance_certificate(family, delta, candidates)
     return {
         "command": "irredundant",
         "family": family_set_to_json(family),
@@ -373,24 +382,6 @@ def _scalar(value) -> str:
     return str(value)
 
 
-_HANDLERS = {
-    "position": _cmd_position,
-    "resolve": _cmd_resolve,
-    "prox": _cmd_prox,
-    "ancestors": _cmd_ancestors,
-    "strict": _cmd_strict,
-    "limits": _cmd_limits,
-    "closure": _cmd_closure,
-    "noetherian": _cmd_noetherian,
-    "components": _cmd_components,
-    "member": _cmd_member,
-    "irredundant": _cmd_irredundant,
-    "semigroup": _cmd_semigroup,
-    "demo": _cmd_demo,
-    "dot": _cmd_dot,
-}
-
-
 @functools.cache
 def _build_parser() -> _Parser:
     """The command-line parser, built on the first call and shared after it.
@@ -405,9 +396,10 @@ def _build_parser() -> _Parser:
                                  "two-dimensional regular local ring")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, *, elt=False, pair=False, point=None, family=False,
-            depth=None, steps=False, extra=None):
+    def add(name, handler, help_text, *, elt=False, pair=False, point=None,
+            family=False, depth=None, steps=False, extra=None):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         if elt:
             p.add_argument("--elt", help="element of k(x, y), may carry the parameter a")
         if pair or elt:
@@ -427,31 +419,32 @@ def _build_parser() -> _Parser:
                        help="emit the report as JSON instead of text")
         for args_, kwargs in (extra or ()):
             p.add_argument(*args_, **kwargs)
-        return p
 
-    add("position", "classify an element at a point", elt=True, point="required")
-    add("resolve", "find minimal zero and pole points", elt=True, point="optional",
-        depth=16)
-    add("prox", "list the proximate ancestors of a point", point="required")
-    add("ancestors", "list the tree ancestors of a point", point="required")
-    add("strict", "strict transform of a plane curve at a point", pair=True,
+    add("position", _cmd_position, "classify an element at a point", elt=True, point="required")
+    add("resolve", _cmd_resolve, "find minimal zero and pole points", elt=True,
+        point="optional", depth=16)
+    add("prox", _cmd_prox, "list the proximate ancestors of a point", point="required")
+    add("ancestors", _cmd_ancestors, "list the tree ancestors of a point", point="required")
+    add("strict", _cmd_strict, "strict transform of a plane curve at a point", pair=True,
         point="required")
-    add("limits", "patch limit points of a family", family=True)
-    add("closure", "Zariski closure of a family, optionally test a point",
+    add("limits", _cmd_limits, "patch limit points of a family", family=True)
+    add("closure", _cmd_closure, "Zariski closure of a family, optionally test a point",
         family=True, point="optional")
-    add("noetherian", "Noetherian certificate for a family's subspace", family=True)
-    add("components", "irreducible components of a family's closure", family=True)
-    add("member", "membership of an element in every ring of a family",
+    add("noetherian", _cmd_noetherian, "Noetherian certificate for a family's subspace",
+        family=True)
+    add("components", _cmd_components, "irreducible components of a family's closure",
+        family=True)
+    add("member", _cmd_member, "membership of an element in every ring of a family",
         elt=True, family=True)
-    add("irredundant", "certify one member as non-redundant", family=True, depth=12,
+    add("irredundant", _cmd_irredundant, "certify one member as non-redundant", family=True,
         extra=((("--member",), dict(required=True, help="path literal of the member")),
                (("--candidates",), dict(help="comma-separated candidate curves"))))
-    add("semigroup", "exponent-vector membership in a monomial semigroup",
+    add("semigroup", _cmd_semigroup, "exponent-vector membership in a monomial semigroup",
         extra=((("--target",), dict(help="target vector \"m,n\"")),
                (("--gens",), dict(help="generator vectors \"m,n;m,n;...\""))))
-    add("demo", "run a scripted walkthrough, or list them",
+    add("demo", _cmd_demo, "run a scripted walkthrough, or list them",
         extra=((("name",), dict(nargs="?", help="demo name")),))
-    add("dot", "DOT graph of a finite tree window", family=True, steps=True,
+    add("dot", _cmd_dot, "DOT graph of a finite tree window", family=True, steps=True,
         depth=2, extra=((("--dot",), dict(dest="dot", help="output file (default stdout)")),
                         (("--node-cap",), dict(type=int, default=400, dest="node_cap",
                                                help="maximum nodes drawn (default 400)"))))
@@ -489,25 +482,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        report = _HANDLERS[args.command](args)
-    except InputError as exc:
-        _emit_error(type(exc).__name__, str(exc), 2)
-        return 2
-    except CertificateError as exc:
-        _emit_error("CertificateError", str(exc), 3,
-                    obstructions=list(exc.obstructions))
-        return 3
-    except ComponentError as exc:
-        witness = exc.witness.describe() if exc.witness is not None else None
-        _emit_error("ComponentError", str(exc), 3, witness=witness)
-        return 3
-    except DepthCapError as exc:
-        _emit_error("DepthCapError", str(exc), 3,
-                    open_points=_sorted_literals(exc.open_points))
-        return 3
-    except ComputationError as exc:
-        _emit_error(type(exc).__name__, str(exc), 3)
-        return 3
+        report = args.handler(args)
+    except BlowupError as exc:
+        code = 2 if isinstance(exc, InputError) else 3
+        _emit_error(type(exc).__name__, str(exc), code, **_evidence(exc))
+        return code
     try:
         if args.as_json:
             print(json.dumps(report, indent=2, sort_keys=False))

@@ -9,6 +9,7 @@ family is ever enumerated beyond what a concrete answer needs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
@@ -16,9 +17,8 @@ from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 from .errors import InputError
 from .expr import INF, Step, is_inf
 from .proximity import is_ray_tail
-from .tree import (TSYM, AnyStep, Point, _same_step, format_any_step, is_prefix,
-                   normalize_step)
-from .valuations import PATH_BOUND, _MinimalBase
+from .tree import TSYM, AnyStep, Point, format_any_step, is_prefix, normalize_step
+from .valuations import _MinimalBase
 
 
 class _Infinite:
@@ -175,9 +175,8 @@ class Fiber:
         excluded."""
         expected = _fiber_pattern(self, index)
         if expected is _FREE:
-            return step is not TSYM and not any(
-                _same_step(step, e) for e in self.excluded)
-        return _same_step(step, expected)
+            return step is not TSYM and step not in self.excluded
+        return step == expected
 
     def has_ray_tail(self) -> bool:
         """Whether members sit inside the order valuation of the base,
@@ -279,7 +278,7 @@ class Siblings:
         if deviation < 1 or beta.has_symbolic:
             return False
         return (self.valuation.ring_contains(beta.parent)
-                and _same_step(beta.steps[deviation], self.sibling_step(deviation)))
+                and beta.steps[deviation] == self.sibling_step(deviation))
 
     def downset_member(self, beta: Point) -> bool:
         if beta.has_symbolic:
@@ -370,8 +369,9 @@ def pairwise_incomparable(family) -> bool:
 
     Decided symbolically from the four shapes: fibers and siblings are
     internally incomparable, chains never are, and cross-part pairs reduce
-    to finite pattern matching (path comparisons are truncated at
-    PATH_BOUND; paths that agree that far count as equal)."""
+    to finite pattern matching.  Two paths are compared exactly
+    (`_MinimalBase.same_path`); distinct paths are walked only to their
+    first difference."""
     parts = family_parts(family)
     for part in parts:
         if isinstance(part, Chain):
@@ -420,13 +420,11 @@ def _point_comparable(part: Family, gamma: Point) -> bool:
         if agreement == gamma.level:
             return True  # on the path, hence below every deep member
         # gamma leaves the path at index `agreement`; the only member
-        # comparable with it is the one deviating at that same index.
+        # comparable with it is the one deviating at that same index, and
+        # gamma is strictly below it when it extends it.
         deviation = agreement
-        if deviation >= 1 and _same_step(gamma.steps[deviation],
-                                         part.sibling_step(deviation)):
-            # gamma extends (or equals) the member deviating here.
-            return gamma.level > deviation + 1
-        return False
+        return (deviation >= 1 and gamma.steps[deviation] == part.sibling_step(deviation)
+                and gamma.level > deviation + 1)
     raise InputError(f"not a family: {part!r}")
 
 
@@ -490,31 +488,26 @@ def _fiber_path_comparable(fiber: Fiber, part: Family) -> bool:
 
 def _path_parts_comparable(a: Family, b: Family) -> bool:
     va, vb = a.valuation, b.valuation
-    agreement = vb.agreement(map(va.step_at, range(PATH_BOUND)))
     a_chain = isinstance(a, Chain)
     b_chain = isinstance(b, Chain)
+    if va.same_path(vb):
+        # Chain members are nested across the parts and sit below the deep
+        # siblings.  Two sibling parts on one path never nest: the offsets
+        # move every deviating step off the shared path.
+        return a_chain or b_chain
+    # the paths differ, so this walk ends at their first difference
+    agreement = vb.agreement(map(va.step_at, itertools.count()))
     if a_chain and b_chain:
-        if agreement == PATH_BOUND:
-            return True  # same path: members are nested across the parts
         return a.from_level <= agreement or b.from_level <= agreement
     if a_chain or b_chain:
         chain, sib = (a, b) if a_chain else (b, a)
-        if agreement == PATH_BOUND:
-            return True  # chain points sit below the deep siblings
         if chain.from_level <= agreement:
             return True
         # A sibling member lying on the chain's path:
-        for i in range(1, agreement + 1):
-            if _same_step(sib.sibling_step(i), chain.valuation.step_at(i)):
-                return True
-        return False
+        return any(sib.sibling_step(i) == chain.valuation.step_at(i)
+                   for i in range(1, agreement + 1))
     # Siblings against siblings: a member of one is a proper prefix of a
     # member of the other only when its deviating step coincides with the
-    # other path's own step there.  On a shared path that never happens
-    # (the offsets move every step away), so the truncation is safe.
-    for i in range(1, min(agreement + 1, PATH_BOUND)):
-        if _same_step(a.sibling_step(i), vb.step_at(i)):
-            return True
-        if _same_step(b.sibling_step(i), va.step_at(i)):
-            return True
-    return False
+    # other path's own step there.
+    return any(a.sibling_step(i) == vb.step_at(i) or b.sibling_step(i) == va.step_at(i)
+               for i in range(1, agreement + 1))

@@ -46,7 +46,7 @@ from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, poly_gcd, rational_roots
 from .position import (Position, _a_collapse_roots, _coefficient_gcd,
                        position, position_parametric)
-from .tree import Point
+from .tree import Point, strict_step
 from .valuations import WALK_CAP, FirstKind
 
 _MEMBER = (Position.ZERO, Position.UNIT)
@@ -334,11 +334,11 @@ def _mixed_factor(factor: Poly, expressed: RatFunc, fiber: Fiber,
 class IrredundanceCertificate:
     """Proof object: the valuation contains the member and nothing else.
 
-    `uniqueness_domain` records how far the competitor check reached.
-    Fibers are covered in full (the vanishing condition is polynomial in
-    the free step).  Chains are covered in full: their rings grow along
-    the path, so the first two members decide.  Sibling walks stop where
-    the valuation leaves the path, or else at their stated depth.
+    `uniqueness_domain` names the members the competitor check covered:
+    all of them.  Fibers: the vanishing condition is polynomial in the
+    free step.  Chains: their rings grow along the path, so the first two
+    members decide.  Siblings: the walk down the path ends where the curve
+    leaves it, or where its one branch left there follows it for good.
     """
 
     member: Point
@@ -347,16 +347,13 @@ class IrredundanceCertificate:
 
 
 def irredundance_certificate(family, delta: Point,
-                             candidates: Sequence[Poly],
-                             depth: int = 12) -> IrredundanceCertificate:
+                             candidates: Sequence[Poly]) -> IrredundanceCertificate:
     """Certify that delta is the only family member inside a curve valuation.
 
     Tries the candidate curves in order; the first one whose valuation
     contains delta's ring and provably no other member's wins.  With no
     winner a CertificateError lists what went wrong per candidate.
     """
-    if depth < 0:
-        raise InputError("depth must be nonnegative")
     parts = family_parts(family)
     if not family_member(parts, delta):
         raise InputError(f"{delta} is not a member of the family")
@@ -371,20 +368,18 @@ def irredundance_certificate(family, delta: Point,
             continue
         competitor = None
         for part in parts:
-            competitor = _find_competitor(valuation, part, delta, depth)
+            competitor = _find_competitor(valuation, part, delta)
             if competitor is not None:
                 break
         if competitor is not None:
             obstructions.append(f"{h}: also contains {competitor}")
             continue
-        return IrredundanceCertificate(delta, valuation,
-                                       _uniqueness_domain(parts, depth))
+        return IrredundanceCertificate(delta, valuation, _uniqueness_domain(parts))
     raise CertificateError("no candidate certifies uniqueness",
                            obstructions=tuple(obstructions))
 
 
-def _find_competitor(valuation: FirstKind, part, delta: Point,
-                     depth: int) -> Optional[str]:
+def _find_competitor(valuation: FirstKind, part, delta: Point) -> Optional[str]:
     if isinstance(part, Singleton):
         if part.point != delta and valuation.ring_contains(part.point):
             return str(part.point)
@@ -398,15 +393,36 @@ def _find_competitor(valuation: FirstKind, part, delta: Point,
         # the rings only grow down the path, so when this one does not fit
         # in the valuation, no deeper one does either
         return str(beta) if valuation.ring_contains(beta) else None
-    for k in range(depth):
-        index = 1 + k
-        if not valuation.ring_contains(part.valuation.point_at(index)):
-            # each sibling ring contains the path ring it branches from
+    return _sibling_competitor(valuation, part, delta)
+
+
+def _sibling_competitor(valuation: FirstKind, part: Siblings,
+                        delta: Point) -> Optional[str]:
+    """The first sibling member other than delta on the curve h, carrying
+    h's strict transform down the path one step per level.  Once the
+    transform leaves the path no later sibling lies on h; once it is
+    smooth, one branch is left, and if that branch follows the path for
+    good (`on_curve`) it meets no sibling either."""
+    path, h = part.valuation, valuation.h
+    strict, smooth = h, False
+    for level in range(WALK_CAP + 1):
+        if level:
+            strict = strict_step(strict, path.step_at(level - 1))
+        order = strict.xy_order()
+        if order < 1:
             return None
-        beta = part.member(index)
-        if beta != delta and valuation.ring_contains(beta):
-            return str(beta)
-    return None
+        if order == 1 and not smooth:
+            smooth = True
+            if path.on_curve(h):
+                return None
+        if level:
+            beta = part.member(level)
+            if (beta != delta and
+                    strict_step(strict, part.sibling_step(level)).xy_order() >= 1):
+                return str(beta)
+    raise DepthCapError(
+        f"the strict transform of {h} is still on the path of "
+        f"{part.describe()} after {WALK_CAP} steps")
 
 
 def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
@@ -425,16 +441,9 @@ def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
     return None
 
 
-def _uniqueness_domain(parts: Sequence[Family], depth: int) -> str:
-    pieces: List[str] = []
-    for part in parts:
-        if isinstance(part, Siblings):
-            pieces.append(f"{part.describe()} to depth {depth}")
-        elif isinstance(part, (Chain, Fiber)):
-            pieces.append(f"every member of {part.describe()}")
-        else:
-            pieces.append(part.describe())
-    return "; ".join(pieces)
+def _uniqueness_domain(parts: Sequence[Family]) -> str:
+    return "; ".join(part.describe() if isinstance(part, Singleton)
+                     else f"every member of {part.describe()}" for part in parts)
 
 
 # -- monomial subrings -------------------------------------------------------

@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .expr import INF, is_inf
-from .tree import AnyStep, Comparison, Point, _same_step, compare
+from .expr import INF
+from .tree import AnyStep, Comparison, Point, compare
 
 _ZERO = Fraction(0)
 
@@ -33,10 +33,7 @@ def is_ray_tail(tail: Iterable[AnyStep]) -> bool:
     of the point that the free step leaves: no steps at all, or one inf
     step followed by 0 steps only."""
     steps = iter(tail)
-    first = next(steps, None)
-    if first is None:
-        return True
-    return is_inf(first) and all(_same_step(s, _ZERO) for s in steps)
+    return next(steps, INF) is INF and all(s == _ZERO for s in steps)
 
 
 def is_proximate(beta: Point, alpha: Point) -> bool:

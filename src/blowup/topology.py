@@ -16,7 +16,7 @@ from .families import (Chain, Family, FamilySet, Fiber, Siblings, Singleton,
                        downset_member, family_parts, q1_downset_count)
 from .proximity import is_ray_tail, second_kind_contains
 from .tree import Point, is_prefix
-from .valuations import PATH_BOUND, SecondKind, _MinimalBase
+from .valuations import MinimalCurveBranch, SecondKind, _MinimalBase
 
 Descriptor = SecondKind | _MinimalBase
 Generator = Point | SecondKind | _MinimalBase
@@ -47,11 +47,10 @@ def patch_limit_points(family) -> Tuple[Descriptor, ...]:
 
 @dataclass(frozen=True)
 class ClosedSetRepr:
-    """A closed set: pointwise downsets of the residual members, the full
+    """A closed set: the downset of the residual family parts, the full
     downsets of finitely many order valuations (prefixes plus proximate
     points), and the path prefixes of finitely many minimal valuations."""
 
-    point_downsets: Tuple[Point, ...]
     divisor_downsets: Tuple[SecondKind, ...]
     minimal_downsets: Tuple[_MinimalBase, ...]
     residual: FamilySet
@@ -68,15 +67,13 @@ def zariski_closure(family) -> ClosedSetRepr:
     limits = patch_limit_points(parts)
     divisors = tuple(v for v in limits if isinstance(v, SecondKind))
     minimals = tuple(v for v in limits if isinstance(v, _MinimalBase))
-    return ClosedSetRepr((), divisors, minimals, parts)
+    return ClosedSetRepr(divisors, minimals, parts)
 
 
 def closure_member(closed: ClosedSetRepr, beta: Point) -> bool:
     if beta.has_symbolic:
         raise InputError("closure membership needs a concrete point")
     if downset_member(closed.residual, beta):
-        return True
-    if any(is_prefix(beta, gamma) for gamma in closed.point_downsets):
         return True
     if any(second_kind_contains(v.point, beta)
            for v in closed.divisor_downsets):
@@ -85,11 +82,18 @@ def closure_member(closed: ClosedSetRepr, beta: Point) -> bool:
 
 
 def _ray_below(v: _MinimalBase, alpha: Point) -> bool:
-    """Whether the path of v eventually climbs the exceptional ray of alpha,
-    so that every point of the path sits inside the order valuation there.
-    Decided up to PATH_BOUND like every other lazy-path comparison."""
-    return v.ring_contains(alpha) and is_ray_tail(
-        map(v.step_at, range(alpha.level + 1, PATH_BOUND)))
+    """Whether the path of v climbs the exceptional ray of alpha, so that
+    every point of the path sits inside the order valuation there.
+
+    The ray follows the exceptional curve of alpha, which no plane curve
+    branch does.  A periodic path is on the ray when its steps after the
+    free one are a ray tail up to one full period past both the prefix and
+    the ray's first two steps; from there on they repeat.
+    """
+    if isinstance(v, MinimalCurveBranch) or not v.ring_contains(alpha):
+        return False
+    end = max(len(v.prefix), alpha.level + 2) + len(v.period)
+    return is_ray_tail(map(v.step_at, range(alpha.level + 1, end)))
 
 
 def irreducible_components(closed: ClosedSetRepr) -> Tuple[Generator, ...]:
@@ -105,7 +109,7 @@ def irreducible_components(closed: ClosedSetRepr) -> Tuple[Generator, ...]:
         if not any(isinstance(g, SecondKind) and _ray_below(v, g.point)
                    for g in generators):
             generators.append(v)
-    points: List[Point] = list(closed.point_downsets)
+    points: List[Point] = []
     for part in family_parts(closed.residual):
         if isinstance(part, Singleton):
             points.append(part.point)

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from math import comb
 from operator import itemgetter
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .errors import ComputationError, InputError
 from .expr import INF, Step, format_step, is_inf
@@ -267,26 +267,15 @@ def format_any_step(step: AnyStep) -> str:
 
 def compare(a: Point, b: Point) -> Comparison:
     """Prefix comparison of paths; BELOW means a is a proper prefix of b,
-    so the ring at a is contained in the ring at b."""
-    return compare_steps(a.steps, b.steps)
-
-
-def compare_steps(a: Sequence[AnyStep], b: Sequence[AnyStep]) -> Comparison:
-    n = min(len(a), len(b))
-    for i in range(n):
-        if not _same_step(a[i], b[i]):
-            return Comparison.INCOMPARABLE
-    if len(a) == len(b):
+    so the ring at a is contained in the ring at b.  Steps compare with
+    `==`: `INF` and `TSYM` are singletons that equal only themselves."""
+    s, t = a.steps, b.steps
+    n = min(len(s), len(t))
+    if s[:n] != t[:n]:
+        return Comparison.INCOMPARABLE
+    if len(s) == len(t):
         return Comparison.EQUAL
-    return Comparison.BELOW if len(a) < len(b) else Comparison.ABOVE
-
-
-def _same_step(s: AnyStep, t: AnyStep) -> bool:
-    if s is TSYM or t is TSYM:
-        return s is t
-    if is_inf(s) or is_inf(t):
-        return s is t
-    return s == t
+    return Comparison.BELOW if len(s) < len(t) else Comparison.ABOVE
 
 
 def is_prefix(a: Point, b: Point) -> bool:

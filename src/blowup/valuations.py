@@ -9,7 +9,7 @@ Four flavors appear:
     the rings at or above the point, and the rings of proximate points.
   * minimal valuations: unions of the local rings along an infinite path.
     Two constructors are provided, an eventually periodic step sequence and
-    lazy curve following (step after step along the branch of a curve).
+    curve following (step after step along the branch of a curve).
   * monomial valuations v(x) = a, v(y) = b.  Subtracting exponents walks
     the path to a tree point, so these normalize to a scaled order
     valuation and bring nothing new.
@@ -17,6 +17,9 @@ Four flavors appear:
 Element membership in a minimal valuation ring is decided by walking the
 path until the position stabilizes; two coprime curves separate after
 finitely many steps, so the walk always ends (the cap is a safety net).
+
+Paths are compared exactly by one test, `on_curve(h)`: whether some branch
+of the curve h follows the path at every level.
 """
 
 from __future__ import annotations
@@ -27,18 +30,15 @@ from typing import Iterable, List, Tuple
 
 from .errors import BranchError, DepthCapError, InputError
 from .expr import INF, Step, format_path, is_inf
-from .poly import A, Poly, RatFunc, T, X, Y, factor_multiplicity, poly_gcd, root_pass
+from .poly import (A, Poly, RatFunc, T, X, Y, _subst_slot_frac, factor_multiplicity,
+                   poly_gcd, root_pass)
 from .position import Position, classify_expressed, lowest_form
 from .proximity import second_kind_contains
-from .tree import AnyStep, Point, TSYM, _same_step, express_step, strict_step
+from .tree import AnyStep, Point, TSYM, express_step, strict_step
 
 # Cap on walks down a minimal valuation's path; every element settles
 # after finitely many steps, so reaching it means a runaway computation.
 WALK_CAP = 64
-
-# Comparisons of lazily described paths are truncated here; two paths that
-# agree this far are treated as identical (see `_MinimalBase.same_path`).
-PATH_BOUND = 64
 
 
 def _check_curve(h: Poly, through_origin: bool) -> Poly:
@@ -176,25 +176,28 @@ class _MinimalBase:
 
         The steps are read one at a time, each before the path step it is
         compared with, and no further than the first disagreement.  To
-        compare two paths, pass `map(other.step_at, range(PATH_BOUND))`.
+        measure two paths known to differ, pass
+        `map(other.step_at, itertools.count())`.
         """
         agreed = 0
         for step in steps:
-            if not _same_step(step, self.step_at(agreed)):
+            if step != self.step_at(agreed):
                 break
             agreed += 1
         return agreed
 
-    def same_path(self, other: "_MinimalBase") -> bool:
-        """Step-by-step comparison up to `PATH_BOUND`.
+    def on_curve(self, h: Poly) -> bool:
+        """Whether the strict transform of h passes through every point of
+        the path, that is, whether some branch of h follows it."""
+        raise NotImplementedError
 
-        Paths from different constructors can describe the same valuation;
-        agreement over `PATH_BOUND` steps is taken as equality.  Distinct
-        eventually periodic paths separate well before it, and a curve
-        branch that tracks a periodic path settles into the period at
-        latest when its strict transform becomes smooth.
-        """
-        return other.agreement(map(self.step_at, range(PATH_BOUND))) == PATH_BOUND
+    def same_path(self, other: "_MinimalBase") -> bool:
+        """Whether the two valuations follow one path: the curve of either
+        one follows the other, or the two canonical periodic forms agree."""
+        for v, w in ((self, other), (other, self)):
+            if isinstance(w, MinimalCurveBranch):
+                return v.on_curve(w.h)
+        return self == other
 
 
 class MinimalEventuallyPeriodic(_MinimalBase):
@@ -218,6 +221,19 @@ class MinimalEventuallyPeriodic(_MinimalBase):
             self._points.append(self._points[-1].child(self.step_at(len(self._points) - 1)))
         return self._points[level]
 
+    def on_curve(self, h: Poly) -> bool:
+        """A smooth branch meets each new exceptional curve transversally,
+        so a period holding inf is on no curve.  Past the prefix a finite
+        period b_1 .. b_p is the branch y = B(x) / (1 - x^p) with
+        B = b_1 x + ... + b_p x^p: h is on it when the numerator of its
+        strict transform there at y = B / (1 - x^p) is zero."""
+        if INF in self.period:
+            return False
+        strict = self.point_at(len(self.prefix)).strict_transform(h)
+        branch = Poly({(i, 0, 0, 0): b for i, b in enumerate(self.period, 1)})
+        clear = Poly({(0, 0, 0, 0): 1, (len(self.period), 0, 0, 0): -1})
+        return _subst_slot_frac(strict, Y, branch, clear, strict.degree(Y)).is_zero
+
     def __eq__(self, other) -> bool:
         return (isinstance(other, MinimalEventuallyPeriodic)
                 and self.prefix == other.prefix and self.period == other.period)
@@ -233,14 +249,22 @@ class MinimalEventuallyPeriodic(_MinimalBase):
 class MinimalCurveBranch(_MinimalBase):
     """The union ring along the branch of an irreducible curve.
 
-    The path is discovered lazily: each step is the unique direction in
-    which the strict transform keeps vanishing.  A split tangent cone or a
-    non-rational direction raises `BranchError`.
+    Each step is the unique direction in which the strict transform keeps
+    vanishing.  The constructor walks until the strict transform is smooth,
+    so the curve has one branch at the origin: a split tangent cone or a
+    non-rational direction raises `BranchError`, and a branch singular
+    after `WALK_CAP` steps `DepthCapError`.  Later steps are forced and
+    rational; they are found lazily, and `step_at` never raises.
     """
 
     def __init__(self, h: Poly):
         self.h = _check_curve(h, through_origin=True).normalized()
         self._entries: List[Tuple[Point, Poly]] = [(Point.root(), self.h)]
+        while self._entries[-1][1].xy_order() > 1:
+            if len(self._entries) > WALK_CAP:
+                raise DepthCapError(
+                    f"the branch of {self.h} is not smooth within {WALK_CAP} steps")
+            self._extend_to(len(self._entries))
 
     def _extend_to(self, level: int) -> None:
         while len(self._entries) <= level:
@@ -255,6 +279,11 @@ class MinimalCurveBranch(_MinimalBase):
     def point_at(self, level: int) -> Point:
         self._extend_to(level)
         return self._entries[level][0]
+
+    def on_curve(self, h: Poly) -> bool:
+        # self.h has one branch at the origin: h follows it exactly when the
+        # two curves share the component through the origin
+        return poly_gcd(self.h, h).constant_term() == 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MinimalCurveBranch) and self.h == other.h
@@ -338,9 +367,6 @@ def _canonical_path_form(prefix: Tuple[Step, ...], period: Tuple[Step, ...]):
             period = period[:d]
             break
     # absorb a prefix tail that already lies on the cycle
-    prefix = list(prefix)
-    period = list(period)
-    while prefix and _same_step(prefix[-1], period[-1]):
-        prefix.pop()
-        period = [period[-1]] + period[:-1]
-    return tuple(prefix), tuple(period)
+    while prefix and prefix[-1] == period[-1]:
+        prefix, period = prefix[:-1], period[-1:] + period[:-1]
+    return prefix, period

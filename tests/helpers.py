@@ -23,7 +23,7 @@ from blowup.families import (INFINITE, Chain, Fiber, Siblings, family_parts,
 from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, poly_gcd
 from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
                              classify_expressed)
-from blowup.tree import TSYM, Point, transform_step
+from blowup.tree import TSYM, Point, strict_step, transform_step
 from blowup.valuations import MinimalCurveBranch, SecondKind
 
 
@@ -63,6 +63,53 @@ def branch_strict_at(branch: MinimalCurveBranch, level: int) -> Poly:
     """The strict transform a curve branch keeps for the point at `level`."""
     branch.point_at(level)
     return branch._entries[level][1]
+
+
+# Levels the path oracle walks; the curves and paths the tests draw part
+# within 100 levels when they part at all.
+REFERENCE_LEVELS = 120
+
+
+def reference_same_path(v, other, levels: int = REFERENCE_LEVELS) -> bool:
+    """Whether `other` follows the path of the minimal valuation v for
+    `levels` levels, by brute force.
+
+    A curve h (a `Poly`, or the curve of a curve branch) follows it when
+    its strict transform, carried down the path one step at a time, still
+    passes through the point at every level.  Two periodic paths follow
+    each other when their first `levels` steps are equal.
+    """
+    if isinstance(v, MinimalCurveBranch) and not isinstance(other, Poly):
+        v, other = other, v
+    if isinstance(other, MinimalCurveBranch):
+        other = other.h
+    if not isinstance(other, Poly):
+        return all(v.step_at(i) == other.step_at(i) for i in range(levels))
+    strict = other
+    for level in range(levels):
+        if strict.xy_order() < 1:
+            return False
+        strict = strict_step(strict, v.step_at(level))
+    return strict.xy_order() >= 1
+
+
+def curve_along(prefix, period, n: int = 0, times_y: bool = False) -> Poly:
+    """A curve through the periodic path prefix + period (finite steps).
+
+    At the prefix point the path is the branch y = B(x) / (1 - x^p) of
+    (1 - x^p) y - B(x), B = b_1 x + ... + b_p x^p, in that point's chart;
+    with n > 0 the chart curve gains x^n, or x^n y with `times_y`, and
+    follows the path only so far.  The chart curve is pulled back to the
+    root as the numerator of its value at the chart's parameters.
+    """
+    px, py = params(Point.from_path(prefix))
+    one = RatFunc(Poly.const(1))
+    curve = (one - px ** len(period)) * py
+    for i, b in enumerate(period, 1):
+        curve = curve - RatFunc(Poly.const(b)) * px ** i
+    if n:
+        curve = curve + px ** n * (py if times_y else one)
+    return curve.num
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:

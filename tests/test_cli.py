@@ -355,13 +355,24 @@ class TestErrors:
         assert error["type"] == "InputError"
         assert "nonnegative" in error["message"]
 
-    def test_irredundant_negative_depth_exits_2(self, capsys, family_file):
+    def test_curve_with_several_branches_exits_3(self, capsys, family_file):
+        path = family_file([{"kind": "siblings", "offset": "1/2",
+                             "valuation": {"kind": "curve", "h": "y^2 - x^2 - x^3"}}])
+        code, out, err = run(capsys, "limits", "--family", path)
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "BranchError"
+        assert "several branches" in error["message"]
+
+    def test_irredundant_has_no_depth_flag(self, capsys, family_file):
         path = family_file([{"kind": "fiber", "base": [], "excluded": ["inf"]},
                             {"kind": "fiber", "base": ["inf"]}])
         code, out, err = run(capsys, "irredundant", "--family", path, "--member", "[2]",
-                             "--candidates", "y-2*x", "--max-depth", "-1")
+                             "--candidates", "y-2*x", "--max-depth", "12")
         assert code == 2 and not out
-        assert json.loads(err)["error"]["type"] == "InputError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "UsageError"
+        assert "--max-depth" in error["message"]
 
     @pytest.mark.parametrize("elt", ["2^100000", "(2*x)^20000", "1/3^9000",
                                      "2^8000*2^8000", "9" * 5000, "7" * 4000,

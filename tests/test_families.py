@@ -10,9 +10,10 @@ from blowup.expr import INF
 from blowup.families import (Chain, Fiber, INFINITE, MoebiusMap, Siblings,
                              Singleton, downset_member, member,
                              pairwise_incomparable, q1_downset_count)
+from blowup.poly import Poly, X, Y
 from blowup.proximity import is_proximate
-from blowup.tree import TSYM, Point
-from blowup.valuations import MinimalEventuallyPeriodic
+from blowup.tree import TSYM, Point, is_prefix
+from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
 
 D = Point.root()
@@ -229,6 +230,13 @@ class TestIncomparability:
     def test_parallel_siblings_are_fine(self):
         assert pairwise_incomparable(
             (Siblings(V0, Fraction(1)), Siblings(V0, Fraction(2))))
+
+    def test_siblings_of_paths_that_agree_for_69_steps_nest(self):
+        curve = MinimalCurveBranch(Poly.variable(Y) - Poly.variable(X) ** 70)
+        near, straight = Siblings(curve, Fraction(1)), Siblings(V0, Fraction(1))
+        # member 69 of the straight part turns onto the curve's path
+        assert is_prefix(straight.member(69), near.member(70))
+        assert not pairwise_incomparable((near, straight))
 
 
 class TestEnumerationConsistency:

@@ -390,6 +390,31 @@ class TestIrredundance:
             irredundance_certificate(self.u_set(), Point.from_path([0, 0]),
                                      [e("y").num])
 
+    def test_sibling_competitor_below_level_twelve(self):
+        # the branch y ~ x^21 stays on the path of zeros for 20 levels and
+        # then passes through the sibling there
+        family = (Singleton(Point.from_path([1])), Siblings(V0, 1))
+        delta = Point.from_path([1])
+        with pytest.raises(CertificateError) as exc:
+            irredundance_certificate(family, delta, [e("(y - x)*(y - x^21) + x^50").num])
+        competitor = Point.from_path([0] * 20 + [1])
+        assert exc.value.obstructions == (
+            f"x^50 + x^22 - x^21*y - x*y + y^2: also contains {competitor}",)
+
+    def test_sibling_walk_stops_on_a_branch_that_follows_the_path(self):
+        # (1 - x)y - x follows the path of ones for good, so after the
+        # branch y = 2x leaves, no sibling of the path lies on the curve
+        along_ones = MinimalEventuallyPeriodic([], [1])
+        family = (Singleton(Point.from_path([2])), Siblings(along_ones, 1))
+        delta = Point.from_path([2])
+        h = e("(y - 2*x)*((1 - x)*y - x)").num
+        assert along_ones.on_curve(h)
+        cert = irredundance_certificate(family, delta, [h])
+        assert cert.member == delta
+        assert cert.uniqueness_domain == (
+            "the point D<2>; every member of the level-wise siblings of "
+            "MinimalEventuallyPeriodic([], [1]) at offset 1")
+
 
 class TestSemigroup:
     def ladder(self, n):

@@ -6,12 +6,12 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup.errors import ComponentError
+from blowup.errors import ComponentError, ComputationError, InputError
 from blowup.expr import INF
 from blowup.families import Chain, Fiber, INFINITE, Siblings, Singleton
 from blowup.poly import Poly, X, Y
 from blowup.proximity import is_proximate, second_kind_contains
-from blowup.topology import (closure_member, divisor_limit_counts,
+from blowup.topology import (_ray_below, closure_member, divisor_limit_counts,
                              irreducible_components, is_irreducible,
                              is_noetherian, patch_limit_points,
                              zariski_closure)
@@ -19,7 +19,7 @@ from blowup.tree import Point
 from blowup.valuations import (MinimalCurveBranch, MinimalEventuallyPeriodic,
                                SecondKind)
 
-from helpers import params, reference_patch_limit_points
+from helpers import curve_along, params, reference_patch_limit_points, reference_same_path
 
 
 D = Point.root()
@@ -67,6 +67,11 @@ class TestPatchLimits:
         assert patch_limit_points(
             (Chain(V0, 1), Siblings(V0, Fraction(1)))) == (V0,)
 
+    def test_paths_that_agree_for_69_steps_stay_apart(self):
+        curve = MinimalCurveBranch(Poly.variable(Y) - Poly.variable(X) ** 70)
+        assert curve.agreement(map(V0.step_at, range(100))) == 69
+        assert patch_limit_points((Chain(curve, 1), Chain(V0, 1))) == (curve, V0)
+
 
 STEPS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), INF)
 paths = st.lists(st.sampled_from(STEPS), max_size=3)
@@ -90,6 +95,37 @@ family_parts = st.one_of(
 @settings(max_examples=100, deadline=None)
 def test_limit_points_match_the_prefix_enumeration(parts):
     assert patch_limit_points(parts) == reference_patch_limit_points(parts)
+
+
+ray_shaped = st.builds(lambda base, free: MinimalEventuallyPeriodic(base + [free, INF], [0]),
+                      paths, st.sampled_from(STEPS))
+finite_steps = st.sampled_from(STEPS[:-1])
+followed_curves = st.builds(curve_along, paths, st.lists(finite_steps, min_size=1, max_size=2),
+                            st.integers(0, 40), st.booleans())
+
+
+@given(st.one_of(ray_shaped, minimal_valuations), paths)
+@settings(max_examples=100, deadline=None)
+def test_ray_below_matches_the_step_walk(v, detour):
+    # points on the path, and a detour from it
+    on_path = [v.point_at(level) for level in range(6)]
+    for alpha in on_path + [Point.from_path([*on_path[2].steps, *detour])]:
+        ray = MinimalEventuallyPeriodic([*alpha.steps, v.step_at(alpha.level), INF], [0])
+        assert _ray_below(v, alpha) == (v.ring_contains(alpha)
+                                        and reference_same_path(ray, v))
+
+
+@given(followed_curves, st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_no_curve_branch_climbs_a_ray(h, level):
+    try:
+        v = MinimalCurveBranch(h)
+    except (ComputationError, InputError):
+        return
+    alpha = v.point_at(level)
+    ray = MinimalEventuallyPeriodic([*alpha.steps, v.step_at(level), INF], [0])
+    assert not _ray_below(v, alpha)
+    assert not reference_same_path(ray, v)
 
 
 class TestDivisorCounts:
@@ -199,6 +235,15 @@ class TestComponents:
         parts = (Fiber(D), Singleton(Point.from_path([2, INF, 0])))
         assert irreducible_components(zariski_closure(parts)) == \
             (SecondKind(D),)
+
+    def test_curve_that_leaves_the_ray_keeps_its_component(self):
+        # the branch climbs the ray of the root for 70 steps, then leaves it
+        curve = MinimalCurveBranch(Poly.variable(X) ** 71 - Poly.variable(Y) ** 70)
+        ray = MinimalEventuallyPeriodic([0, INF], [0])
+        assert curve.agreement(map(ray.step_at, range(100))) == 70
+        parts = (Fiber(D, frozenset(), (INF,)), Chain(curve, 1))
+        assert irreducible_components(zariski_closure(parts)) == \
+            (SecondKind(D), curve)
 
 
 class TestNoetherian:

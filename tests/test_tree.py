@@ -293,6 +293,19 @@ def test_compare_prefix_order():
     assert compare(P("[0]"), P("[0]")) is Comparison.EQUAL
     assert compare(P("[0]"), P("[1]")) is Comparison.INCOMPARABLE
     assert compare(P("[0, inf]"), P("[0, 1]")) is Comparison.INCOMPARABLE
+    # steps compare with ==: rationals by value, inf and t only with themselves
+    half = Fraction(1, 2)
+    assert half == Fraction(2, 4) and Fraction(0) == 0
+    for step in (Fraction(0), half):
+        assert step != INF and INF != step and step != TSYM and TSYM != step
+    assert INF == INF and TSYM == TSYM and INF != TSYM and TSYM != INF
+    assert compare(P("[1/2, inf]"), Point.from_path([Fraction(2, 4), INF, 0])) \
+        is Comparison.BELOW
+    symbolic = P("[0]").child(TSYM)
+    assert compare(P("[0]"), symbolic) is Comparison.BELOW
+    assert compare(symbolic, P("[0]").child(TSYM)) is Comparison.EQUAL
+    assert compare(P("[0, 0]"), symbolic) is Comparison.INCOMPARABLE
+    assert compare(P("[0, inf]"), symbolic) is Comparison.INCOMPARABLE
 
 
 def test_is_prefix_matches_ring_containment():

@@ -6,13 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup.errors import BranchError, DepthCapError, InputError
+from blowup.errors import BranchError, ComputationError, DepthCapError, InputError
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import Position, classify_expressed
 from blowup.tree import Point
 from blowup.valuations import (
-    PATH_BOUND,
     WALK_CAP,
     FirstKind,
     MinimalCurveBranch,
@@ -23,7 +22,7 @@ from blowup.valuations import (
     monomial_valuation,
 )
 
-from helpers import branch_strict_at
+from helpers import branch_strict_at, curve_along, reference_same_path
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -270,11 +269,87 @@ def test_monomial_value_is_min_term_weight():
 def test_same_path_across_constructors():
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     w = MinimalEventuallyPeriodic([INF, INF, 1], [0])
-    assert v.same_path(w)
-    assert v.agreement(map(w.step_at, range(PATH_BOUND))) == PATH_BOUND
+    assert v.same_path(w) and w.same_path(v)
+    assert v.agreement(map(w.step_at, range(64))) == 64
     assert not v.same_path(MinimalEventuallyPeriodic([], [0]))
     u = MinimalEventuallyPeriodic([INF, INF, 1, 1], [0])
-    assert v.agreement(map(u.step_at, range(PATH_BOUND))) == 3
+    assert v.agreement(map(u.step_at, range(64))) == 3
+
+
+# -- exact path identity against a walk of the strict transform --------------
+
+PATH_STEPS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(2), INF)
+path_prefixes = st.lists(st.sampled_from(PATH_STEPS), max_size=3)
+finite_periods = st.lists(st.sampled_from(PATH_STEPS[:-1]), min_size=1, max_size=2)
+periodic_paths = st.builds(MinimalEventuallyPeriodic, path_prefixes,
+                           st.lists(st.sampled_from(PATH_STEPS), min_size=1, max_size=2))
+BRANCH_CURVES = (x ** 2 - y ** 3, y ** 2 - x ** 3, (y - x) ** 2 - x ** 5, y - x ** 2,
+                 y ** 3 - x ** 5, y - x - x ** 3)
+
+
+@st.composite
+def paths_and_curves(draw):
+    """A periodic path with a finite period, a curve that follows it (or
+    follows it for a while: x^n or x^n y added in the chart where the
+    period starts, n <= 40) or a single-branch curve, and a path that is
+    either the first one or any periodic path, inf steps included."""
+    prefix, period = draw(path_prefixes), draw(finite_periods)
+    follower = st.builds(curve_along, st.just(prefix), st.just(period))
+    perturbed = st.builds(curve_along, st.just(prefix), st.just(period),
+                          st.integers(1, 40), st.booleans())
+    h = draw(st.one_of(follower, perturbed, st.sampled_from(BRANCH_CURVES)))
+    v = draw(st.one_of(st.just(MinimalEventuallyPeriodic(prefix, period)), periodic_paths))
+    return v, h
+
+
+def _branch(h):
+    """The curve branch of h, or None: h may have several branches at the
+    origin, a monomial factor, or a tangent cone past the root search."""
+    try:
+        return MinimalCurveBranch(h)
+    except (ComputationError, InputError):
+        return None
+
+
+@given(paths_and_curves(), st.sampled_from(BRANCH_CURVES))
+@settings(max_examples=150, deadline=None)
+def test_exact_path_identity_matches_the_strict_transform_walk(drawn, other):
+    v, h = drawn
+    assert v.on_curve(h) == reference_same_path(v, h)
+    w = _branch(h)
+    if w is None:
+        return
+    assert v.same_path(w) == w.same_path(v) == reference_same_path(v, w)
+    u = MinimalCurveBranch(other)
+    assert w.same_path(u) == reference_same_path(u, w)
+    assert u.on_curve(h) == reference_same_path(u, h)
+
+
+@given(periodic_paths, periodic_paths)
+@settings(max_examples=100, deadline=None)
+def test_periodic_paths_are_the_same_when_their_steps_are(v, w):
+    assert v.same_path(w) == reference_same_path(v, w)
+
+
+def test_curve_branch_follows_only_the_component_through_the_origin():
+    one = Poly.const(1)
+    v = MinimalCurveBranch((y - x ** 2) * (one + x))
+    # the shared factor 1 + x misses the origin; y - x^2 carries the branch
+    for h, follows in (((one + x) * y, False), ((y - x ** 2) * (x + y), True),
+                       (y - x ** 2 + x ** 9, False)):
+        assert v.on_curve(h) == reference_same_path(v, h) == follows
+
+
+def test_curve_branch_checks_its_branch_when_built():
+    with pytest.raises(BranchError):
+        MinimalCurveBranch(y ** 2 - x ** 2 - x ** 3)
+    with pytest.raises(BranchError):
+        MinimalCurveBranch(y ** 2 - x ** 4)
+    with pytest.raises(DepthCapError):
+        MinimalCurveBranch(y ** 2 - x ** 131)
+    v = MinimalCurveBranch(y ** 2 - x ** 129)
+    assert branch_strict_at(v, 64).xy_order() == 1
+    assert v.step_at(200) == Fraction(0)
 
 
 def test_cross_kind_rings_agree_on_samples():
