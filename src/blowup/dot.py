@@ -25,15 +25,9 @@ def _instantiate(part, steps: Sequence[Step], max_depth: int) -> List[Point]:
     if isinstance(part, Singleton):
         return [part.point]
     if isinstance(part, Fiber):
-        members = []
-        for s in steps:
-            try:
-                point = part.member(s)
-            except InputError:
-                continue
-            if point.level <= max_depth:
-                members.append(point)
-        return members
+        members = map(part.allowed_member, steps)
+        return [point for point in members
+                if point is not None and point.level <= max_depth]
     if isinstance(part, Chain):
         return [part.member(level)
                 for level in range(max(part.from_level, 1), max_depth + 1)]

@@ -15,9 +15,9 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
-from .expr import INF, Step, is_inf
+from .expr import INF, Step, format_step, is_inf
 from .proximity import is_ray_tail
-from .tree import TSYM, AnyStep, Point, format_any_step, is_prefix, normalize_step
+from .tree import Point, is_prefix, normalize_step
 from .valuations import _MinimalBase
 
 
@@ -82,10 +82,6 @@ class Singleton:
 
     kind = "singleton"
 
-    def __post_init__(self):
-        if self.point.has_symbolic:
-            raise InputError("family points must be concrete")
-
     def is_member(self, beta: Point) -> bool:
         return beta == self.point
 
@@ -104,8 +100,11 @@ class Fiber:
     """All points base<s>·tail with s ranging over the steps not excluded.
 
     The free step is the first one after the base; the tail is a fixed
-    concrete continuation shared by every member.  Infinitely many members
-    always remain because only finitely many steps can be excluded."""
+    continuation shared by every member.  Infinitely many members always
+    remain because only finitely many steps can be excluded.  Every member
+    is a concrete point; a question about all members at once folds the
+    step kernel over the base's chart with the free step kept as the
+    symbol t."""
 
     base: Point
     excluded: FrozenSet[Step] = frozenset()
@@ -115,17 +114,11 @@ class Fiber:
     kind = "fiber"
 
     def __post_init__(self):
-        if self.base.has_symbolic:
-            raise InputError("fiber base must be concrete")
-        steps = tuple(normalize_step(s) for s in self.tail)
-        if any(s is TSYM for s in steps):
-            raise InputError("fiber tail must be concrete")
-        object.__setattr__(self, "tail", steps)
+        object.__setattr__(
+            self, "tail", tuple(normalize_step(s) for s in self.tail))
         object.__setattr__(
             self, "excluded",
             frozenset(normalize_step(s) for s in self.excluded))
-        if any(s is TSYM for s in self.excluded):
-            raise InputError("excluded steps must be concrete")
 
     @property
     def member_level(self) -> int:
@@ -133,27 +126,23 @@ class Fiber:
 
     def member(self, step: Step) -> Point:
         step = normalize_step(step)
+        point = self.allowed_member(step)
+        if point is None:
+            raise InputError(f"step {format_step(step)} is excluded")
+        return point
+
+    def allowed_member(self, step: Step) -> Optional[Point]:
+        """The member at `step`, or None when the step is excluded."""
+        step = normalize_step(step)
         if not self._fits(self.base.level, step):
-            raise InputError(f"step {format_any_step(step)} is excluded")
-        return self._member_at(step)
-
-    def symbolic_member(self) -> Point:
-        """The member at an indeterminate finite step, for parametric work."""
-        return self._member_at(TSYM)
-
-    def _member_at(self, step: AnyStep) -> Point:
+            return None
         point = self.base.child(step)
         for s in self.tail:
             point = point.child(s)
         return point
 
-    def inf_member(self) -> Optional[Point]:
-        if not self._fits(self.base.level, INF):
-            return None
-        return self.member(INF)
-
     def is_member(self, beta: Point) -> bool:
-        if beta.level != self.member_level or beta.has_symbolic:
+        if beta.level != self.member_level:
             return False
         return self._pattern_match(beta.steps)
 
@@ -164,18 +153,17 @@ class Fiber:
             return False
         return self._pattern_match(beta.steps)
 
-    def _pattern_match(self, steps: Sequence[AnyStep]) -> bool:
+    def _pattern_match(self, steps: Sequence[Step]) -> bool:
         """Whether a path of at most member length starts a member's path."""
         return len(steps) > self.base.level and all(
             self._fits(index, step) for index, step in enumerate(steps))
 
-    def _fits(self, index: int, step: AnyStep) -> bool:
+    def _fits(self, index: int, step: Step) -> bool:
         """Whether some member's path may have `step` at `index`: the base
-        or tail step there, or at the free index any concrete step not
-        excluded."""
+        or tail step there, or at the free index any step not excluded."""
         expected = _fiber_pattern(self, index)
         if expected is _FREE:
-            return step is not TSYM and step not in self.excluded
+            return step not in self.excluded
         return step == expected
 
     def has_ray_tail(self) -> bool:
@@ -187,21 +175,22 @@ class Fiber:
         out: List[Point] = []
         value = Fraction(0)
         while len(out) < limit:
-            if self._fits(self.base.level, value):
-                out.append(self.member(value))
+            point = self.allowed_member(value)
+            if point is not None:
+                out.append(point)
             value += 1
-        inf_pt = self.inf_member()
-        if inf_pt is not None:
-            out.append(inf_pt)
+        point = self.allowed_member(INF)
+        if point is not None:
+            out.append(point)
         return out
 
     def describe(self) -> str:
         text = f"the fiber over {self.base}"
         if self.tail:
             text += " with tail [" + ", ".join(
-                format_any_step(s) for s in self.tail) + "]"
+                format_step(s) for s in self.tail) + "]"
         if self.excluded:
-            names = sorted(format_any_step(s) for s in self.excluded)
+            names = sorted(format_step(s) for s in self.excluded)
             text += " excluding {" + ", ".join(names) + "}"
         return text
 
@@ -227,13 +216,13 @@ class Chain:
         return self.valuation.point_at(level)
 
     def is_member(self, beta: Point) -> bool:
-        if beta.level < self.from_level or beta.has_symbolic:
+        if beta.level < self.from_level:
             return False
         return self.valuation.ring_contains(beta)
 
     def downset_member(self, beta: Point) -> bool:
         # Members are cofinal in the path, so every path prefix qualifies.
-        return not beta.has_symbolic and self.valuation.ring_contains(beta)
+        return self.valuation.ring_contains(beta)
 
     def sample_members(self, limit: int = 5) -> List[Point]:
         return [self.member(self.from_level + i) for i in range(limit)]
@@ -275,14 +264,12 @@ class Siblings:
 
     def is_member(self, beta: Point) -> bool:
         deviation = beta.level - 1
-        if deviation < 1 or beta.has_symbolic:
+        if deviation < 1:
             return False
         return (self.valuation.ring_contains(beta.parent)
                 and beta.steps[deviation] == self.sibling_step(deviation))
 
     def downset_member(self, beta: Point) -> bool:
-        if beta.has_symbolic:
-            return False
         return self.valuation.ring_contains(beta) or self.is_member(beta)
 
     def sample_members(self, limit: int = 5) -> List[Point]:
@@ -355,7 +342,7 @@ def _q1_children(part: Family, alpha: Point):
             return {alpha.child(part.valuation.step_at(alpha.level))}
         return set()
     if isinstance(part, Siblings):
-        if alpha.has_symbolic or not part.valuation.ring_contains(alpha):
+        if not part.valuation.ring_contains(alpha):
             return set()
         out = {alpha.child(part.valuation.step_at(alpha.level))}
         if alpha.level >= 1:

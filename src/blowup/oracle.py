@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CertificateError, DepthCapError, InputError
@@ -46,7 +47,7 @@ from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, poly_gcd, rational_roots
 from .position import (Position, _a_collapse_roots, _coefficient_gcd,
                        position, position_parametric)
-from .tree import Point, strict_step
+from .tree import TSYM, Point, express_step, strict_step
 from .valuations import WALK_CAP, FirstKind
 
 _MEMBER = (Position.ZERO, Position.UNIT)
@@ -180,13 +181,6 @@ def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
 # -- fibers ------------------------------------------------------------------
 
 
-def _allowed_member(fiber: Fiber, step: Step) -> Optional[Point]:
-    try:
-        return fiber.member(step)
-    except InputError:
-        return None
-
-
 def _failing_member(fiber: Fiber, pairs: Iterable[Tuple[Step, RatFunc]],
                     candidates: Set[Fraction]) -> Optional[Point]:
     """The first member base<s>·tail, over (s, g) pairs in order, where the
@@ -195,7 +189,7 @@ def _failing_member(fiber: Fiber, pairs: Iterable[Tuple[Step, RatFunc]],
     A generic failure fails at all but finitely many steps, so callers
     scanning for one pass 16 steps: a short scan cannot miss."""
     for step, g in pairs:
-        beta = _allowed_member(fiber, step)
+        beta = fiber.allowed_member(step)
         if beta is not None and _position(beta, g, candidates) not in _MEMBER:
             return beta
     return None
@@ -203,7 +197,8 @@ def _failing_member(fiber: Fiber, pairs: Iterable[Tuple[Step, RatFunc]],
 
 def _fiber(f: RatFunc, fiber: Fiber, candidates: Set[Fraction],
            flags: List[str]) -> Tuple[bool, Optional[Point]]:
-    expressed = fiber.symbolic_member().express(f)
+    # every member at once: the free step is the symbol t
+    expressed = reduce(express_step, (TSYM, *fiber.tail), fiber.base.express(f))
     den_const = expressed.den.xy_constant_part()
     if den_const.is_zero:
         witness = _failing_member(
@@ -427,7 +422,8 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
 
 def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
                       delta: Point) -> Optional[str]:
-    transform = fiber.symbolic_member().strict_transform(valuation.h)
+    transform = reduce(strict_step, (TSYM, *fiber.tail),
+                       fiber.base.strict_transform(valuation.h))
     condition = transform.xy_constant_part()
     if condition.is_zero:
         for beta in fiber.sample_members(3):
@@ -435,7 +431,7 @@ def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
                 return str(beta)
         return "every member (the vanishing condition is identically zero)"
     steps = rational_roots(condition, T) if condition.has_slot(T) else []
-    for beta in (_allowed_member(fiber, s) for s in [*steps, INF]):
+    for beta in map(fiber.allowed_member, [*steps, INF]):
         if beta is not None and beta != delta and valuation.ring_contains(beta):
             return str(beta)
     return None

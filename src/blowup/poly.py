@@ -126,11 +126,6 @@ class Poly:
             raise ValueError("order of zero undefined")
         return min(e[X] + e[Y] for e in self.terms)
 
-    def lowest_xy_form(self) -> "Poly":
-        """Sum of the terms of minimal x+y degree (a and t kept as-is)."""
-        order = self.xy_order()
-        return Poly({e: c for e, c in self.terms.items() if e[X] + e[Y] == order})
-
     def xy_constant_part(self) -> "Poly":
         """Terms free of x and y: a polynomial in a and t alone."""
         return Poly({e: c for e, c in self.terms.items() if e[X] == 0 and e[Y] == 0})
@@ -793,10 +788,6 @@ class RatFunc:
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    @property
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant
 
     def has_slot(self, slot: int) -> bool:
         return self.num.has_slot(slot) or self.den.has_slot(slot)

@@ -51,9 +51,8 @@ class Position(Enum):
 def position(point: Point, f: RatFunc) -> Position:
     """Position of f at a point.
 
-    At a point with a symbolic step the answer is the generic one along
-    the one-parameter family.  Elements carrying the parameter a must go
-    through `position_parametric` instead.
+    Elements carrying the parameter a must go through
+    `position_parametric` instead.
     """
     if f.has_slot(A):
         raise InputError("element carries the parameter a; use the parametric form")
@@ -152,8 +151,6 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
     if f.is_zero:
         raise InputError("the zero element vanishes everywhere")
     root = start if start is not None else Point.root()
-    if root.has_symbolic:
-        raise InputError("resolve needs a concrete starting point")
     zeros: List[Point] = []
     poles: List[Point] = []
     diagnostics: List[str] = []
@@ -273,13 +270,9 @@ def _is_parameter_pair(ef: RatFunc, eg: RatFunc) -> bool:
     """Both elements vanish here; do they cut independent tangent lines?"""
     if ef.num.xy_order() != 1 or eg.num.xy_order() != 1:
         return False
-    lf = ef.num.lowest_xy_form()
-    lg = eg.num.lowest_xy_form()
-    a1 = lf.terms.get((1, 0, 0, 0), Fraction(0))
-    b1 = lf.terms.get((0, 1, 0, 0), Fraction(0))
-    a2 = lg.terms.get((1, 0, 0, 0), Fraction(0))
-    b2 = lg.terms.get((0, 1, 0, 0), Fraction(0))
-    return a1 * b2 - b1 * a2 != 0
+    lf = lowest_form(ef.num)
+    lg = lowest_form(eg.num)
+    return lf[0] * lg[1] - lf[1] * lg[0] != 0
 
 
 # -- parametric position -----------------------------------------------------
@@ -299,17 +292,9 @@ class ParametricPosition:
     exceptional: Dict[Fraction, Position] = field(default_factory=dict)
     undefined: Tuple[Fraction, ...] = ()
 
-    def at(self, value) -> Position:
-        value = Fraction(value)
-        if value in self.undefined:
-            raise InputError(f"element is undefined at a = {value}")
-        return self.exceptional.get(value, self.generic)
-
 
 def position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
-    """Classify f(a) at a concrete point, uniformly in the parameter a."""
-    if point.has_symbolic:
-        raise InputError("parametric position needs a concrete point")
+    """Classify f(a) at a point, uniformly in the parameter a."""
     if not f.has_slot(A):
         return ParametricPosition(position(point, f))
     expressed = point.express(f)

@@ -22,13 +22,13 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Tuple
 
-from .expr import INF
-from .tree import AnyStep, Comparison, Point, compare
+from .expr import INF, Step
+from .tree import Comparison, Point, compare
 
 _ZERO = Fraction(0)
 
 
-def is_ray_tail(tail: Iterable[AnyStep]) -> bool:
+def is_ray_tail(tail: Iterable[Step]) -> bool:
     """Whether the steps after a free step stay on the exceptional curve
     of the point that the free step leaves: no steps at all, or one inf
     step followed by 0 steps only."""
@@ -62,7 +62,7 @@ def second_kind_contains(alpha: Point, beta: Point) -> bool:
     return is_proximate(beta, alpha)
 
 
-def proximate_points(alpha: Point, depth: int, steps: Iterable[AnyStep]) -> List[Point]:
+def proximate_points(alpha: Point, depth: int, steps: Iterable[Step]) -> List[Point]:
     """All points proximate to alpha within `depth` levels below it, using
     the given first-step alphabet.  The deeper part of each ray is forced,
     so only the first step varies."""

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .errors import ComponentError, InputError
+from .errors import ComponentError
 from .families import (Chain, Family, FamilySet, Fiber, Siblings, Singleton,
                        downset_member, family_parts, q1_downset_count)
-from .proximity import is_ray_tail, second_kind_contains
+from .proximity import is_ray_tail
 from .tree import Point, is_prefix
 from .valuations import MinimalCurveBranch, SecondKind, _MinimalBase
 
@@ -71,14 +71,10 @@ def zariski_closure(family) -> ClosedSetRepr:
 
 
 def closure_member(closed: ClosedSetRepr, beta: Point) -> bool:
-    if beta.has_symbolic:
-        raise InputError("closure membership needs a concrete point")
     if downset_member(closed.residual, beta):
         return True
-    if any(second_kind_contains(v.point, beta)
-           for v in closed.divisor_downsets):
-        return True
-    return any(v.ring_contains(beta) for v in closed.minimal_downsets)
+    return any(v.ring_contains(beta)
+               for v in closed.divisor_downsets + closed.minimal_downsets)
 
 
 def _ray_below(v: _MinimalBase, alpha: Point) -> bool:
@@ -131,19 +127,13 @@ def irreducible_components(closed: ClosedSetRepr) -> Tuple[Generator, ...]:
                 witness=part)
     maximal: List[Point] = []
     for gamma in points:
-        if any(_point_under(gamma, g) for g in generators):
+        if any(g.ring_contains(gamma) for g in generators):
             continue
         if any(other != gamma and is_prefix(gamma, other) for other in points):
             continue
         if gamma not in maximal:
             maximal.append(gamma)
     return tuple(generators) + tuple(maximal)
-
-
-def _point_under(gamma: Point, generator: Descriptor) -> bool:
-    if isinstance(generator, SecondKind):
-        return second_kind_contains(generator.point, gamma)
-    return generator.ring_contains(gamma)
 
 
 def is_irreducible(closed: ClosedSetRepr) -> Optional[Generator]:

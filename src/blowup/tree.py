@@ -18,10 +18,10 @@ it maps each term by its exponents, x^i y^j to x^(i+j) times y^i, y^j or
 local chart one step at a time, and all order, membership and position
 questions reduce to looking at it there.
 
-A path may contain one symbolic step `TSYM`: a child in a generic position
-on the exceptional curve, with the direction kept as the symbol t.  These
-points drive the one-parameter family machinery; they are never printed in
-path literals.
+Every step of a point is concrete: a rational or inf.  The step kernel
+(`transform_step`, `express_step`, `strict_step`) also accepts `TSYM`, a
+generic direction kept as the symbol t; folding it over a chart computes
+for a whole fiber of points at once without making it a point.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ class _SymbolicStep:
 
 TSYM = _SymbolicStep()
 
-AnyStep = Step | _SymbolicStep
+AnyStep = Step | _SymbolicStep  # what the step kernel accepts
 
 
 class Comparison(Enum):
@@ -69,7 +69,7 @@ class Point:
 
     __slots__ = ("steps", "parent")
 
-    def __init__(self, steps: Tuple[AnyStep, ...], parent: Optional["Point"]):
+    def __init__(self, steps: Tuple[Step, ...], parent: Optional["Point"]):
         self.steps = steps
         self.parent = parent
 
@@ -80,17 +80,14 @@ class Point:
         return Point((), None)
 
     @staticmethod
-    def from_path(steps: Iterable[AnyStep]) -> "Point":
+    def from_path(steps: Iterable[Step]) -> "Point":
         point = Point.root()
         for step in steps:
             point = point.child(step)
         return point
 
-    def child(self, step: AnyStep) -> "Point":
-        step = normalize_step(step)
-        if step is TSYM and self.has_symbolic:
-            raise InputError("a path may carry at most one symbolic step")
-        return Point(self.steps + (step,), self)
+    def child(self, step: Step) -> "Point":
+        return Point(self.steps + (normalize_step(step),), self)
 
     def ancestor(self, level: int) -> "Point":
         """The point `level` steps from the root along this path."""
@@ -111,10 +108,6 @@ class Point:
     def is_root(self) -> bool:
         return not self.steps
 
-    @property
-    def has_symbolic(self) -> bool:
-        return any(s is TSYM for s in self.steps)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Point) and self.steps == other.steps
 
@@ -122,7 +115,7 @@ class Point:
         return hash(self.steps)
 
     def __str__(self) -> str:
-        return "D" + "".join(f"<{format_any_step(s)}>" for s in self.steps)
+        return "D" + "".join(f"<{format_step(s)}>" for s in self.steps)
 
     def __repr__(self) -> str:
         return f"Point({self})"
@@ -222,7 +215,7 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
         work = _products(f.num) + _products(f.den)
         if work > CHART_BUDGET:
             raise ComputationError(
-                f"the step {format_any_step(step)} would form {work} "
+                f"the step {format_step(step)} would form {work} "
                 f"products, over the chart budget of {CHART_BUDGET}")
     num = transform_step(f.num, step)
     if num.is_zero:
@@ -247,19 +240,13 @@ def strict_step(h: Poly, step: AnyStep) -> Poly:
     return out.shift_down(X, out.min_exponent(X))
 
 
-def normalize_step(step) -> AnyStep:
-    if step is TSYM or is_inf(step):
+def normalize_step(step) -> Step:
+    if is_inf(step):
         return step
     try:
         return Fraction(step)
     except (TypeError, ValueError) as exc:
-        raise InputError(f"bad step {step!r}: expected a rational, inf, or the symbolic step") from exc
-
-
-def format_any_step(step: AnyStep) -> str:
-    if step is TSYM:
-        return "t"
-    return format_step(step)
+        raise InputError(f"bad step {step!r}: expected a rational or inf") from exc
 
 
 # -- path order ------------------------------------------------------------
@@ -268,7 +255,7 @@ def format_any_step(step: AnyStep) -> str:
 def compare(a: Point, b: Point) -> Comparison:
     """Prefix comparison of paths; BELOW means a is a proper prefix of b,
     so the ring at a is contained in the ring at b.  Steps compare with
-    `==`: `INF` and `TSYM` are singletons that equal only themselves."""
+    `==`: `INF` is a singleton that equals only itself."""
     s, t = a.steps, b.steps
     n = min(len(s), len(t))
     if s[:n] != t[:n]:

@@ -34,7 +34,7 @@ from .poly import (A, Poly, RatFunc, T, X, Y, _subst_slot_frac, factor_multiplic
                    poly_gcd, root_pass)
 from .position import Position, classify_expressed, lowest_form
 from .proximity import second_kind_contains
-from .tree import AnyStep, Point, TSYM, express_step, strict_step
+from .tree import Point, express_step, normalize_step, strict_step
 
 # Cap on walks down a minimal valuation's path; every element settles
 # after finitely many steps, so reaching it means a runaway computation.
@@ -105,8 +105,6 @@ class SecondKind:
     kind = "second"
 
     def __init__(self, point: Point, scale: int = 1):
-        if point.has_symbolic:
-            raise InputError("an order valuation needs a concrete point")
         if scale < 1:
             raise InputError("scale must be a positive integer")
         self.point = point
@@ -136,7 +134,7 @@ class _MinimalBase:
 
     kind = "minimal"
 
-    def step_at(self, index: int) -> AnyStep:
+    def step_at(self, index: int) -> Step:
         raise NotImplementedError
 
     def point_at(self, level: int) -> Point:
@@ -171,7 +169,7 @@ class _MinimalBase:
     def ring_contains(self, beta: Point) -> bool:
         return self.agreement(beta.steps) == beta.level
 
-    def agreement(self, steps: Iterable[AnyStep]) -> int:
+    def agreement(self, steps: Iterable[Step]) -> int:
         """Number of leading `steps` that follow this path.
 
         The steps are read one at a time, each before the path step it is
@@ -204,14 +202,14 @@ class MinimalEventuallyPeriodic(_MinimalBase):
     """The union ring along prefix + period, period repeated forever."""
 
     def __init__(self, prefix, period):
-        prefix = tuple(_concrete(s) for s in prefix)
-        period = tuple(_concrete(s) for s in period)
+        prefix = tuple(map(normalize_step, prefix))
+        period = tuple(map(normalize_step, period))
         if not period:
             raise InputError("the period must not be empty")
         self.prefix, self.period = _canonical_path_form(prefix, period)
         self._points: List[Point] = [Point.root()]
 
-    def step_at(self, index: int) -> AnyStep:
+    def step_at(self, index: int) -> Step:
         if index < len(self.prefix):
             return self.prefix[index]
         return self.period[(index - len(self.prefix)) % len(self.period)]
@@ -272,7 +270,7 @@ class MinimalCurveBranch(_MinimalBase):
             step = branch_step(strict)
             self._entries.append((point.child(step), strict_step(strict, step)))
 
-    def step_at(self, index: int) -> AnyStep:
+    def step_at(self, index: int) -> Step:
         self._extend_to(index + 1)
         return self._entries[index + 1][0].steps[index]
 
@@ -298,12 +296,12 @@ class MinimalCurveBranch(_MinimalBase):
 # -- path steps from curves and monomials -----------------------------------
 
 
-def branch_step(strict: Poly) -> AnyStep:
+def branch_step(strict: Poly) -> Step:
     """The unique direction in which a curve germ continues, or an error."""
     coeffs = lowest_form(strict)
     if len(coeffs) < 2:
         raise BranchError("the curve does not pass through this point")
-    candidates: List[AnyStep] = list(root_pass(coeffs, T)[0])
+    candidates: List[Step] = list(root_pass(coeffs, T)[0])
     if not coeffs[-1]:
         candidates.append(INF)
     if len(candidates) == 1:
@@ -349,14 +347,6 @@ def monomial_valuation(a, b) -> SecondKind:
 
 
 # -- helpers ----------------------------------------------------------------
-
-
-def _concrete(step) -> Step:
-    if step is TSYM:
-        raise InputError("an infinite path must use concrete steps")
-    if is_inf(step):
-        return step
-    return Fraction(step)
 
 
 def _canonical_path_form(prefix: Tuple[Step, ...], period: Tuple[Step, ...]):

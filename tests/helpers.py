@@ -14,6 +14,7 @@ import math
 import random
 from collections import deque
 from fractions import Fraction
+from functools import reduce
 from typing import List, Optional, Tuple
 
 from blowup.errors import ComputationError, DepthCapError, ResolveError
@@ -23,7 +24,7 @@ from blowup.families import (INFINITE, Chain, Fiber, Siblings, family_parts,
 from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, poly_gcd
 from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
                              classify_expressed)
-from blowup.tree import TSYM, Point, strict_step, transform_step
+from blowup.tree import Point, express_step, strict_step, transform_step
 from blowup.valuations import MinimalCurveBranch, SecondKind
 
 
@@ -37,18 +38,18 @@ def params(point: Point) -> Tuple[RatFunc, RatFunc]:
         if is_inf(step):
             px, py = py, px / py
         else:
-            py = py / px - RatFunc(Poly.variable(T) if step is TSYM else Poly.const(step))
+            py = py / px - RatFunc(Poly.const(step))
     return px, py
 
 
-def residue_of(point: Point, f: RatFunc) -> Poly:
-    """Image of a ring element in the residue field at `point`.
+def residue_of(steps, f: RatFunc) -> Poly:
+    """Image of a ring element in the residue field at the end of `steps`.
 
-    A constant polynomial at a concrete point; a point with a symbolic step
+    A constant polynomial along concrete steps; the symbolic step `TSYM`
     may give a polynomial in t.  Raises ValueError if f is not in the local
     ring, or lands outside the polynomial part of the residue field.
     """
-    expressed = point.express(f)
+    expressed = reduce(express_step, steps, f)
     num = expressed.num.xy_constant_part()
     den = expressed.den.xy_constant_part()
     if den.is_zero:
@@ -230,15 +231,16 @@ def proximate_by_containment(beta: Point, alpha: Point) -> bool:
     return ord_contained(alpha, beta)[0]
 
 
-def reference_express(point: Point, f: RatFunc) -> RatFunc:
-    """`Point.express` the slow canonical way.
+def reference_express(steps, f: RatFunc) -> RatFunc:
+    """f in the chart at the end of `steps`, the slow canonical way.
 
-    The root coordinates x, y are written in the chart at `point` by
-    folding `transform_step` over the path, substituted into f, and the
-    quotient is reduced by the gcd in the `RatFunc` constructor.
+    The root coordinates x, y are written in that chart by folding
+    `transform_step` over the steps, substituted into f, and the quotient
+    is reduced by the gcd in the `RatFunc` constructor.  The steps may
+    include the symbolic step `TSYM`.
     """
     down_x, down_y = Poly.variable(X), Poly.variable(Y)
-    for step in point.steps:
+    for step in steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
     return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
 
@@ -324,6 +326,12 @@ def reference_has_irrational_factor(p: Poly, slot: int) -> bool:
     return len(coeffs) > 1
 
 
+def _lowest_slice(p: Poly) -> Poly:
+    """The terms of p of minimal total degree in x and y."""
+    order = p.xy_order()
+    return Poly({e: c for e, c in p.terms.items() if e[X] + e[Y] == order})
+
+
 def reference_candidate_steps(expressed: RatFunc) -> _StepSet:
     """`_candidate_steps` the slow canonical way: each lowest form becomes a
     polynomial in t by substitution (x -> 1, y -> t), its roots come from
@@ -331,7 +339,7 @@ def reference_candidate_steps(expressed: RatFunc) -> _StepSet:
     irrational factor remains."""
     steps: set = set()
     irrational = False
-    lowests = (expressed.num.lowest_xy_form(), expressed.den.lowest_xy_form())
+    lowests = (_lowest_slice(expressed.num), _lowest_slice(expressed.den))
     for lowest in lowests:
         phi = subst_poly(lowest.subst_const(X, 1), Y, Poly.variable(T))
         if not phi.is_constant:

@@ -1,18 +1,19 @@
 """Family shapes: membership, downsets, child counts, incomparability."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowup.errors import InputError
-from blowup.expr import INF
+from blowup.expr import INF, parse_element
 from blowup.families import (Chain, Fiber, INFINITE, MoebiusMap, Siblings,
                              Singleton, downset_member, member,
                              pairwise_incomparable, q1_downset_count)
-from blowup.poly import Poly, X, Y
+from blowup.poly import Poly, T, X, Y
 from blowup.proximity import is_proximate
-from blowup.tree import TSYM, Point, is_prefix
+from blowup.tree import TSYM, Point, express_step, is_prefix
 from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
 
@@ -57,7 +58,8 @@ class TestFiber:
         # Parameter a = 2 lands on the step -1/2, parameter 0 on infinity.
         assert fam.member(NEG_RECIP.to_step(Fraction(2))) == \
             Point.from_path([Fraction(-1, 2), INF])
-        assert fam.inf_member() == Point.from_path([INF, INF])
+        assert fam.allowed_member(INF) == Point.from_path([INF, INF])
+        assert fam.allowed_member(0) is None
 
     def test_member_and_pattern(self):
         fam = fiber_c()
@@ -79,9 +81,13 @@ class TestFiber:
         assert not downset_member(fam, Point.from_path([7, INF, 0]))
 
     def test_symbolic_member_shape(self):
-        pt = fiber_c().symbolic_member()
-        assert pt.steps[0] is TSYM
-        assert pt.steps[1] is INF
+        # the generic member is the chart fold base, t, tail; setting t to a
+        # step gives that member's chart
+        fam = fiber_c()
+        f = parse_element("(y - x^2)/(x + y^3)")
+        generic = reduce(express_step, (TSYM, *fam.tail), fam.base.express(f))
+        for s in (Fraction(0), Fraction(-1, 2), Fraction(3)):
+            assert generic.subst_const(T, s) == fam.member(s).express(f)
 
     def test_ray_tails(self):
         assert Fiber(D).has_ray_tail()

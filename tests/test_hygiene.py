@@ -80,6 +80,52 @@ def test_no_unused_private_names():
     assert not found, "private names nothing uses:\n" + "\n".join(found)
 
 
+# Public names that nothing in the package references, kept on purpose.
+UNUSED_PUBLIC_ALLOWED = {
+    "Poly.subst_xy": "the poly.subst_xy layer of the benchmark tracer, and "
+                     "the substitution the tests' chart oracle uses",
+    "MoebiusMap.to_step": "part of the family \"map\" that the benchmark's "
+                          "family queries parse; removing it is a benchmark change",
+    "MoebiusMap.inverse": "as MoebiusMap.to_step",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, name, node) of each module-level public function or
+    class and of each public method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            if not node.name.startswith("_"):
+                yield node.name, node.name, node
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item
+        elif isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node
+
+
+def _overrides(module: str, qualname: str) -> bool:
+    """Whether a method overrides one a base class defines."""
+    if "." not in qualname:
+        return False
+    cls_name, method = qualname.split(".")
+    cls = getattr(importlib.import_module(f"blowup.{module}"), cls_name)
+    return any(method in vars(base) for base in cls.__mro__[1:])
+
+
+def test_no_unused_public_names():
+    # a name the package's __init__ exports is read there, as an import
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    uses = sum((_references(tree) for tree in trees.values()), Counter())
+    found = [f"{module}: {qualname}" for module, tree in trees.items()
+             for qualname, name, owner in _public_definitions(tree)
+             if uses[name] == _references(owner)[name]
+             and qualname not in UNUSED_PUBLIC_ALLOWED
+             and not _overrides(module, qualname)]
+    assert not found, "public names nothing uses:\n" + "\n".join(found)
+
+
 def _traced_layers():
     """The LAYERS literal of the benchmark tracer, read without importing it."""
     for node in ast.parse(TRACER.read_text(encoding="utf-8")).body:

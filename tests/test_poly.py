@@ -24,6 +24,7 @@ from blowup.poly import (
     root_pass,
     sylvester_resultant,
 )
+from blowup.position import lowest_form
 
 from helpers import reference_has_irrational_factor, subst_poly
 
@@ -114,10 +115,11 @@ def test_xy_order_counts_only_plane_variables():
 
 
 def test_lowest_xy_form_picks_minimal_degree_slice():
+    # coefficients c_j of x^(d-j) y^j in the lowest form
     p = y ** 2 + x ** 3 + x * y ** 3
-    assert p.lowest_xy_form() == y ** 2
+    assert lowest_form(p) == [0, 0, 1]
     q = x * y + y ** 2 + x ** 3
-    assert q.lowest_xy_form() == x * y + y ** 2
+    assert lowest_form(q) == [0, 1, 1]
 
 
 def test_xy_constant_part():
@@ -441,7 +443,7 @@ def test_ratfunc_monomial_times_inverse():
     # x * y * (y / x) reduces to y^2
     r = RatFunc(x * y) * RatFunc(y, x)
     assert r == RatFunc(y ** 2)
-    assert r.is_polynomial
+    assert r.den.is_constant
 
 
 def test_ratfunc_normalizes_denominator_leading_coeff():

@@ -1,6 +1,7 @@
 """Tests for tree points, charts, and strict transforms."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,10 @@ from blowup.errors import InputError
 from blowup.expr import INF, parse_element, parse_path
 from blowup.oracle import in_point
 from blowup.poly import Poly, RatFunc, T, X, Y, format_poly
-from blowup.tree import (Comparison, Point, TSYM, compare, is_prefix, strict_step,
-                         transform_step)
+from blowup.families import Fiber
+from blowup.tree import (Comparison, Point, TSYM, compare, express_step, is_prefix,
+                         strict_step, transform_step)
+from blowup.valuations import MinimalEventuallyPeriodic
 
 from helpers import params, reference_express, residue_of
 
@@ -37,7 +40,6 @@ def test_root_chart_is_identity():
 def test_path_strings():
     assert str(P("[]")) == "D"
     assert str(P("[0, inf, -1/2]")) == "D<0><inf><-1/2>"
-    assert str(Point.root().child(TSYM)) == "D<t>"
 
 
 def test_equality_is_by_path():
@@ -55,12 +57,16 @@ def test_parent_and_ancestor():
         p.ancestor(4)
 
 
-def test_at_most_one_symbolic_step():
-    p = Point.root().child(TSYM)
+def test_symbolic_step_is_not_a_point():
+    # TSYM is a step of the chart kernel only; every point is concrete
+    with pytest.raises(InputError, match="expected a rational or inf"):
+        Point.root().child(TSYM)
     with pytest.raises(InputError):
-        p.child(TSYM)
-    # a concrete child below a symbolic one is fine
-    assert p.child(INF).level == 2
+        Point.from_path([TSYM])
+    with pytest.raises(InputError):
+        Fiber(Point.root(), tail=(TSYM,))
+    with pytest.raises(InputError):
+        MinimalEventuallyPeriodic([TSYM], [0])
 
 
 def test_step_validation():
@@ -169,18 +175,16 @@ def test_ord_of_zero_raises():
 
 
 def test_residue_values():
-    d = Point.root()
-    assert residue_of(d, E("2 + x")) == Poly.const(2)
-    assert residue_of(d, E("(1 + x)/(2 + y)")) == Poly.const(Fraction(1, 2))
+    assert residue_of((), E("2 + x")) == Poly.const(2)
+    assert residue_of((), E("(1 + x)/(2 + y)")) == Poly.const(Fraction(1, 2))
     with pytest.raises(ValueError):
-        residue_of(d, E("x/y"))
+        residue_of((), E("x/y"))
 
 
 def test_residue_at_symbolic_point():
-    p = Point.root().child(TSYM)
     t = Poly.variable(T)
-    # y/x takes the value t on the generic first-neighborhood point
-    assert residue_of(p, E("y/x")) == t
+    # y/x takes the value t at the generic first-neighborhood point
+    assert residue_of((TSYM,), E("y/x")) == t
 
 
 # -- strict transforms ------------------------------------------------------
@@ -252,7 +256,8 @@ def test_one_step_matches_sympy_substitution(h, step):
 @st.composite
 def express_paths(draw):
     """Paths of depth up to 6 over 0, +-1, +-1/2, 2, inf, with at most one
-    symbolic step inserted anywhere."""
+    symbolic step inserted anywhere: the step sequences a fiber's chart
+    route folds, base path then t then tail."""
     steps = draw(st.lists(st.sampled_from(
         (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-1, 2),
          Fraction(2), INF)), max_size=6))
@@ -274,15 +279,18 @@ small_polys_xya = st.dictionaries(
 @settings(max_examples=120, deadline=None, derandomize=True)
 def test_express_matches_substitution_and_gcd(num, den, steps):
     f = RatFunc(num, den)
-    point = Point.from_path(steps)
-    assert point.express(f) == reference_express(point, f)
+    # the route of the fiber oracle: express at the concrete base, then fold
+    # the step kernel over the symbolic step and the tail
+    split = steps.index(TSYM) if TSYM in steps else len(steps)
+    expressed = reduce(express_step, steps[split:],
+                       Point.from_path(steps[:split]).express(f))
+    assert expressed == reference_express(steps, f)
 
 
 def test_multiplicity_at_symbolic_point():
     h = y ** 2 - x ** 3
-    p = Point.root().child(TSYM)
     # a generic direction is not on the cusp
-    assert p.strict_transform(h).xy_order() == 0
+    assert strict_step(h, TSYM).xy_order() == 0
 
 
 # -- path comparison --------------------------------------------------------
@@ -297,15 +305,10 @@ def test_compare_prefix_order():
     half = Fraction(1, 2)
     assert half == Fraction(2, 4) and Fraction(0) == 0
     for step in (Fraction(0), half):
-        assert step != INF and INF != step and step != TSYM and TSYM != step
-    assert INF == INF and TSYM == TSYM and INF != TSYM and TSYM != INF
+        assert step != INF and INF != step
+    assert INF == INF
     assert compare(P("[1/2, inf]"), Point.from_path([Fraction(2, 4), INF, 0])) \
         is Comparison.BELOW
-    symbolic = P("[0]").child(TSYM)
-    assert compare(P("[0]"), symbolic) is Comparison.BELOW
-    assert compare(symbolic, P("[0]").child(TSYM)) is Comparison.EQUAL
-    assert compare(P("[0, 0]"), symbolic) is Comparison.INCOMPARABLE
-    assert compare(P("[0, inf]"), symbolic) is Comparison.INCOMPARABLE
 
 
 def test_is_prefix_matches_ring_containment():
@@ -316,10 +319,3 @@ def test_is_prefix_matches_ring_containment():
     # containment of rings goes the same way: everything in D stays in O_big
     for text in ("x", "y", "x*y - 3"):
         assert in_point(E(text), big)
-
-
-def test_symbolic_step_comparison():
-    sym = Point.root().child(TSYM)
-    other = P("[2]")
-    assert compare(sym, sym.child(INF)) is Comparison.BELOW
-    assert compare(sym, other) is Comparison.INCOMPARABLE

@@ -106,6 +106,7 @@ def test_second_kind_ring_containment():
 
 def test_second_kind_rejects_symbolic_point():
     from blowup.tree import TSYM
+    # every point is concrete: the symbolic one cannot even be built
     with pytest.raises(InputError):
         SecondKind(Point.root().child(TSYM))
 
