@@ -106,10 +106,10 @@ def _number_bits(f: RatFunc) -> int:
     return max(_constant_bits(f), top.bit_length())
 
 
-# A power or product is expanded before anything else sees it, and the
+# A power, product or sum is expanded before anything else sees it, and the
 # expansion's cost grows with its term count: (1+x+y)^100 has 5,151 terms and
-# takes half a minute.  Powers and products that may exceed this many terms
-# are refused unexpanded.
+# takes half a minute.  Powers, products and sums whose numerator or
+# denominator may exceed this many terms are refused unexpanded.
 MAX_POWER_TERMS = 500
 
 
@@ -135,6 +135,14 @@ def _product_terms(p: Poly, q: Poly) -> int:
     variables = len(set(p.slots_present()) | set(q.slots_present()))
     degree = sum(max((sum(exps) for exps in f.terms), default=0) for f in (p, q))
     return min(len(p.terms) * len(q.terms), comb(degree + variables, variables))
+
+
+def _sum_terms(f: RatFunc, g: RatFunc) -> int:
+    """An upper bound on the term count of the numerator and of the
+    denominator of f + g and f - g: those of f.num*g.den + g.num*f.den and
+    of f.den*g.den."""
+    return max(_product_terms(f.num, g.den) + _product_terms(g.num, f.den),
+               _product_terms(f.den, g.den))
 
 
 def _int_literal(text: str) -> int:
@@ -210,10 +218,16 @@ def parse_element(text: str) -> RatFunc:
 
 
 def _parse_sum(toks: _Tokenizer) -> RatFunc:
+    first = toks.index
     value = _parse_product(toks)
     while toks.peek()[0] in ("+", "-"):
         op = toks.next()[0]
         rhs = _parse_product(toks)
+        terms = _sum_terms(value, rhs)
+        if terms > MAX_POWER_TERMS:
+            total = "".join(text for _, text in toks.tokens[first:toks.index])
+            raise InputError(f"sum too large: {total} may have up to {terms} "
+                             f"terms, and a sum may have at most {MAX_POWER_TERMS}")
         value = value + rhs if op == "+" else value - rhs
     return value
 

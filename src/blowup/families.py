@@ -88,9 +88,6 @@ class Singleton:
     def downset_member(self, beta: Point) -> bool:
         return is_prefix(beta, self.point)
 
-    def sample_members(self, limit: int = 0) -> List[Point]:
-        return [self.point]
-
     def describe(self) -> str:
         return f"the point {self.point}"
 
@@ -123,13 +120,6 @@ class Fiber:
     @property
     def member_level(self) -> int:
         return self.base.level + 1 + len(self.tail)
-
-    def member(self, step: Step) -> Point:
-        step = normalize_step(step)
-        point = self.allowed_member(step)
-        if point is None:
-            raise InputError(f"step {format_step(step)} is excluded")
-        return point
 
     def allowed_member(self, step: Step) -> Optional[Point]:
         """The member at `step`, or None when the step is excluded."""
@@ -224,9 +214,6 @@ class Chain:
         # Members are cofinal in the path, so every path prefix qualifies.
         return self.valuation.ring_contains(beta)
 
-    def sample_members(self, limit: int = 5) -> List[Point]:
-        return [self.member(self.from_level + i) for i in range(limit)]
-
     def describe(self) -> str:
         return (f"the chain along {self.valuation!r} "
                 f"from level {self.from_level}")
@@ -271,9 +258,6 @@ class Siblings:
 
     def downset_member(self, beta: Point) -> bool:
         return self.valuation.ring_contains(beta) or self.is_member(beta)
-
-    def sample_members(self, limit: int = 5) -> List[Point]:
-        return [self.member(i) for i in range(1, limit + 1)]
 
     def describe(self) -> str:
         return (f"the level-wise siblings of {self.valuation!r} "

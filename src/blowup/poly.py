@@ -183,14 +183,20 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.const(1)
+        if n == 0:
+            return Poly.const(1)
+        if len(self.terms) == 1:
+            (exps, coeff), = self.terms.items()
+            return Poly.monomial(tuple(e * n for e in exps), coeff ** n)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -403,9 +409,10 @@ def format_poly(p: Poly, names: Sequence[str] = VAR_NAMES) -> str:
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor, normalized to leading coefficient 1.
 
-    Monomial content is stripped first; the remaining core runs recursive
-    content / primitive-part reduction with a subresultant polynomial
-    remainder sequence in a chosen main variable.
+    Monomial content is stripped first.  The remaining core picks a main
+    variable; one modular image settles most coprime pairs there, and the
+    rest runs recursive content / primitive-part reduction with a
+    subresultant polynomial remainder sequence.
     """
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials undefined")
@@ -441,6 +448,13 @@ def _gcd_core(p: Poly, q: Poly) -> Poly:
     # Main variable: a shared slot of smallest combined degree keeps the
     # remainder sequences short.
     main = min(shared, key=lambda s: p.degree(s) + q.degree(s))
+    if _image_coprime(p, q, main):
+        # the gcd has degree 0 in the main slot, so it divides both contents
+        cont_p = _content(p, main)
+        if cont_p.is_constant:
+            return cont_p
+        cont_q = _content(q, main)
+        return cont_q if cont_q.is_constant else poly_gcd(cont_p, cont_q)
     cont_p, pp_p = _content_pp(p, main)
     cont_q, pp_q = _content_pp(q, main)
     cont = poly_gcd(cont_p, cont_q) if not (cont_p.is_constant and cont_q.is_constant) \
@@ -451,16 +465,82 @@ def _gcd_core(p: Poly, q: Poly) -> Poly:
     return (cont * core).normalized()
 
 
-def _content_pp(p: Poly, slot: int) -> Tuple[Poly, Poly]:
-    """Content (gcd of slot-coefficients) and primitive part."""
-    coeffs = list(p.coeffs_in(slot).values())
+# The image that proves two polynomials coprime in their main slot: the
+# coefficients are read modulo a fixed prime and the other slots x, y, a, t
+# are set to fixed points, so the same inputs always take the same route.
+_IMAGE_PRIME = 2 ** 31 - 1
+_IMAGE_POINTS = (3, 5, 7, 11)
+
+
+def _image_coprime(p: Poly, q: Poly, main: int) -> bool:
+    """Whether one modular image proves deg_main gcd(p, q) = 0.
+
+    Scaled to primitive integer polynomials, a common factor G of p and q
+    maps to a common factor of their images.  When the image keeps p's or
+    q's leading coefficient in the main slot, it keeps G's, so a unit image
+    gcd leaves G no degree in that slot (Brown, 1971).  An unlucky image
+    (a lost leading coefficient, a denominator the prime divides, or a
+    spurious common factor) proves nothing, and the caller runs the
+    remainder sequence.
+    """
+    fp = _image(p, main)
+    fq = _image(q, main)
+    if fp is None or fq is None:
+        return False
+    if len(fp) <= p.degree(main) and len(fq) <= q.degree(main):
+        return False
+    while fq:
+        # fp <- fp mod fq, over the integers modulo the prime
+        inverse = pow(fq[-1], -1, _IMAGE_PRIME)
+        shift = len(fp) - len(fq)
+        while shift >= 0:
+            factor = fp[-1] * inverse % _IMAGE_PRIME
+            for i, c in enumerate(fq, shift):
+                fp[i] = (fp[i] - factor * c) % _IMAGE_PRIME
+            while fp and not fp[-1]:
+                fp.pop()
+            shift = len(fp) - len(fq)
+        fp, fq = fq, fp
+    return len(fp) == 1
+
+
+def _image(p: Poly, main: int) -> Optional[List[int]]:
+    """p modulo `_IMAGE_PRIME` as dense coefficients in the main slot, the
+    other slots at `_IMAGE_POINTS`, without leading zeros; None when the
+    prime divides a coefficient's denominator."""
+    coeffs = [0] * (p.degree(main) + 1)
+    for exps, coeff in p.terms.items():
+        value = coeff.numerator
+        if coeff.denominator != 1:
+            if not coeff.denominator % _IMAGE_PRIME:
+                return None
+            value *= pow(coeff.denominator, -1, _IMAGE_PRIME)
+        for slot, e in enumerate(exps):
+            if e and slot != main:
+                value *= pow(_IMAGE_POINTS[slot], e, _IMAGE_PRIME)
+        coeffs[exps[main]] += value
+    coeffs = [c % _IMAGE_PRIME for c in coeffs]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _content(p: Poly, slot: int) -> Poly:
+    """Gcd of the coefficients of p in one slot, or 1 when it is constant."""
+    coeffs = sorted(p.coeffs_in(slot).values(), key=lambda c: len(c.terms))
     cont = coeffs[0]
     for c in coeffs[1:]:
         if cont.is_constant:
             break
         cont = poly_gcd(cont, c)
+    return Poly.const(1) if cont.is_constant else cont
+
+
+def _content_pp(p: Poly, slot: int) -> Tuple[Poly, Poly]:
+    """Content (gcd of slot-coefficients) and primitive part."""
+    cont = _content(p, slot)
     if cont.is_constant:
-        return Poly.const(1), p
+        return cont, p
     pp = p.divmod_exact(cont)
     assert pp is not None
     return cont, pp
@@ -728,7 +808,8 @@ class RatFunc:
 
     The gcd of numerator and denominator is divided out on construction and
     the denominator is scaled to leading coefficient 1, so equal values have
-    equal representations.
+    equal representations.  Arithmetic keeps that form from its reduced
+    operands, dividing out only the factors that can cancel.
     """
 
     __slots__ = ("num", "den")
@@ -797,14 +878,12 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        return _sum(self.num, self.den, other.num, other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return _sum(self.num, self.den, -other.num, other.den)
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.from_const(0)
@@ -815,21 +894,22 @@ class RatFunc:
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
+        return _product(self.num, self.den, other.num, other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("zero divisor")
-        return RatFunc(self.num * other.den, self.den * other.num)
+        return _product(self.num, self.den, other.den, other.num)
 
     def __pow__(self, n: int) -> "RatFunc":
+        # a power of a reduced fraction is reduced
         if n < 0:
             if self.is_zero:
                 raise ZeroDivisionError("zero divisor")
-            return RatFunc(self.den ** (-n), self.num ** (-n))
-        return RatFunc(self.num ** n, self.den ** n)
+            return RatFunc.coprime(self.den ** (-n), self.num ** (-n))
+        return RatFunc.coprime(self.num ** n, self.den ** n)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RatFunc) and self.num == other.num and self.den == other.den
@@ -863,6 +943,57 @@ class RatFunc:
             raise ZeroDivisionError("zero divisor")
         # Both sides were cleared by different powers of value.den; rebalance.
         return RatFunc(num * value.den ** kd, den * value.den ** kn)
+
+
+# Arithmetic on reduced operands (Henrici; Knuth, TAOCP vol. 2, 4.5.1): the
+# only common factors a result can have are known in advance, so the gcds
+# run on those alone.  A constant denominator of a reduced operand is 1.
+
+
+def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """a/b + c/d for reduced a/b and c/d with monic b and d.
+
+    With g = gcd(b, d), b = g b' and d = g d', the sum is t / (b' d' g)
+    with t = a d' + c b'; t is prime to b' and to d', so gcd(t, g) is the
+    whole common factor.
+    """
+    if d.is_constant:
+        return RatFunc.coprime(a + (c if b.is_constant else c * b), b)
+    if b.is_constant:
+        return RatFunc.coprime(a * d + c, d)
+    g = poly_gcd(b, d)
+    if g.is_constant:
+        return RatFunc.coprime(a * d + c * b, b * d)
+    b1 = b.divmod_exact(g)
+    d1 = d.divmod_exact(g)
+    t = a * d1 + c * b1
+    if t.is_zero:
+        return RatFunc(t)
+    g2 = poly_gcd(t, g)
+    if not g2.is_constant:
+        t = t.divmod_exact(g2)
+        d = d.divmod_exact(g2)
+    return RatFunc.coprime(t, b1 * d)
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """(a/b)(c/d) for reduced a/b and c/d: only gcd(a, d) and gcd(c, b)
+    can cancel."""
+    if a.is_zero or c.is_zero:
+        return RatFunc(Poly())
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return RatFunc.coprime(a * c, b * d)
+
+
+def _cancel(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """num and den divided by their gcd."""
+    if den.is_constant or num.is_constant:
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_constant:
+        return num, den
+    return num.divmod_exact(g), den.divmod_exact(g)
 
 
 def _subst_slot_frac(p: Poly, slot: int, vn: Poly, vd: Poly, clear: int) -> Poly:

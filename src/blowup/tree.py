@@ -241,7 +241,7 @@ def strict_step(h: Poly, step: AnyStep) -> Poly:
 
 
 def normalize_step(step) -> Step:
-    if is_inf(step):
+    if type(step) is Fraction or is_inf(step):
         return step
     try:
         return Fraction(step)

@@ -19,9 +19,9 @@ from typing import List, Optional, Tuple
 
 from blowup.errors import ComputationError, DepthCapError, ResolveError
 from blowup.expr import INF, is_inf
-from blowup.families import (INFINITE, Chain, Fiber, Siblings, family_parts,
-                             q1_downset_count)
-from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, poly_gcd
+from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
+                             family_parts, q1_downset_count)
+from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd
 from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
                              classify_expressed)
 from blowup.tree import Point, express_step, strict_step, transform_step
@@ -58,6 +58,18 @@ def residue_of(steps, f: RatFunc) -> Poly:
     if value is None:
         raise ValueError("residue is not polynomial in the symbolic direction")
     return value
+
+
+def first_members(part, count: int) -> List[Point]:
+    """The first `count` members of a family part: a chain's from its
+    first level on, siblings 1 to `count`, a fiber's sample."""
+    if isinstance(part, Singleton):
+        return [part.point]
+    if isinstance(part, Fiber):
+        return part.sample_members(count)
+    if isinstance(part, Chain):
+        return [part.member(part.from_level + i) for i in range(count)]
+    return [part.member(i) for i in range(1, count + 1)]
 
 
 def branch_strict_at(branch: MinimalCurveBranch, level: int) -> Poly:
@@ -243,6 +255,82 @@ def reference_express(steps, f: RatFunc) -> RatFunc:
     for step in steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
     return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
+
+
+# -- gcds and fraction arithmetic without shortcuts -------------------------
+
+
+def reference_gcd(p: Poly, q: Poly) -> Poly:
+    """gcd(p, q) normalized to leading coefficient 1, with no modular image.
+
+    The monomial content is split off; then, in the shared slot of least
+    combined degree, the contents (gcds of the slot coefficients, by this
+    same function) and a subresultant remainder sequence on the primitive
+    parts.
+    """
+    if p.is_zero or q.is_zero:
+        return (p + q).normalized()
+    mp, mq = p.monomial_content(), q.monomial_content()
+    common = Poly.monomial(tuple(map(min, mp, mq)))
+    p = p.divmod_exact(Poly.monomial(mp))
+    q = q.divmod_exact(Poly.monomial(mq))
+    shared = set(p.slots_present()) & set(q.slots_present())
+    if not shared:
+        return common
+    main = min(shared, key=lambda s: p.degree(s) + q.degree(s))
+    cont_p = reduce(reference_gcd, p.coeffs_in(main).values())
+    cont_q = reduce(reference_gcd, q.coeffs_in(main).values())
+    pp_p, pp_q = p.divmod_exact(cont_p), q.divmod_exact(cont_q)
+    if pp_p.degree(main) < pp_q.degree(main):
+        pp_p, pp_q = pp_q, pp_p
+    core = _reference_prs(pp_p, pp_q, main)
+    return (reference_gcd(cont_p, cont_q) * core * common).normalized()
+
+
+def _reference_prs(f: Poly, g: Poly, slot: int) -> Poly:
+    """The primitive gcd of slot-primitive f and g, deg f >= deg g >= 1, by
+    the subresultant remainder sequence (Brown and Traub, 1971)."""
+    beta = psi = Poly.const(1)
+    while True:
+        delta = f.degree(slot) - g.degree(slot)
+        rem = _pseudo_rem(f, g, slot)
+        if rem.is_zero:
+            return g.divmod_exact(reduce(reference_gcd, g.coeffs_in(slot).values()))
+        if rem.degree(slot) == 0:
+            return Poly.const(1)
+        f, g = g, rem.divmod_exact(beta * _poly_power(psi, delta))
+        beta = f.coeffs_in(slot)[f.degree(slot)]
+        if delta == 1:
+            psi = beta
+        elif delta > 1:
+            psi = _poly_power(beta, delta).divmod_exact(_poly_power(psi, delta - 1))
+
+
+def _poly_power(p: Poly, n: int) -> Poly:
+    return reduce(Poly.__mul__, [p] * n, Poly.const(1))
+
+
+def reduced(num: Poly, den: Poly) -> RatFunc:
+    """num/den divided by `reference_gcd`, with a monic denominator."""
+    if num.is_zero:
+        return RatFunc(num)
+    g = reference_gcd(num, den)
+    return RatFunc.coprime(num.divmod_exact(g), den.divmod_exact(g))
+
+
+def reference_arithmetic(op: str, f: RatFunc, g) -> RatFunc:
+    """f + g, f - g, f * g, f / g by cross-multiplying and reducing the
+    result with `reference_gcd`; for op "^", f to the integer power g."""
+    if op == "+":
+        return reduced(f.num * g.den + g.num * f.den, f.den * g.den)
+    if op == "-":
+        return reduced(f.num * g.den - g.num * f.den, f.den * g.den)
+    if op == "*":
+        return reduced(f.num * g.num, f.den * g.den)
+    if op == "/":
+        return reduced(f.num * g.den, f.den * g.num)
+    num, den = (f.num, f.den) if g >= 0 else (f.den, f.num)
+    return reduced(_poly_power(num, abs(g)), _poly_power(den, abs(g)))
 
 
 def subst_poly(p: Poly, slot: int, value: Poly) -> Poly:

@@ -128,13 +128,13 @@ def test_criterion_05_noetherian_certificates():
     # the failure is real: sampled members escape the only candidate
     # covering valuation, by the independent containment oracle
     for t in (0, 1, 2):
-        beta = sideways.member(Fraction(t))
+        beta = sideways.allowed_member(Fraction(t))
         contained, witness = ord_contained(root, beta)
         assert not contained
         assert root.ord_at(witness) < 0
     # and the oracle is calibrated: ray-tail members stay inside
     for t in (0, 1, 2):
-        beta = Fiber(root, frozenset(), (INF,)).member(Fraction(t))
+        beta = Fiber(root, frozenset(), (INF,)).allowed_member(Fraction(t))
         assert ord_contained(root, beta) == (True, None)
     _verdict(5, "Noetherian verdicts, the sideways fiber refuted by the "
                 "containment oracle", start)

@@ -413,6 +413,21 @@ class TestErrors:
         assert error["type"] == "InputError"
         assert f"{product} may have up to 961 terms" in error["message"]
 
+    @pytest.mark.parametrize("elt, total, terms", [
+        ("1/(1+x)^30 + 1/(1+y)^30", "1/(1+x)^30+1/(1+y)^30", 961),
+        ("x - (1/(1+x+y)^30 - 1/(1+x-y)^30)", "1/(1+x+y)^30-1/(1+x-y)^30", 1891),
+    ])
+    def test_sum_over_term_budget_exits_2(self, capsys, elt, total, terms):
+        # each term is within the budget; their sum is refused unexpanded
+        start = time.perf_counter()
+        code, out, err = run(capsys, "position", "--elt", elt, "--point", "[]")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"] == (f"sum too large: {total} may have up to {terms} "
+                                    f"terms, and a sum may have at most 500")
+
     def test_closed_pipe_ends_quietly(self, family_file):
         # about 1 MB of text: the writer is still going when the reader stops
         path = family_file({"kind": "chain", "from": 1, "valuation": {

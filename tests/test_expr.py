@@ -1,9 +1,10 @@
 """Tests for element expression parsing and path literals."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from blowup.expr import (
     INF,
@@ -11,6 +12,7 @@ from blowup.expr import (
     ExprSyntaxError,
     _power_terms,
     _product_terms,
+    _sum_terms,
     format_path,
     format_step,
     parse_element,
@@ -117,6 +119,40 @@ def test_product_term_bound_is_exact_for_dense_products():
     assert _product_terms(dense, dense) == 1891  # C(62, 2)
     assert _product_terms(dense, x) == 496
     assert _product_terms(x + y, x - y) == 4
+
+
+fraction_terms = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
+                                 st.integers(min_value=-3, max_value=3).filter(bool),
+                                 min_size=1, max_size=4)
+
+
+@given(*[fraction_terms] * 4)
+@settings(deadline=None)
+def test_sum_term_bound_holds(p_terms, q_terms, r_terms, s_terms):
+    p, q, r, s = (Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
+                  for terms in (p_terms, q_terms, r_terms, s_terms))
+    f, g = RatFunc(p, q), RatFunc(r, s)
+    bound = _sum_terms(f, g)
+    for total in (f + g, f - g):
+        assert len(total.num.terms) <= bound and len(total.den.terms) <= bound
+
+
+def test_sum_term_bound_is_exact_for_dense_sums():
+    f = parse_element("1/(1+x+y)^30")
+    g = parse_element("1/(1+x-y)^30")
+    assert _sum_terms(f, g) == 1891  # C(62, 2) for the denominator
+    assert _sum_terms(RatFunc(x), RatFunc(y)) == 2
+    assert _sum_terms(f, RatFunc(x)) == 497  # 1 + x * (1+x+y)^30
+
+
+@pytest.mark.parametrize("n, seconds", [(10, 0.5), (30, 2)])
+def test_large_coprime_quotient_parses_quickly(n, seconds):
+    # one modular image proves the two powers coprime; no remainder sequence
+    start = time.perf_counter()
+    f = parse_element(f"(1+x+y)^{n}/(1-x+y)^{n}")
+    assert time.perf_counter() - start < seconds
+    one = Poly.const(1)
+    assert f.num == (one + x + y) ** n and f.den == (one - x + y) ** n
 
 
 def test_power_term_bound_is_exact_for_dense_powers():

@@ -16,6 +16,7 @@ from blowup.poly import (
     T,
     X,
     Y,
+    _image_coprime,
     factor_multiplicity,
     format_poly,
     format_ratfunc,
@@ -26,7 +27,8 @@ from blowup.poly import (
 )
 from blowup.position import lowest_form
 
-from helpers import reference_has_irrational_factor, subst_poly
+from helpers import (reduced, reference_arithmetic, reference_gcd,
+                     reference_has_irrational_factor, subst_poly)
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -204,6 +206,9 @@ def test_gcd_recovers_common_factor():
     q = (x - y) * h
     g = poly_gcd(p, q)
     assert g == h  # h already has leading coefficient 1
+    # a common factor free of the main slot y is the gcd of the contents
+    h = x ** 2 + one
+    assert poly_gcd(h * (y + one), h * (y + C(2))) == h
 
 
 def test_gcd_handles_monomial_content():
@@ -245,6 +250,109 @@ def test_gcd_detects_planted_factor(p, q, h):
     assert g.divmod_exact(h) is not None
     assert (p * h).divmod_exact(g) is not None
     assert (q * h).divmod_exact(g) is not None
+
+
+def _sympy_poly(p: Poly):
+    """p as a sympy polynomial over QQ in x, y, a, t."""
+    sympy = pytest.importorskip("sympy")
+    terms = {exps: sympy.Rational(c.numerator, c.denominator) for exps, c in p.terms.items()}
+    return sympy.Poly.from_dict(terms or {(0, 0, 0, 0): 0}, sympy.symbols("x y a t"),
+                                domain="QQ")
+
+
+small_polys = polys(max_terms=3, max_exp=2)
+nonzero_small_polys = small_polys.filter(lambda p: not p.is_zero)
+
+
+@given(nonzero_small_polys, nonzero_small_polys, nonzero_small_polys)
+@settings(max_examples=40, deadline=None)
+def test_gcd_matches_the_remainder_sequence_and_sympy(p, q, h):
+    g = poly_gcd(p * h, q * h)
+    assert g == reference_gcd(p * h, q * h)
+    expected = _sympy_poly(p * h).gcd(_sympy_poly(q * h))
+    assert expected.monic() == _sympy_poly(g).monic()
+
+
+def test_unlucky_image_falls_back_to_the_remainder_sequence():
+    # x = 3 is the image point of x: there both polynomials become y - 5
+    p = y - C(5) + (x - C(3)) * y
+    q = y - C(5)
+    assert not _image_coprime(p, q, Y)
+    assert poly_gcd(p, q) == one
+    assert RatFunc(p, q).den == q
+
+
+def test_lost_leading_coefficients_prove_nothing():
+    # at x = 3 the common factor (x - 3)*y + 1 maps to 1 and the images of
+    # p and q are coprime, but both leading coefficients in y vanish there
+    common = (x - C(3)) * y + one
+    p, q = common * (y + one), common * (y + C(2))
+    assert not _image_coprime(p, q, Y)
+    assert poly_gcd(p, q) == common.normalized()
+
+
+def test_image_proves_dense_coprime_powers():
+    p, q = (one + x + y) ** 10, (one - x + y) ** 10
+    assert _image_coprime(p, q, X) and _image_coprime(p, q, Y)
+    assert not _image_coprime(p * (y + a), q * (y + a), Y)
+
+
+def test_denominator_divisible_by_the_image_prime():
+    prime = 2 ** 31 - 1
+    p = x * y + C(Fraction(1, prime))
+    assert not _image_coprime(p, x + y, Y)
+    assert poly_gcd(p, x + y) == one
+    assert poly_gcd(p * (x - a), (x + y) * (x - a)) == x - a
+
+
+xy_polys = polys(max_terms=3, max_exp=2, slots=(X, Y))
+nonzero_xy_polys = xy_polys.filter(lambda p: not p.is_zero)
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two reduced fractions in x, y whose denominators may share a factor;
+    the reference's remainder sequences stay short at these sizes."""
+    shared = draw(nonzero_xy_polys)
+    f = reduced(draw(xy_polys), draw(nonzero_xy_polys) * shared)
+    g = reduced(draw(xy_polys), draw(nonzero_xy_polys) * shared)
+    return f, g
+
+
+@given(fraction_pairs())
+@settings(max_examples=40, deadline=None)
+def test_fraction_arithmetic_matches_cross_multiplication_and_sympy(pair):
+    f, g = pair
+    fn, fd, gn, gd = map(_sympy_poly, (f.num, f.den, g.num, g.den))
+    results = {"+": f + g, "-": f - g, "*": f * g}
+    expected = {"+": (fn * gd + gn * fd, fd * gd), "-": (fn * gd - gn * fd, fd * gd),
+                "*": (fn * gn, fd * gd)}
+    if not g.is_zero:
+        results["/"] = f / g
+        expected["/"] = (fn * gd, fd * gn)
+    for n in (-2, -1, 0, 1, 2):
+        if n >= 0 or not f.is_zero:
+            results[n] = f ** n
+            expected[n] = (fn ** n, fd ** n) if n >= 0 else (fd ** -n, fn ** -n)
+    for op, got in results.items():
+        if isinstance(op, int):
+            assert got == reference_arithmetic("^", f, op)
+        else:
+            assert got == reference_arithmetic(op, f, g)
+        assert got.den.leading()[1] == 1
+        num, den = _sympy_poly(got.num), _sympy_poly(got.den)
+        assert num.gcd(den).is_ground
+        cancelled_num, cancelled_den = expected[op][0].cancel(expected[op][1], include=True)
+        assert num * cancelled_den == cancelled_num * den
+
+
+@given(small_polys, st.integers(min_value=0, max_value=6))
+@settings(max_examples=40, deadline=None)
+def test_power_is_repeated_multiplication(p, n):
+    product = one
+    for _ in range(n):
+        product = product * p
+    assert p ** n == product
 
 
 def test_factor_multiplicity():
@@ -444,6 +552,7 @@ def test_ratfunc_monomial_times_inverse():
     r = RatFunc(x * y) * RatFunc(y, x)
     assert r == RatFunc(y ** 2)
     assert r.den.is_constant
+    assert RatFunc(y, x + y) * RatFunc(x + y, x) == RatFunc(y, x)
 
 
 def test_ratfunc_normalizes_denominator_leading_coeff():
@@ -455,6 +564,9 @@ def test_ratfunc_normalizes_denominator_leading_coeff():
 def test_ratfunc_addition():
     r = RatFunc(one, x) + RatFunc(one, y)
     assert r == RatFunc(x + y, x * y)
+    # a factor of the shared denominator cancels from the sum
+    assert RatFunc(x, x ** 2 - y ** 2) - RatFunc(y, x ** 2 - y ** 2) == RatFunc(one, x + y)
+    assert RatFunc(one, x * (x + y)) + RatFunc(one, y * (x + y)) == RatFunc(one, x * y)
 
 
 def test_ratfunc_division_and_powers():

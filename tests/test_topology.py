@@ -19,7 +19,8 @@ from blowup.tree import Point
 from blowup.valuations import (MinimalCurveBranch, MinimalEventuallyPeriodic,
                                SecondKind)
 
-from helpers import curve_along, params, reference_patch_limit_points, reference_same_path
+from helpers import (curve_along, first_members, params, reference_patch_limit_points,
+                     reference_same_path)
 
 
 D = Point.root()
@@ -278,7 +279,7 @@ class TestNoetherian:
         # root, so the member's ring cannot sit inside ord_D.
         fam = Fiber(D, frozenset(), (Fraction(1),))
         for t in (0, 1, 2):
-            beta = fam.member(Fraction(t))
+            beta = fam.allowed_member(Fraction(t))
             assert D.ord_at(params(beta)[1]) == -1
             assert not second_kind_contains(D, beta)
 
@@ -292,6 +293,6 @@ class TestNoetherian:
         cert = is_noetherian(parts)
         assert cert.verdict
         for part in parts:
-            for beta in part.sample_members(5):
+            for beta in first_members(part, 5):
                 assert any(
                     v.ring_contains(beta) for v in cert.covering), str(beta)
