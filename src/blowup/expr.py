@@ -138,9 +138,13 @@ def _product_terms(p: Poly, q: Poly) -> int:
 
 
 def _sum_terms(f: RatFunc, g: RatFunc) -> int:
-    """An upper bound on the term count of the numerator and of the
-    denominator of f + g and f - g: those of f.num*g.den + g.num*f.den and
-    of f.den*g.den."""
+    """An upper bound on the term counts of the cross-multiplied form of
+    f + g and f - g, before anything cancels: of f.num*g.den +- g.num*f.den
+    and of f.den*g.den.
+
+    The reduced value can have more terms: x^5/(x-1) - 1/(x-1) is bounded by
+    4, but reduces to x^4+x^3+x^2+x+1 over 1.
+    """
     return max(_product_terms(f.num, g.den) + _product_terms(g.num, f.den),
                _product_terms(f.den, g.den))
 

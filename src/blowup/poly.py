@@ -185,9 +185,6 @@ class Poly:
             raise ValueError("negative polynomial power")
         if n == 0:
             return Poly.const(1)
-        if len(self.terms) == 1:
-            (exps, coeff), = self.terms.items()
-            return Poly.monomial(tuple(e * n for e in exps), coeff ** n)
         result = None
         base = self
         while True:
