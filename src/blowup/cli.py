@@ -106,7 +106,7 @@ def _family_from(path: Optional[str]):
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read family file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"bad JSON in family file {path!r}: {exc}") from None
     return family_set_from_json(data)
 

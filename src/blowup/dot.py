@@ -9,7 +9,7 @@ the path literal, so output is deterministic and diffable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Set, Tuple
 
 from .errors import InputError
 from .expr import INF, Step, format_path
@@ -49,44 +49,38 @@ def export_dot(family=(), steps: Sequence[Step] = DEFAULT_STEPS,
         raise InputError("max_depth must be nonnegative")
     if node_cap < 1:
         raise InputError("node_cap must be positive")
-    members: Dict[Tuple, Point] = {}
+    members: Set[Tuple[Step, ...]] = set()
     for part in family_parts(family):
-        for point in _instantiate(part, steps, max_depth):
-            members[point.steps] = point
-    nodes: Dict[Tuple, Point] = {(): Point.root()}
-    for point in members.values():
-        walk = point
-        while walk.steps not in nodes:
-            nodes[walk.steps] = walk
-            walk = walk.parent
+        members.update(point.steps for point in _instantiate(part, steps, max_depth))
+    nodes: Set[Tuple[Step, ...]] = {()}
+    for path in members:
+        for level in range(len(path), 0, -1):
+            if path[:level] in nodes:
+                break
+            nodes.add(path[:level])
     if len(nodes) > node_cap:
         raise InputError(
             f"enumeration too large: {len(nodes)} nodes exceed the cap of {node_cap}")
 
-    def literal(point: Point) -> str:
-        return format_path(point.steps)
-
-    ordered = sorted(nodes.values(), key=lambda p: (p.level, literal(p)))
+    ordered = sorted(nodes, key=lambda path: (len(path), format_path(path)))
     lines = [
         "digraph quadratic_tree {",
         "  rankdir=TB;",
         '  node [shape=box, fontname="Courier"];',
     ]
-    for point in ordered:
-        attrs = f'label="{literal(point)}\\nlevel {point.level}"'
-        if point.steps in members:
+    for path in ordered:
+        attrs = f'label="{format_path(path)}\\nlevel {len(path)}"'
+        if path in members:
             attrs += ", style=filled, fillcolor=lightblue"
-        lines.append(f'  "{literal(point)}" [{attrs}];')
-    edges = sorted(
-        (literal(point.parent), literal(point))
-        for point in ordered if not point.is_root)
+        lines.append(f'  "{format_path(path)}" [{attrs}];')
+    edges = sorted((format_path(path[:-1]), format_path(path)) for path in ordered if path)
     for parent, child in edges:
         lines.append(f'  "{parent}" -> "{child}";')
     rays = []
-    for point in ordered:
-        for alpha in proximate_ancestors(point)[1:]:
+    for path in ordered:
+        for alpha in proximate_ancestors(Point(path))[1:]:
             if alpha.steps in nodes:
-                rays.append((literal(alpha), literal(point)))
+                rays.append((format_path(alpha.steps), format_path(path)))
     for alpha, beta in sorted(rays):
         lines.append(
             f'  "{alpha}" -> "{beta}" [style=dashed, color=gray50, constraint=false];')

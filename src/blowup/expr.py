@@ -6,8 +6,8 @@ parameter a:
     (y^2 + x^3) / (x*y)        x/y - 2        (x + a*y)^2
 
 Supported: integer and rational constants, + - * / ^ with the usual
-precedence, parentheses, unary minus, integer exponents (negative allowed).
-Multiplication is always explicit.
+precedence, parentheses nested at most `MAX_NESTING` deep, unary signs,
+integer exponents (negative allowed).  Multiplication is always explicit.
 
 Tree paths are written as bracketed step lists:
 
@@ -149,6 +149,11 @@ def _sum_terms(f: RatFunc, g: RatFunc) -> int:
                _product_terms(f.den, g.den))
 
 
+# Each open parenthesis costs the parser a few stack frames, so nesting is
+# bounded by a count of its own rather than by the caller's stack depth.
+MAX_NESTING = 100
+
+
 def _int_literal(text: str) -> int:
     try:
         return int(text)
@@ -167,6 +172,7 @@ class _Tokenizer:
     def _scan(self) -> None:
         text = self.text
         i = 0
+        depth = 0
         while i < len(text):
             ch = text[i]
             if ch.isspace():
@@ -187,6 +193,10 @@ class _Tokenizer:
                 i = j
                 continue
             if ch in "+-*/^()":
+                depth += (ch == "(") - (ch == ")")
+                if depth > MAX_NESTING:
+                    raise ExprSyntaxError(f"parentheses nested more than {MAX_NESTING} "
+                                          f"deep at position {i}")
                 self.tokens.append((ch, ch))
                 i += 1
                 continue
@@ -255,13 +265,12 @@ def _parse_product(toks: _Tokenizer) -> RatFunc:
 
 
 def _parse_factor(toks: _Tokenizer) -> RatFunc:
-    if toks.peek()[0] == "-":
-        toks.next()
-        return -_parse_factor(toks)
-    if toks.peek()[0] == "+":
-        toks.next()
-        return _parse_factor(toks)
-    return _parse_power(toks)
+    negate = False
+    while toks.peek()[0] in ("+", "-"):
+        if toks.next()[0] == "-":
+            negate = not negate
+    value = _parse_power(toks)
+    return -value if negate else value
 
 
 def _parse_power(toks: _Tokenizer) -> RatFunc:

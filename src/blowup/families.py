@@ -126,10 +126,7 @@ class Fiber:
         step = normalize_step(step)
         if not self._fits(self.base.level, step):
             return None
-        point = self.base.child(step)
-        for s in self.tail:
-            point = point.child(s)
-        return point
+        return Point(self.base.steps + (step, *self.tail))
 
     def is_member(self, beta: Point) -> bool:
         if beta.level != self.member_level:
@@ -253,7 +250,7 @@ class Siblings:
         deviation = beta.level - 1
         if deviation < 1:
             return False
-        return (self.valuation.ring_contains(beta.parent)
+        return (self.valuation.agreement(beta.steps[:-1]) == deviation
                 and beta.steps[deviation] == self.sibling_step(deviation))
 
     def downset_member(self, beta: Point) -> bool:

@@ -44,10 +44,9 @@ from .expr import INF, Step
 from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
-from .poly import A, Poly, RatFunc, T, poly_gcd, rational_roots
-from .position import (Position, _a_collapse_roots, _coefficient_gcd,
-                       position, position_parametric)
-from .tree import TSYM, Point, express_step, strict_step
+from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots
+from .position import Position, _a_collapse_roots, position, position_parametric
+from .tree import TSYM, Point, charge, express_step, strict_step
 from .valuations import WALK_CAP, FirstKind
 
 _MEMBER = (Position.ZERO, Position.UNIT)
@@ -232,12 +231,12 @@ def _split_locus(locus: Poly, candidates: Set[Fraction],
     if not locus.has_slot(T):
         candidates.update(rational_roots(locus, A))
         return []
-    t_content = _coefficient_gcd(locus.coeffs_in(A).values())
+    t_content = coefficient_gcd(locus.coeffs_in(A).values())
     if t_content.has_slot(T):
         t_suspects.update(rational_roots(t_content, T))
     primitive = locus.divmod_exact(t_content)
     assert primitive is not None
-    a_content = _coefficient_gcd(primitive.coeffs_in(T).values())
+    a_content = coefficient_gcd(primitive.coeffs_in(T).values())
     if a_content.has_slot(A):
         candidates.update(rational_roots(a_content, A))
     core = primitive.divmod_exact(a_content)
@@ -397,12 +396,15 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
     h's strict transform down the path one step per level.  Once the
     transform leaves the path no later sibling lies on h; once it is
     smooth, one branch is left, and if that branch follows the path for
-    good (`on_curve`) it meets no sibling either."""
+    good (`on_curve`) it meets no sibling either.  The transform can grow
+    at every level, so each step is charged to the chart budget."""
     path, h = part.valuation, valuation.h
     strict, smooth = h, False
     for level in range(WALK_CAP + 1):
         if level:
-            strict = strict_step(strict, path.step_at(level - 1))
+            step = path.step_at(level - 1)
+            charge(step, strict)
+            strict = strict_step(strict, step)
         order = strict.xy_order()
         if order < 1:
             return None
@@ -412,9 +414,11 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
                 return None
         if level:
             beta = part.member(level)
-            if (beta != delta and
-                    strict_step(strict, part.sibling_step(level)).xy_order() >= 1):
-                return str(beta)
+            if beta != delta:
+                step = part.sibling_step(level)
+                charge(step, strict)
+                if strict_step(strict, step).xy_order() >= 1:
+                    return str(beta)
     raise DepthCapError(
         f"the strict transform of {h} is still on the path of "
         f"{part.describe()} after {WALK_CAP} steps")

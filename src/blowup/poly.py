@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import ComputationError
 
@@ -522,14 +522,20 @@ def _image(p: Poly, main: int) -> Optional[List[int]]:
     return coeffs
 
 
+def coefficient_gcd(polys: Iterable[Poly]) -> Poly:
+    """The gcd of nonempty polys, stopping at the first constant."""
+    acc: Optional[Poly] = None
+    for p in polys:
+        acc = p if acc is None else poly_gcd(acc, p)
+        if acc.is_constant:
+            break
+    assert acc is not None
+    return acc
+
+
 def _content(p: Poly, slot: int) -> Poly:
     """Gcd of the coefficients of p in one slot, or 1 when it is constant."""
-    coeffs = sorted(p.coeffs_in(slot).values(), key=lambda c: len(c.terms))
-    cont = coeffs[0]
-    for c in coeffs[1:]:
-        if cont.is_constant:
-            break
-        cont = poly_gcd(cont, c)
+    cont = coefficient_gcd(sorted(p.coeffs_in(slot).values(), key=lambda c: len(c.terms)))
     return Poly.const(1) if cont.is_constant else cont
 
 

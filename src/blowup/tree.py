@@ -26,11 +26,10 @@ for a whole fiber of points at once without making it a point.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from math import comb
 from operator import itemgetter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Tuple
 
 from .errors import ComputationError, InputError
 from .expr import INF, Step, format_step, is_inf
@@ -38,8 +37,9 @@ from .poly import Poly, RatFunc, Terms, X
 
 
 # Most products one finite nonzero step may form across a fraction's
-# numerator and denominator.  The tests stay below 3,000, the demos and the
-# benchmark workloads below 100; a chart past the budget takes seconds a step.
+# numerator and denominator, or across a strict transform carried down a
+# walk.  The tests stay below 3,000, the demos and the benchmark workloads
+# below 500; a chart past the budget takes seconds a step.
 CHART_BUDGET = 10_000
 
 
@@ -57,56 +57,40 @@ TSYM = _SymbolicStep()
 AnyStep = Step | _SymbolicStep  # what the step kernel accepts
 
 
-class Comparison(Enum):
-    EQUAL = "equal"
-    BELOW = "below"          # first path is a proper prefix of the second
-    ABOVE = "above"          # second path is a proper prefix of the first
-    INCOMPARABLE = "incomparable"
-
-
 class Point:
     """A point of the quadratic tree: a path of steps from the root."""
 
-    __slots__ = ("steps", "parent")
+    __slots__ = ("steps",)
 
-    def __init__(self, steps: Tuple[Step, ...], parent: Optional["Point"]):
+    def __init__(self, steps: Tuple[Step, ...]):
         self.steps = steps
-        self.parent = parent
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def root() -> "Point":
-        return Point((), None)
+        return Point(())
 
     @staticmethod
     def from_path(steps: Iterable[Step]) -> "Point":
-        point = Point.root()
-        for step in steps:
-            point = point.child(step)
-        return point
+        # a list first: tuple() of an iterator without a length grows by
+        # reallocation, and over a long run that fragments the heap
+        return Point(tuple([normalize_step(s) for s in steps]))
 
     def child(self, step: Step) -> "Point":
-        return Point(self.steps + (normalize_step(step),), self)
+        return Point(self.steps + (normalize_step(step),))
 
     def ancestor(self, level: int) -> "Point":
         """The point `level` steps from the root along this path."""
         if not 0 <= level <= self.level:
             raise ValueError("ancestor level out of range")
-        point = self
-        while point.level > level:
-            point = point.parent
-        return point
+        return Point(self.steps[:level])
 
     # -- identity ----------------------------------------------------------
 
     @property
     def level(self) -> int:
         return len(self.steps)
-
-    @property
-    def is_root(self) -> bool:
-        return not self.steps
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Point) and self.steps == other.steps
@@ -206,17 +190,9 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
     can share no factor but a power of the new x.  Stripping that power
     leaves the fraction reduced, with no gcd to compute.
 
-    A finite nonzero step forms one product per term of (y + b)^j for
-    every term x^i y^j; past `CHART_BUDGET` products in all the step is
-    refused with `ComputationError` rather than left to run for minutes.
+    The step is charged to the chart budget (`charge`).
     """
-    # inf and 0 only move exponents; every other step, TSYM too, is truthy
-    if step is not INF and step:
-        work = _products(f.num) + _products(f.den)
-        if work > CHART_BUDGET:
-            raise ComputationError(
-                f"the step {format_step(step)} would form {work} "
-                f"products, over the chart budget of {CHART_BUDGET}")
+    charge(step, f.num, f.den)
     num = transform_step(f.num, step)
     if num.is_zero:
         return f
@@ -228,14 +204,32 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
 _Y_EXPONENT = itemgetter(1)
 
 
-def _products(h: Poly) -> int:
-    """How many products `transform_step` forms for h at a finite nonzero
-    step: j + 1 for each term x^i y^j."""
-    return len(h.terms) + sum(map(_Y_EXPONENT, h.terms))
+def charge(step: AnyStep, *polys: Poly) -> None:
+    """Refuse a step past `CHART_BUDGET` products with `ComputationError`
+    rather than leave it to run for minutes.
+
+    A finite nonzero step forms one product per term of (y + b)^j for every
+    term x^i y^j of each polynomial, j + 1 in all; inf and 0 only move
+    exponents and cost nothing here.
+    """
+    # every step but inf and 0, TSYM too, is truthy
+    if step is INF or not step:
+        return
+    work = sum(len(h.terms) + sum(map(_Y_EXPONENT, h.terms)) for h in polys)
+    if work > CHART_BUDGET:
+        raise ComputationError(
+            f"the step {format_step(step)} would form {work} "
+            f"products, over the chart budget of {CHART_BUDGET}")
 
 
 def strict_step(h: Poly, step: AnyStep) -> Poly:
-    """One step of the strict transform: strip the exceptional factor x^m."""
+    """One step of the strict transform: strip the exceptional factor x^m.
+
+    The step is not charged: a single strict transform of a large curve,
+    as `MinimalEventuallyPeriodic.on_curve` forms one, may pass the budget
+    and still take only a second.  A walk that carries a transform level
+    after level charges each step itself.
+    """
     out = transform_step(h, step)
     return out.shift_down(X, out.min_exponent(X))
 
@@ -252,19 +246,8 @@ def normalize_step(step) -> Step:
 # -- path order ------------------------------------------------------------
 
 
-def compare(a: Point, b: Point) -> Comparison:
-    """Prefix comparison of paths; BELOW means a is a proper prefix of b,
-    so the ring at a is contained in the ring at b.  Steps compare with
-    `==`: `INF` is a singleton that equals only itself."""
-    s, t = a.steps, b.steps
-    n = min(len(s), len(t))
-    if s[:n] != t[:n]:
-        return Comparison.INCOMPARABLE
-    if len(s) == len(t):
-        return Comparison.EQUAL
-    return Comparison.BELOW if len(s) < len(t) else Comparison.ABOVE
-
-
 def is_prefix(a: Point, b: Point) -> bool:
-    """True when the ring at a is contained in the ring at b (a at or above b)."""
-    return compare(a, b) in (Comparison.EQUAL, Comparison.BELOW)
+    """True when the ring at a is contained in the ring at b (a at or above
+    b).  Steps compare with `==`: `INF` is a singleton that equals only
+    itself."""
+    return b.steps[:a.level] == a.steps

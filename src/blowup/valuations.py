@@ -207,7 +207,6 @@ class MinimalEventuallyPeriodic(_MinimalBase):
         if not period:
             raise InputError("the period must not be empty")
         self.prefix, self.period = _canonical_path_form(prefix, period)
-        self._points: List[Point] = [Point.root()]
 
     def step_at(self, index: int) -> Step:
         if index < len(self.prefix):
@@ -215,9 +214,7 @@ class MinimalEventuallyPeriodic(_MinimalBase):
         return self.period[(index - len(self.prefix)) % len(self.period)]
 
     def point_at(self, level: int) -> Point:
-        while len(self._points) <= level:
-            self._points.append(self._points[-1].child(self.step_at(len(self._points) - 1)))
-        return self._points[level]
+        return Point(tuple([self.step_at(i) for i in range(level)]))
 
     def on_curve(self, h: Poly) -> bool:
         """A smooth branch meets each new exceptional curve transversally,
@@ -257,26 +254,27 @@ class MinimalCurveBranch(_MinimalBase):
 
     def __init__(self, h: Poly):
         self.h = _check_curve(h, through_origin=True).normalized()
-        self._entries: List[Tuple[Point, Poly]] = [(Point.root(), self.h)]
-        while self._entries[-1][1].xy_order() > 1:
-            if len(self._entries) > WALK_CAP:
+        self._steps: List[Step] = []
+        self._strict = self.h  # the strict transform after the last step
+        while self._strict.xy_order() > 1:
+            if len(self._steps) >= WALK_CAP:
                 raise DepthCapError(
                     f"the branch of {self.h} is not smooth within {WALK_CAP} steps")
-            self._extend_to(len(self._entries))
+            self._extend_to(len(self._steps) + 1)
 
     def _extend_to(self, level: int) -> None:
-        while len(self._entries) <= level:
-            point, strict = self._entries[-1]
-            step = branch_step(strict)
-            self._entries.append((point.child(step), strict_step(strict, step)))
+        while len(self._steps) < level:
+            step = branch_step(self._strict)
+            self._strict = strict_step(self._strict, step)
+            self._steps.append(step)
 
     def step_at(self, index: int) -> Step:
         self._extend_to(index + 1)
-        return self._entries[index + 1][0].steps[index]
+        return self._steps[index]
 
     def point_at(self, level: int) -> Point:
         self._extend_to(level)
-        return self._entries[level][0]
+        return Point(tuple(self._steps[:level]))
 
     def on_curve(self, h: Poly) -> bool:
         # self.h has one branch at the origin: h follows it exactly when the

@@ -72,12 +72,6 @@ def first_members(part, count: int) -> List[Point]:
     return [part.member(i) for i in range(1, count + 1)]
 
 
-def branch_strict_at(branch: MinimalCurveBranch, level: int) -> Poly:
-    """The strict transform a curve branch keeps for the point at `level`."""
-    branch.point_at(level)
-    return branch._entries[level][1]
-
-
 # Levels the path oracle walks; the curves and paths the tests draw part
 # within 100 levels when they part at all.
 REFERENCE_LEVELS = 120

@@ -339,6 +339,24 @@ class TestErrors:
         assert error["message"] == ("the step 1 would form 14717 products, "
                                     "over the chart budget of 10000")
 
+    def test_strict_transform_over_budget_exits_3(self, capsys, family_file):
+        # the sibling walk's strict transforms grow level by level; without
+        # the budget, naming a competitor took about a minute
+        path = family_file([
+            {"kind": "singleton", "point": ["1"]},
+            {"kind": "siblings", "offset": "1",
+             "valuation": {"kind": "minimal", "prefix": ["inf"], "period": ["-1"]}},
+        ])
+        start = time.perf_counter()
+        code, out, err = run(capsys, "irredundant", "--family", path, "--member", "[1]",
+                             "--candidates", "(y - x)*(y^2 - x*y + x + x^29)")
+        assert time.perf_counter() - start < 2
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "ComputationError"
+        assert error["message"] == ("the step -1 would form 10895 products, "
+                                    "over the chart budget of 10000")
+
     def test_depth_cap_reports_open_points(self, capsys):
         code, _, err = run(capsys, "resolve", "--elt", "(x-y)/x",
                            "--max-depth", "0")
@@ -456,6 +474,30 @@ class TestErrors:
         code, _, err = run(capsys, "limits", "--family", str(path))
         assert code == 2
         assert "bad JSON" in json.loads(err)["error"]["message"]
+
+    def test_deep_parentheses_exit_2(self, capsys):
+        elt = "(" * 300 + "x" + ")" * 300
+        code, out, err = run(capsys, "position", "--elt", elt, "--point", "[]")
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "ExprSyntaxError"
+        assert error["message"] == "parentheses nested more than 100 deep at position 100"
+
+    def test_many_unary_signs_parse(self, capsys):
+        for signs, element in ((2000, "x"), (2001, "-x")):
+            code, report, err = run_json(capsys, "position", "--elt", "-" * signs + "x",
+                                         "--point", "[]")
+            assert code == 0 and not err
+            assert report["element"] == element and report["position"] == "zero"
+
+    def test_deep_json_array_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "limits", "--family", str(path))
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"].startswith(f"bad JSON in family file {str(path)!r}")
 
     def test_dot_cap_exits_2(self, capsys, family_file):
         path = family_file(SIBLINGS)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from blowup.expr import (
     INF,
+    MAX_NESTING,
     MAX_POWER_TERMS,
     ExprSyntaxError,
     _power_terms,
@@ -50,6 +51,12 @@ def test_unary_minus_and_precedence():
     assert parse_element("x - y - y") == RatFunc(x - Poly.const(2) * y)
 
 
+def test_nesting_up_to_the_bound_parses():
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    # a closed group does not count toward a later one
+    assert parse_element(nested + "*" + nested) == RatFunc(x ** 2)
+
+
 def test_negative_exponent_forms_fraction():
     assert parse_element("x^-1") == RatFunc(Poly.const(1), x)
     assert parse_element("x*y^-2") == RatFunc(x, y ** 2)
@@ -61,6 +68,7 @@ def test_whitespace_is_free():
 
 @pytest.mark.parametrize("bad", [
     "", "  ", "x +", "(x", "x)", "z + 1", "x ^ y", "x & y", "1/0", "x/(y - y)", "t",
+    "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ExprSyntaxError):

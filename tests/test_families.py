@@ -259,13 +259,13 @@ class TestEnumerationConsistency:
             for pt in first_members(part, 4):
                 assert part.is_member(pt)
                 assert part.downset_member(pt)
-                if not pt.is_root:
-                    assert part.downset_member(pt.parent)
+                if pt.level:
+                    assert part.downset_member(pt.ancestor(pt.level - 1))
 
     def test_near_misses_rejected(self):
         fam = fiber_c()
         for pt in fam.sample_members(3):
-            twisted = pt.parent.child(Fraction(9, 7))
+            twisted = pt.ancestor(pt.level - 1).child(Fraction(9, 7))
             assert not fam.is_member(twisted)
 
 

@@ -16,7 +16,9 @@ from blowup.poly import (
     T,
     X,
     Y,
+    _content,
     _image_coprime,
+    coefficient_gcd,
     factor_multiplicity,
     format_poly,
     format_ratfunc,
@@ -215,6 +217,15 @@ def test_gcd_handles_monomial_content():
     p = x ** 2 * y ** 3
     q = x ** 4 * y
     assert poly_gcd(p, q) == x ** 2 * y
+
+
+def test_coefficient_gcd_stops_at_the_first_constant():
+    assert coefficient_gcd([C(2) * x * y]) == C(2) * x * y  # one poly is its own gcd
+    assert coefficient_gcd([C(2) * x * (y + one), C(3) * x ** 2]) == x
+    assert coefficient_gcd(iter([C(3), x, y])) == C(3)
+    # the content in a slot maps a constant gcd to 1
+    assert _content((C(2) * x + C(4)) * y + (x + C(2)) * y ** 2, Y) == x + C(2)
+    assert _content(C(2) * x * y + C(4) * y ** 2, Y) == one
 
 
 def test_gcd_with_parameter_slot():

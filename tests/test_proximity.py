@@ -65,7 +65,7 @@ def test_at_most_two_proximate_ancestors(steps):
     beta = Point.from_path(steps)
     anc = proximate_ancestors(beta)
     assert 1 <= len(anc) <= 2
-    assert anc[0] == beta.parent
+    assert anc[0] == beta.ancestor(beta.level - 1)
 
 
 def test_second_kind_contains_above_and_proximate():

@@ -12,8 +12,8 @@ from blowup.expr import INF, parse_element, parse_path
 from blowup.oracle import in_point
 from blowup.poly import Poly, RatFunc, T, X, Y, format_poly
 from blowup.families import Fiber
-from blowup.tree import (Comparison, Point, TSYM, compare, express_step, is_prefix,
-                         strict_step, transform_step)
+from blowup.tree import (Point, TSYM, express_step, is_prefix, strict_step,
+                         transform_step)
 from blowup.valuations import MinimalEventuallyPeriodic
 
 from helpers import params, reference_express, residue_of
@@ -35,7 +35,7 @@ def E(text):
 def test_root_chart_is_identity():
     d = Point.root()
     assert d.express(E("x/y")) == RatFunc(x, y)
-    assert d.level == 0 and d.is_root
+    assert d.level == 0 and d.steps == ()
 
 
 def test_path_strings():
@@ -51,9 +51,10 @@ def test_equality_is_by_path():
 
 def test_parent_and_ancestor():
     p = P("[0, inf, 3]")
-    assert p.parent == P("[0, inf]")
+    assert p.ancestor(2) == P("[0, inf]")
     assert p.ancestor(1) == P("[0]")
-    assert p.ancestor(3) is p
+    assert p.ancestor(3) == p
+    assert p.ancestor(0) == Point.root()
     with pytest.raises(ValueError):
         p.ancestor(4)
 
@@ -305,19 +306,19 @@ def test_multiplicity_at_symbolic_point():
 # -- path comparison --------------------------------------------------------
 
 def test_compare_prefix_order():
-    assert compare(P("[]"), P("[0]")) is Comparison.BELOW
-    assert compare(P("[0]"), P("[]")) is Comparison.ABOVE
-    assert compare(P("[0]"), P("[0]")) is Comparison.EQUAL
-    assert compare(P("[0]"), P("[1]")) is Comparison.INCOMPARABLE
-    assert compare(P("[0, inf]"), P("[0, 1]")) is Comparison.INCOMPARABLE
+    assert is_prefix(P("[]"), P("[0]")) and not is_prefix(P("[0]"), P("[]"))
+    assert is_prefix(P("[0]"), P("[0]"))
+    assert not is_prefix(P("[0]"), P("[1]")) and not is_prefix(P("[1]"), P("[0]"))
+    assert not is_prefix(P("[0, inf]"), P("[0, 1]"))
+    assert not is_prefix(P("[0, 1]"), P("[0, inf]"))
     # steps compare with ==: rationals by value, inf and t only with themselves
     half = Fraction(1, 2)
     assert half == Fraction(2, 4) and Fraction(0) == 0
     for step in (Fraction(0), half):
         assert step != INF and INF != step
     assert INF == INF
-    assert compare(P("[1/2, inf]"), Point.from_path([Fraction(2, 4), INF, 0])) \
-        is Comparison.BELOW
+    deeper = Point.from_path([Fraction(2, 4), INF, 0])
+    assert is_prefix(P("[1/2, inf]"), deeper) and not is_prefix(deeper, P("[1/2, inf]"))
 
 
 def test_is_prefix_matches_ring_containment():
