@@ -20,10 +20,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from .errors import InputError
-from .poly import A, Poly, RatFunc, X, Y
+from .poly import NVARS, A, Exponents, Poly, RatFunc, X, Y
 
 
 class ExprSyntaxError(InputError):
@@ -81,7 +81,18 @@ def format_path(steps: Sequence[Step]) -> str:
 
 # -- element expressions ----------------------------------------------------
 
-_VAR_SLOTS = {"x": X, "y": Y, "a": A}
+# A division-free part of an element (integer literals, x, y, a, + - * and
+# non-negative powers) has integer coefficients, since the grammar has no
+# other constants.  The reader carries such a part as an int term map
+# {exponents: coefficient}, which multiplies several times faster than a
+# Poly of Fractions, and makes it a RatFunc only at the first `/`, at a
+# negative power or at the end of the input.  Term maps are never changed
+# in place: a value may be shared by the group memo.
+_IntTerms = Dict[Exponents, int]
+
+_ONE_EXPS: Exponents = (0,) * NVARS
+_VARIABLES = {name: tuple(int(i == slot) for i in range(NVARS))
+              for name, slot in (("x", X), ("y", Y), ("a", A))}
 
 # Every number in an element must stay printable: Python converts an int of
 # at most 4,300 decimal digits to text, and 13,000 bits is about 3,900 digits.
@@ -94,16 +105,17 @@ def _check_bits(bits: int) -> None:
                          f"element may have at most {MAX_NUMBER_BITS} bits")
 
 
-def _constant_bits(f: RatFunc) -> int:
-    """Bit length of the largest numerator or denominator among f's coefficients."""
-    return max(max(c.numerator.bit_length(), c.denominator.bit_length())
-               for p in (f.num, f.den) for c in p.terms.values())
+def _constant_bits(*parts: Mapping) -> int:
+    """Bit length of the largest numerator or denominator among the
+    coefficients of the term maps `parts`; 1 when they have none."""
+    return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                for terms in parts for c in terms.values()), default=1)
 
 
 def _number_bits(f: RatFunc) -> int:
     """Bit length of the largest coefficient part or exponent in f."""
     top = max(e for p in (f.num, f.den) for exps in p.terms for e in exps)
-    return max(_constant_bits(f), top.bit_length())
+    return max(_constant_bits(f.num.terms, f.den.terms), top.bit_length())
 
 
 # A power, product or sum is expanded before anything else sees it, and the
@@ -113,28 +125,47 @@ def _number_bits(f: RatFunc) -> int:
 MAX_POWER_TERMS = 500
 
 
-def _power_terms(p: Poly, n: int) -> int:
-    """An upper bound on the term count of p^n, for n >= 0.
+def _slots(terms: Mapping) -> Set[int]:
+    """The slots that occur in a term map."""
+    return {i for i, column in enumerate(zip(*terms)) if any(column)}
+
+
+def _degree(terms: Mapping) -> int:
+    return max(map(sum, terms), default=0)
+
+
+def _power_terms(p: Mapping, n: int) -> int:
+    """An upper bound on the term count of p^n, for a term map p and n >= 0.
 
     The smaller of two counts: the multisets of n of p's k terms, and the
     monomials of total degree at most n*deg(p) in p's variables.
     """
-    k = max(len(p.terms), 1)
-    variables = len(p.slots_present())
-    degree = max((sum(exps) for exps in p.terms), default=0)
-    return min(comb(k + n - 1, n), comb(n * degree + variables, variables))
+    k = max(len(p), 1)
+    variables = len(_slots(p))
+    return min(comb(k + n - 1, n), comb(n * _degree(p) + variables, variables))
 
 
-def _product_terms(p: Poly, q: Poly) -> int:
-    """An upper bound on the term count of p*q.
+def _product_terms(p: Mapping, q: Mapping) -> int:
+    """An upper bound on the term count of p*q, for term maps p and q.
 
     The smaller of two counts: the products of a term of p with a term of
     q, and the monomials of total degree at most deg(p) + deg(q) in the
     variables of p and q.
     """
-    variables = len(set(p.slots_present()) | set(q.slots_present()))
-    degree = sum(max((sum(exps) for exps in f.terms), default=0) for f in (p, q))
-    return min(len(p.terms) * len(q.terms), comb(degree + variables, variables))
+    variables = len(_slots(p) | _slots(q))
+    degree = _degree(p) + _degree(q)
+    return min(len(p) * len(q), comb(degree + variables, variables))
+
+
+def _product_excess(p: Mapping, q: Mapping) -> int:
+    """`_product_terms(p, q)` when it is over the budget, else 0.
+
+    len(p)*len(q) is the larger count, so when it fits the other is not
+    needed."""
+    if len(p) * len(q) <= MAX_POWER_TERMS:
+        return 0
+    terms = _product_terms(p, q)
+    return terms if terms > MAX_POWER_TERMS else 0
 
 
 def _sum_terms(f: RatFunc, g: RatFunc) -> int:
@@ -143,10 +174,52 @@ def _sum_terms(f: RatFunc, g: RatFunc) -> int:
     and of f.den*g.den.
 
     The reduced value can have more terms: x^5/(x-1) - 1/(x-1) is bounded by
-    4, but reduces to x^4+x^3+x^2+x+1 over 1.
+    4, but reduces to x^4+x^3+x^2+x+1 over 1.  For two polynomials the bound
+    is the sum of their term counts (at least 1).
     """
-    return max(_product_terms(f.num, g.den) + _product_terms(g.num, f.den),
-               _product_terms(f.den, g.den))
+    return max(_product_terms(f.num.terms, g.den.terms)
+               + _product_terms(g.num.terms, f.den.terms),
+               _product_terms(f.den.terms, g.den.terms))
+
+
+def _rational(value: _IntTerms | RatFunc) -> RatFunc:
+    """value as a RatFunc: an int term map is a polynomial over 1."""
+    if type(value) is dict:
+        return RatFunc.coprime(Poly(value), Poly.const(1))
+    return value
+
+
+def _int_sum(p: _IntTerms, q: _IntTerms, sign: int) -> _IntTerms:
+    """p + sign*q."""
+    out = dict(p)
+    for exps, c in q.items():
+        c = out.get(exps, 0) + sign * c
+        if c:
+            out[exps] = c
+        else:
+            del out[exps]
+    return out
+
+
+def _int_product(p: _IntTerms, q: _IntTerms) -> _IntTerms:
+    out: _IntTerms = {}
+    get = out.get
+    for (i, j, k, m), c in p.items():
+        for (i2, j2, k2, m2), d in q.items():
+            exps = (i + i2, j + j2, k + k2, m + m2)
+            out[exps] = get(exps, 0) + c * d
+    return {exps: c for exps, c in out.items() if c}
+
+
+def _int_power(p: _IntTerms, n: int) -> _IntTerms:
+    result: _IntTerms = {_ONE_EXPS: 1}
+    while n:
+        if n & 1:
+            result = _int_product(result, p)
+        n >>= 1
+        if n:
+            p = _int_product(p, p)
+    return result
 
 
 # Each open parenthesis costs the parser a few stack frames, so nesting is
@@ -166,6 +239,10 @@ class _Tokenizer:
         self.text = text
         self.pos = 0
         self.tokens: List[Tuple[str, str]] = []
+        # token index of each "(" -> token index of its ")"
+        self.closing: Dict[int, int] = {}
+        # the tokens inside a group already read -> its value
+        self.groups: Dict[Tuple[Tuple[str, str], ...], _IntTerms | RatFunc] = {}
         self._scan()
         self.index = 0
 
@@ -173,14 +250,15 @@ class _Tokenizer:
         text = self.text
         i = 0
         depth = 0
+        opened: List[int] = []
         while i < len(text):
             ch = text[i]
             if ch.isspace():
                 i += 1
                 continue
-            if ch.isdigit():
+            if "0" <= ch <= "9":  # ASCII only: int() also reads other digits
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.tokens.append(("num", text[i:j]))
                 i = j
@@ -197,6 +275,10 @@ class _Tokenizer:
                 if depth > MAX_NESTING:
                     raise ExprSyntaxError(f"parentheses nested more than {MAX_NESTING} "
                                           f"deep at position {i}")
+                if ch == "(":
+                    opened.append(len(self.tokens))
+                elif ch == ")" and opened:
+                    self.closing[opened.pop()] = len(self.tokens)
                 self.tokens.append((ch, ch))
                 i += 1
                 continue
@@ -227,53 +309,73 @@ def parse_element(text: str) -> RatFunc:
     value = _parse_sum(toks)
     if toks.peek()[0] != "end":
         raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
+    value = _rational(value)
     _check_bits(_number_bits(value))
     return value
 
 
-def _parse_sum(toks: _Tokenizer) -> RatFunc:
+def _parse_sum(toks: _Tokenizer) -> _IntTerms | RatFunc:
     first = toks.index
     value = _parse_product(toks)
     while toks.peek()[0] in ("+", "-"):
         op = toks.next()[0]
         rhs = _parse_product(toks)
-        terms = _sum_terms(value, rhs)
+        if type(value) is dict and type(rhs) is dict:
+            terms = len(value) + len(rhs)  # _sum_terms of two polynomials
+        else:
+            value, rhs = _rational(value), _rational(rhs)
+            terms = _sum_terms(value, rhs)
         if terms > MAX_POWER_TERMS:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "
                              f"terms, and a sum may have at most {MAX_POWER_TERMS}")
-        value = value + rhs if op == "+" else value - rhs
+        if type(value) is dict:
+            value = _int_sum(value, rhs, 1 if op == "+" else -1)
+        else:
+            value = value + rhs if op == "+" else value - rhs
     return value
 
 
-def _parse_product(toks: _Tokenizer) -> RatFunc:
+def _parse_product(toks: _Tokenizer) -> _IntTerms | RatFunc:
     first = toks.index
     value = _parse_factor(toks)
     while toks.peek()[0] in ("*", "/"):
         op = toks.next()[0]
         rhs = _parse_factor(toks)
-        if op == "/" and rhs.is_zero:
-            raise ExprSyntaxError("division by zero")
-        num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
-        terms = max(_product_terms(value.num, num), _product_terms(value.den, den))
-        if terms > MAX_POWER_TERMS:
+        if op == "*" and type(value) is dict and type(rhs) is dict:
+            pairs = ((value, rhs),)  # the denominators' product 1 has 1 term
+        else:
+            value, rhs = _rational(value), _rational(rhs)
+            if op == "/" and rhs.is_zero:
+                raise ExprSyntaxError("division by zero")
+            num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+            pairs = ((value.num.terms, num.terms), (value.den.terms, den.terms))
+        terms = max(_product_excess(p, q) for p, q in pairs)
+        if terms:
             product = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"product too large: {product} may have up to {terms} "
                              f"terms, and a product may have at most {MAX_POWER_TERMS}")
-        value = value * rhs if op == "*" else value / rhs
+        if type(value) is dict:
+            value = _int_product(value, rhs)
+        else:
+            value = value * rhs if op == "*" else value / rhs
     return value
 
 
-def _parse_factor(toks: _Tokenizer) -> RatFunc:
+def _parse_factor(toks: _Tokenizer) -> _IntTerms | RatFunc:
     negate = False
     while toks.peek()[0] in ("+", "-"):
         if toks.next()[0] == "-":
             negate = not negate
     value = _parse_power(toks)
-    return -value if negate else value
+    if not negate:
+        return value
+    if type(value) is dict:
+        return {exps: -c for exps, c in value.items()}
+    return -value
 
 
-def _parse_power(toks: _Tokenizer) -> RatFunc:
+def _parse_power(toks: _Tokenizer) -> _IntTerms | RatFunc:
     first = toks.index
     base = _parse_atom(toks)
     if toks.peek()[0] != "^":
@@ -285,31 +387,48 @@ def _parse_power(toks: _Tokenizer) -> RatFunc:
             sign = -sign
     tok = toks.expect("num")
     exponent = sign * _int_literal(tok[1])
-    if exponent < 0 and base.is_zero:
+    parts = (base,) if type(base) is dict else (base.num.terms, base.den.terms)
+    if exponent < 0 and not parts[0]:
         raise ExprSyntaxError("division by zero")
     n = abs(exponent)
     # c^n has at least (bits(c) - 1) * n bits: refuse before computing it
-    _check_bits((_constant_bits(base) - 1) * n)
-    terms = max(_power_terms(base.num, n), _power_terms(base.den, n))
+    _check_bits((_constant_bits(*parts) - 1) * n)
+    # a denominator 1 bounds its power by 1, and every bound is at least 1
+    terms = max(_power_terms(p, n) for p in parts)
     if terms > MAX_POWER_TERMS:
         power = "".join(text for _, text in toks.tokens[first:toks.index])
         raise InputError(f"power too large: {power} may have up to {terms} "
                          f"terms, and a power may have at most {MAX_POWER_TERMS}")
-    return base ** exponent
+    if type(base) is not dict:
+        return base ** exponent
+    power = _int_power(base, n)
+    # 1/p^n is reduced: no gcd is needed
+    return power if exponent >= 0 else RatFunc.coprime(Poly.const(1), Poly(power))
 
 
-def _parse_atom(toks: _Tokenizer) -> RatFunc:
+def _parse_atom(toks: _Tokenizer) -> _IntTerms | RatFunc:
+    start = toks.index
     kind, text = toks.next()
     if kind == "num":
-        return RatFunc.from_const(_int_literal(text))
+        value = _int_literal(text)
+        return {_ONE_EXPS: value} if value else {}
     if kind == "name":
-        slot = _VAR_SLOTS.get(text)
-        if slot is None:
+        exps = _VARIABLES.get(text)
+        if exps is None:
             raise ExprSyntaxError(f"unknown symbol {text!r}: only x, y, a are allowed")
-        return RatFunc(Poly.variable(slot))
+        return {exps: 1}
     if kind == "(":
+        # a group read before in this element is not read again
+        end = toks.closing.get(start)
+        key = tuple(toks.tokens[start + 1:end]) if end is not None else None
+        value = toks.groups.get(key)
+        if value is not None:
+            toks.index = end + 1
+            return value
         value = _parse_sum(toks)
         toks.expect(")")
+        if key is not None:
+            toks.groups[key] = value
         return value
     if kind == "end":
         raise ExprSyntaxError("unexpected end of expression")

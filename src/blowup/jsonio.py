@@ -17,7 +17,7 @@ from .errors import InputError
 from .expr import Step, format_step, parse_element, parse_step
 from .families import (Chain, Family, Fiber, MoebiusMap, Siblings, Singleton,
                        family_parts)
-from .poly import A, Poly, T
+from .poly import A, Poly
 from .tree import Point
 from .valuations import (FirstKind, MinimalCurveBranch,
                          MinimalEventuallyPeriodic, SecondKind, _MinimalBase,
@@ -50,7 +50,7 @@ def _curve_poly(text) -> Poly:
     if not isinstance(text, str):
         raise InputError(f"bad curve {text!r}: expected an expression string")
     value = parse_element(text)
-    if value.den != Poly.const(1) or value.num.has_slot(A) or value.num.has_slot(T):
+    if value.den != Poly.const(1) or value.num.has_slot(A):
         raise InputError(f"bad curve {text!r}: expected a polynomial in x and y")
     return value.num
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from numbers import Rational
 from operator import itemgetter
 from typing import Iterable, List, Tuple
 
@@ -237,9 +238,12 @@ def strict_step(h: Poly, step: AnyStep) -> Poly:
 def normalize_step(step) -> Step:
     if type(step) is Fraction or is_inf(step):
         return step
+    # a bool is no step, and a binary fraction is not the exact step it rounds
+    if isinstance(step, bool) or not isinstance(step, (Rational, str)):
+        raise InputError(f"bad step {step!r}: expected a rational or inf")
     try:
         return Fraction(step)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"bad step {step!r}: expected a rational or inf") from exc
 
 

@@ -17,11 +17,13 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Tuple
 
-from blowup.errors import ComputationError, DepthCapError, ResolveError
-from blowup.expr import INF, is_inf
+from blowup.errors import ComputationError, DepthCapError, InputError, ResolveError
+from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _constant_bits,
+                         _int_literal, _number_bits, _power_terms, _product_terms, _sum_terms,
+                         _Tokenizer, is_inf)
 from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
                              family_parts, q1_downset_count)
-from blowup.poly import ROOT_SEARCH_LIMIT, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd
+from blowup.poly import ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd
 from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
                              classify_expressed)
 from blowup.tree import Point, express_step, strict_step, transform_step
@@ -477,6 +479,110 @@ def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
             f"resolution of {f} still undetermined at depth {max_depth} "
             f"below {Point.root()}", open_points=open_points)
     return Resolution(tuple(zeros), tuple(poles), depth_used, tuple(diagnostics))
+
+
+# -- element reading on RatFuncs at every node -------------------------------
+
+
+def reference_parse_element(text: str) -> RatFunc:
+    """`parse_element` as a RatFunc at every node of the expression, with no
+    integer term maps and no group memo; the same budgets and messages."""
+    if not text or not text.strip():
+        raise ExprSyntaxError("empty expression")
+    toks = _Tokenizer(text)
+    value = _ref_sum(toks)
+    if toks.peek()[0] != "end":
+        raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
+    _check_bits(_number_bits(value))
+    return value
+
+
+def _ref_sum(toks: _Tokenizer) -> RatFunc:
+    first = toks.index
+    value = _ref_product(toks)
+    while toks.peek()[0] in ("+", "-"):
+        op = toks.next()[0]
+        rhs = _ref_product(toks)
+        terms = _sum_terms(value, rhs)
+        if terms > MAX_POWER_TERMS:
+            total = "".join(text for _, text in toks.tokens[first:toks.index])
+            raise InputError(f"sum too large: {total} may have up to {terms} "
+                             f"terms, and a sum may have at most {MAX_POWER_TERMS}")
+        value = value + rhs if op == "+" else value - rhs
+    return value
+
+
+def _ref_product(toks: _Tokenizer) -> RatFunc:
+    first = toks.index
+    value = _ref_factor(toks)
+    while toks.peek()[0] in ("*", "/"):
+        op = toks.next()[0]
+        rhs = _ref_factor(toks)
+        if op == "/" and rhs.is_zero:
+            raise ExprSyntaxError("division by zero")
+        num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
+        terms = max(_product_terms(value.num.terms, num.terms),
+                    _product_terms(value.den.terms, den.terms))
+        if terms > MAX_POWER_TERMS:
+            product = "".join(text for _, text in toks.tokens[first:toks.index])
+            raise InputError(f"product too large: {product} may have up to {terms} "
+                             f"terms, and a product may have at most {MAX_POWER_TERMS}")
+        value = value * rhs if op == "*" else value / rhs
+    return value
+
+
+def _ref_factor(toks: _Tokenizer) -> RatFunc:
+    negate = False
+    while toks.peek()[0] in ("+", "-"):
+        if toks.next()[0] == "-":
+            negate = not negate
+    value = _ref_power(toks)
+    return -value if negate else value
+
+
+def _ref_power(toks: _Tokenizer) -> RatFunc:
+    first = toks.index
+    base = _ref_atom(toks)
+    if toks.peek()[0] != "^":
+        return base
+    toks.next()
+    sign = 1
+    while toks.peek()[0] in ("+", "-"):
+        if toks.next()[0] == "-":
+            sign = -sign
+    tok = toks.expect("num")
+    exponent = sign * _int_literal(tok[1])
+    if exponent < 0 and base.is_zero:
+        raise ExprSyntaxError("division by zero")
+    n = abs(exponent)
+    _check_bits((_constant_bits(base.num.terms, base.den.terms) - 1) * n)
+    terms = max(_power_terms(base.num.terms, n), _power_terms(base.den.terms, n))
+    if terms > MAX_POWER_TERMS:
+        power = "".join(text for _, text in toks.tokens[first:toks.index])
+        raise InputError(f"power too large: {power} may have up to {terms} "
+                         f"terms, and a power may have at most {MAX_POWER_TERMS}")
+    return base ** exponent
+
+
+_REF_VARIABLES = {"x": X, "y": Y, "a": A}
+
+
+def _ref_atom(toks: _Tokenizer) -> RatFunc:
+    kind, text = toks.next()
+    if kind == "num":
+        return RatFunc.from_const(_int_literal(text))
+    if kind == "name":
+        slot = _REF_VARIABLES.get(text)
+        if slot is None:
+            raise ExprSyntaxError(f"unknown symbol {text!r}: only x, y, a are allowed")
+        return RatFunc(Poly.variable(slot))
+    if kind == "(":
+        value = _ref_sum(toks)
+        toks.expect(")")
+        return value
+    if kind == "end":
+        raise ExprSyntaxError("unexpected end of expression")
+    raise ExprSyntaxError(f"unexpected token {text!r}")
 
 
 # -- seeded enumeration ------------------------------------------------------

@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowup import poly
+from blowup.errors import BlowupError
 from blowup.expr import (
     INF,
     MAX_NESTING,
@@ -21,6 +23,8 @@ from blowup.expr import (
     parse_step,
 )
 from blowup.poly import A, Poly, RatFunc, X, Y
+
+from helpers import reference_parse_element
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -68,11 +72,18 @@ def test_whitespace_is_free():
 
 @pytest.mark.parametrize("bad", [
     "", "  ", "x +", "(x", "x)", "z + 1", "x ^ y", "x & y", "1/0", "x/(y - y)", "t",
-    "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+    "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), "x^\u00b2", "x^\u0663",
 ])
 def test_parse_rejects_malformed(bad):
     with pytest.raises(ExprSyntaxError):
         parse_element(bad)
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])  # superscript two, Arabic-Indic three
+def test_only_ascii_digits_are_digits(digit):
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_element("x^" + digit)
+    assert str(info.value) == f"unexpected character {digit!r} at position 2"
 
 
 def test_parse_step_values():
@@ -111,7 +122,7 @@ def test_format_step():
        st.integers(min_value=0, max_value=5))
 def test_power_term_bound_holds(terms, n):
     p = Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
-    assert len((p ** n).terms) <= _power_terms(p, n)
+    assert len((p ** n).terms) <= _power_terms(p.terms, n)
 
 
 @given(*[st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
@@ -119,14 +130,14 @@ def test_power_term_bound_holds(terms, n):
 def test_product_term_bound_holds(p_terms, q_terms):
     p, q = (Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
             for terms in (p_terms, q_terms))
-    assert len((p * q).terms) <= _product_terms(p, q)
+    assert len((p * q).terms) <= _product_terms(p.terms, q.terms)
 
 
 def test_product_term_bound_is_exact_for_dense_products():
     dense = parse_element("(1+x+y)^30").num
-    assert _product_terms(dense, dense) == 1891  # C(62, 2)
-    assert _product_terms(dense, x) == 496
-    assert _product_terms(x + y, x - y) == 4
+    assert _product_terms(dense.terms, dense.terms) == 1891  # C(62, 2)
+    assert _product_terms(dense.terms, x.terms) == 496
+    assert _product_terms((x + y).terms, (x - y).terms) == 4
 
 
 fraction_terms = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=2)] * 3),
@@ -171,7 +182,75 @@ def test_large_coprime_quotient_parses_quickly(n, seconds):
 
 
 def test_power_term_bound_is_exact_for_dense_powers():
-    assert _power_terms(x + y + Poly.const(1), 100) == 5151  # C(102, 2)
-    assert _power_terms(x, 10 ** 6) == 1
-    assert _power_terms(x + Poly.const(1), 10 ** 6) == 10 ** 6 + 1
+    assert _power_terms((x + y + Poly.const(1)).terms, 100) == 5151  # C(102, 2)
+    assert _power_terms(x.terms, 10 ** 6) == 1
+    assert _power_terms((x + Poly.const(1)).terms, 10 ** 6) == 10 ** 6 + 1
     assert len(parse_element("(1+x+y)^30").num.terms) == 496 <= MAX_POWER_TERMS
+
+
+# Leaves of random element texts: light ones, and ones that push products,
+# sums and numbers toward or over their budgets.
+LEAVES = ["x", "y", "a", "0", "1", "2", "3", "12", "x - x"] * 3 + [
+    "(1 + x + y)^20", "(x - a)^12", "7^5000"]
+
+
+def _grow(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.tuples(children, st.sampled_from("+-*/"), children).map(" ".join),
+        st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
+            lambda t: f"({t[0]})^{t[1]}"),
+        st.tuples(st.sampled_from(["-", "+", "- -", "-+"]), children).map(
+            lambda t: f"{t[0]}({t[1]})"),
+        # repeated groups: the second read of a group comes from the memo
+        pairs.map(lambda t: f"({t[0]})*({t[1]}) - ({t[0]})"),
+        pairs.map(lambda t: f"({t[0]})/({t[1]}) + ({t[1]})^-1*({t[0]})"),
+    )
+
+
+def _outcome(read, text):
+    try:
+        value = read(text)
+    except BlowupError as exc:
+        return type(exc), str(exc)
+    assert all(type(c) is Fraction for p in (value.num, value.den) for c in p.terms.values())
+    return value, str(value)
+
+
+@given(st.recursive(st.sampled_from(LEAVES), _grow, max_leaves=8))
+@settings(deadline=None, max_examples=150)
+def test_reader_matches_the_reference_reader(text):
+    assert _outcome(parse_element, text) == _outcome(reference_parse_element, text)
+
+
+@pytest.mark.parametrize("text", [
+    "(1 + x + y)^20 * (x - a)^12", "1/(1 + x + y)^20 + 1/(1 - x + y)^20",
+    "(1 + x + y)^20 + a*(1 + x + y)^20 + a^2*(1 + x + y)^20",
+    "(7^5000)^2", "7^5000 * 7^5000", "(x - x)^-1", "x/((x + y)^2 - (x + y)^2)",
+    "(1 + x + y)^40", "((x + y)^2)^-1 * (x + y)^2 - 1",
+    "((x)) * ((x)",  # the unclosed group's tail looks like the inside of a read one
+])
+def test_refusals_match_the_reference_reader(text):
+    assert _outcome(parse_element, text) == _outcome(reference_parse_element, text)
+
+
+def test_division_free_element_is_read_without_reduction(monkeypatch):
+    text = "(x + y)^3*(x - 2*a) - (x + y)^3 + 5*y^2 - -(x + y)^3"
+    want = reference_parse_element(text)
+    calls = []
+    real_gcd, real_init = poly.poly_gcd, RatFunc.__init__
+
+    def counted_gcd(*args):
+        calls.append("poly_gcd")
+        return real_gcd(*args)
+
+    def counted_init(self, *args):
+        calls.append("RatFunc.__init__")
+        real_init(self, *args)
+
+    monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(RatFunc, "__init__", counted_init)
+    assert parse_element(text) == want
+    assert calls == []
+    parse_element("x/(x + y)")  # a quotient is reduced, and the counters see it
+    assert "poly_gcd" in calls

@@ -153,12 +153,14 @@ def test_traced_layers_exist():
 _RELOAD = """
 import gc, sys, weakref
 import blowup
-old = weakref.ref(blowup.tree.Point)
-for name in [m for m in sys.modules if m == "blowup" or m.startswith("blowup.")]:
+names = [m for m in sys.modules if m == "blowup" or m.startswith("blowup.")]
+old = [weakref.ref(value) for name in names for value in vars(sys.modules[name]).values()
+       if isinstance(value, type) and value.__module__ == name]
+for name in names:
     del sys.modules[name]
 import blowup
 gc.collect()
-sys.exit(0 if old() is None else 1)
+sys.exit(0 if all(ref() is None for ref in old) else 1)
 """
 
 
@@ -166,7 +168,8 @@ def test_unloaded_package_is_released():
     # a long-lived process that imports the package afresh (the benchmark
     # harness does, for every set-up) must not keep the old modules alive;
     # typing caches hold Union[...] and List[...] objects built over package
-    # classes, and through those every module of the package
+    # classes, and through those the modules that define them, so no class
+    # of the first import may stay alive
     extra = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent)] + extra))
     result = subprocess.run([sys.executable, "-c", _RELOAD], env=env, timeout=60)

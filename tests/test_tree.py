@@ -76,6 +76,21 @@ def test_step_validation():
         Point.root().child("sideways")
 
 
+@pytest.mark.parametrize("step", [0.1, 2.0, True, False, None])
+def test_binary_fraction_and_bool_steps_are_refused(step):
+    # 0.1 is not 1/10, and a bool is no direction
+    with pytest.raises(InputError, match="expected a rational or inf"):
+        Point.root().child(step)
+    with pytest.raises(InputError, match="expected a rational or inf"):
+        MinimalEventuallyPeriodic([step], [0])
+
+
+def test_rational_int_and_text_steps_are_kept():
+    steps = [Fraction(1, 3), 2, "-1/2", "1.5", INF]
+    assert Point.from_path(steps).steps == (
+        Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(3, 2), INF)
+
+
 # -- expressing elements in local charts -----------------------------------
 
 def test_express_along_zero_step():
