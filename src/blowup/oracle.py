@@ -45,7 +45,7 @@ from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots
-from .position import Position, _a_collapse_roots, position, position_parametric
+from .position import Position, _a_collapse_roots, position_parametric, settle
 from .tree import TSYM, Point, charge, express_step, strict_step
 from .valuations import WALK_CAP, FirstKind
 
@@ -55,10 +55,13 @@ ExponentVector = Tuple[int, int]
 
 
 def in_point(f: RatFunc, point: Point) -> bool:
-    """Whether f lies in the local ring at the point."""
+    """Whether f lies in the local ring at the point: a zero or a unit at
+    its first decided point on the way there (`settle`)."""
     if f.has_slot(T):
         raise InputError("the symbol t is reserved for fiber steps")
-    return position(point, f) in _MEMBER
+    if f.has_slot(A):
+        raise InputError("element carries the parameter a; use the parametric form")
+    return settle(f, point.steps)[0] in _MEMBER
 
 
 @dataclass

@@ -10,7 +10,9 @@ fraction F/G in the local parameters:
 
 An undetermined position always resolves in the first neighborhood: the
 children where f stays non-unit are cut out by the lowest-degree forms of
-F and G.  `resolve` chases this to the finite sets of minimal zero and pole
+F and G.  A zero, a unit or a pole stays one at every point below, so
+`settle` reads a path's class at its first decided point.  `resolve`
+chases the undetermined ones to the finite sets of minimal zero and pole
 points, `locate` uses the same descent to find the point presented by a
 candidate parameter pair, and `position_parametric` classifies elements
 carrying the scalar parameter a for every value at once.
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import DepthCapError, InputError, LocateError, ResolveError
 from .expr import INF
@@ -39,7 +41,7 @@ from .poly import (
     root_pass,
     sylvester_resultant,
 )
-from .tree import Point, express_step
+from .tree import AnyStep, Point, express_step
 
 
 class Position(Enum):
@@ -59,6 +61,28 @@ def position(point: Point, f: RatFunc) -> Position:
         raise InputError("element carries the parameter a; use the parametric form")
     expressed = point.express(f)
     return classify_expressed(expressed)
+
+
+def settle(f: RatFunc, steps: Iterable[AnyStep]) -> Tuple[Position, RatFunc]:
+    """Position of f at the end of a path, read at its first decided point.
+
+    Let P lie below Q.  Then O_Q is inside O_P and m_P meets O_Q in m_Q,
+    so a zero, a unit or a pole of f at Q is the same at P.  The fold
+    expresses f one step at a time and stops at the first point where
+    its class is not UNDETERMINED.  It returns that class with the chart
+    it stopped in: the chart at the end of `steps` only when f is still
+    undetermined there.  `steps` may be a lazy iterator; it is read no
+    further than the point that decides.
+    """
+    pos = classify_expressed(f)
+    if pos is not Position.UNDETERMINED:
+        return pos, f
+    for step in steps:
+        f = express_step(f, step)
+        pos = classify_expressed(f)
+        if pos is not Position.UNDETERMINED:
+            break
+    return pos, f
 
 
 def classify_expressed(expressed: RatFunc) -> Position:

@@ -243,7 +243,7 @@ def normalize_step(step) -> Step:
         raise InputError(f"bad step {step!r}: expected a rational or inf")
     try:
         return Fraction(step)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad step {step!r}: expected a rational or inf") from exc
 
 

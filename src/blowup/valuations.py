@@ -14,9 +14,18 @@ Four flavors appear:
     the path to a tree point, so these normalize to a scaled order
     valuation and bring nothing new.
 
-Element membership in a minimal valuation ring is decided by walking the
-path until the position stabilizes; two coprime curves separate after
-finitely many steps, so the walk always ends (the cap is a safety net).
+Membership of an element f rests on one rule, the domination order of the
+tree.  If P lies below Q, then O_Q is inside O_P and m_P meets O_Q in m_Q.
+So once f is a zero, a unit or a pole at Q, it is the same at P and at
+every point further down.  A zero or a unit at Q puts f in O_P; a pole
+puts 1/f in m_P.  For a ring V that contains O_P and whose maximal ideal
+contains m_P, f is then in V exactly when it is not a pole at Q.  The
+order valuation ring of P and the union ring along a path are such rings.
+So `position.settle` walks the path only down to the first point where f
+is decided.  A second-kind test compares orders only when f is still
+undetermined at P itself.  A minimal valuation's walk always ends: two
+coprime curves separate after finitely many steps, and the cap is a
+safety net.
 
 Paths are compared exactly by one test, `on_curve(h)`: whether some branch
 of the curve h follows the path at every level.
@@ -32,9 +41,9 @@ from .errors import BranchError, DepthCapError, InputError
 from .expr import INF, Step, format_path, is_inf
 from .poly import (A, Poly, RatFunc, T, X, Y, _subst_slot_frac, factor_multiplicity,
                    poly_gcd, root_pass)
-from .position import Position, classify_expressed, lowest_form
+from .position import Position, lowest_form, settle
 from .proximity import second_kind_contains
-from .tree import Point, express_step, normalize_step, strict_step
+from .tree import Point, normalize_step, strict_step
 
 # Cap on walks down a minimal valuation's path; every element settles
 # after finitely many steps, so reaching it means a runaway computation.
@@ -114,7 +123,17 @@ class SecondKind:
         return self.scale * self.point.ord_at(f)
 
     def contains_element(self, f: RatFunc) -> bool:
-        return f.is_zero or self.point.ord_at(f) >= 0
+        """Whether f lies in the valuation ring V_P of the point P.
+
+        O_P lies in V_P, and m_P in its maximal ideal.  A zero or a unit
+        of f at P or above is in O_P, so in V_P; a pole there puts 1/f in
+        m_P, so f is not in V_P.  `settle` stops at the first such point.
+        Only an f undetermined at P itself needs its order there.
+        """
+        pos, expressed = settle(f, self.point.steps)
+        if pos is Position.UNDETERMINED:
+            return expressed.num.xy_order() >= expressed.den.xy_order()
+        return pos is not Position.POLE
 
     def ring_contains(self, beta: Point) -> bool:
         return second_kind_contains(self.point, beta)
@@ -147,24 +166,16 @@ class _MinimalBase:
         so f or 1/f lies in some O_{P_L}: f is then a zero or a unit at
         P_L (a member) or a pole there (not a member: every deeper ring
         dominates O_{P_L}, so 1/f stays in its maximal ideal).  The first
-        settled level decides; past `WALK_CAP` steps the walk raises
-        `DepthCapError`.
+        settled level decides (`settle`); past `WALK_CAP` steps the walk
+        raises `DepthCapError`.
         """
         if f.has_slot(A):
             raise InputError("membership needs a concrete element")
-        if f.is_zero:
-            return True
-        expressed = f
-        for level in range(WALK_CAP + 1):
-            if level:
-                expressed = express_step(expressed, self.step_at(level - 1))
-            pos = classify_expressed(expressed)
-            if pos in (Position.ZERO, Position.UNIT):
-                return True
-            if pos is Position.POLE:
-                return False
-        raise DepthCapError(
-            f"position of {f} along the path did not settle within {WALK_CAP} steps")
+        pos, _ = settle(f, map(self.step_at, range(WALK_CAP)))
+        if pos is Position.UNDETERMINED:
+            raise DepthCapError(
+                f"position of {f} along the path did not settle within {WALK_CAP} steps")
+        return pos is not Position.POLE
 
     def ring_contains(self, beta: Point) -> bool:
         return self.agreement(beta.steps) == beta.level

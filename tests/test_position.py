@@ -18,8 +18,11 @@ from blowup.position import (
     position,
     position_parametric,
     resolve,
+    settle,
 )
+from blowup.oracle import in_point
 from blowup.tree import Point
+from blowup.valuations import SecondKind
 
 from helpers import params, reference_candidate_steps, reference_resolve, subst_poly
 
@@ -68,6 +71,51 @@ def test_position_with_unit_shift():
     # steps in the quotient is a plain multiple of (x - 1/2)^2 * y
     assert position(P("[-1/2]"), f) is Position.UNDETERMINED
     assert position(P("[-1/2, inf]"), f) is Position.ZERO
+
+
+# -- settling at the first decided point -------------------------------------
+
+def test_settle_stops_at_the_first_decided_point():
+    # x/y is undetermined at the root and a pole at [0], so the step after
+    # it is never read
+    steps = iter([Fraction(0), INF])
+    pos, chart = settle(E("x/y"), steps)
+    assert pos is Position.POLE
+    assert str(chart) == "(1)/(y)"
+    assert next(steps) is INF
+    assert settle(E("x/y"), ())[0] is Position.UNDETERMINED
+    assert settle(E("1 + x"), [INF, Fraction(2)]) == (Position.UNIT, E("1 + x"))
+
+
+settle_steps = st.sampled_from(
+    (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), INF))
+# constant terms allowed, so some elements settle at the root
+settle_polys = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.just(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+    min_size=1, max_size=4).map(Poly)
+
+
+@given(settle_polys, settle_polys, st.lists(settle_steps, max_size=7))
+@settings(max_examples=150, deadline=None)
+def test_settled_answers_match_the_whole_path(num, den, steps):
+    f = RatFunc(num, den)
+    point = Point.from_path(steps)
+    assert settle(f, point.steps)[0] is position(point, f)
+    assert SecondKind(point).contains_element(f) == (point.ord_at(f) >= 0)
+    assert in_point(f, point) == (position(point, f) in (Position.ZERO, Position.UNIT))
+
+
+@pytest.mark.parametrize("literal, text, member", [
+    # a pole at the ancestor [0] already: (1 + a*y)/y
+    ("[0, inf]", "(x + a*y)/y", False),
+    # still undetermined at the point, y/(x*(y - a + 1)): orders 1 and 1
+    ("[1]", "(y - x)/(x*(y - a*x))", True),
+])
+def test_second_kind_generic_answers_carry_a(literal, text, member):
+    point, f = P(literal), E(text)
+    assert SecondKind(point).contains_element(f) is member
+    assert member == (point.ord_at(f) >= 0)
 
 
 # -- resolve -----------------------------------------------------------------

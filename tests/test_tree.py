@@ -85,6 +85,14 @@ def test_binary_fraction_and_bool_steps_are_refused(step):
         MinimalEventuallyPeriodic([step], [0])
 
 
+def test_zero_denominator_step_is_an_input_error():
+    message = "bad step '1/0': expected a rational or inf"
+    with pytest.raises(InputError, match=message):
+        Point.root().child("1/0")
+    with pytest.raises(InputError, match=message):
+        Point.from_path(["1/0"])
+
+
 def test_rational_int_and_text_steps_are_kept():
     steps = [Fraction(1, 3), 2, "-1/2", "1.5", INF]
     assert Point.from_path(steps).steps == (
