@@ -23,7 +23,7 @@ from math import comb
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from .errors import InputError
-from .poly import NVARS, A, Exponents, Poly, RatFunc, X, Y
+from .poly import NVARS, A, Exponents, Poly, RatFunc, X, Y, _cofactors, _sum
 
 
 class ExprSyntaxError(InputError):
@@ -168,18 +168,20 @@ def _product_excess(p: Mapping, q: Mapping) -> int:
     return terms if terms > MAX_POWER_TERMS else 0
 
 
-def _sum_terms(f: RatFunc, g: RatFunc) -> int:
-    """An upper bound on the term counts of the cross-multiplied form of
-    f + g and f - g, before anything cancels: of f.num*g.den +- g.num*f.den
-    and of f.den*g.den.
+def _sum_terms(f: RatFunc, g: RatFunc, split: Tuple[Poly, Poly, Poly]) -> int:
+    """An upper bound on the term counts of f + g and f - g as the sum
+    forms them, before anything cancels.  With h = gcd(f.den, g.den) and
+    `split` = (h, f.den/h, g.den/h) from `_cofactors`, these are
+    f.num*(g.den/h) +- g.num*(f.den/h) and (f.den/h)*g.den.
 
     The reduced value can have more terms: x^5/(x-1) - 1/(x-1) is bounded by
-    4, but reduces to x^4+x^3+x^2+x+1 over 1.  For two polynomials the bound
+    2, but reduces to x^4+x^3+x^2+x+1 over 1.  For two polynomials the bound
     is the sum of their term counts (at least 1).
     """
-    return max(_product_terms(f.num.terms, g.den.terms)
-               + _product_terms(g.num.terms, f.den.terms),
-               _product_terms(f.den.terms, g.den.terms))
+    _, f_cof, g_cof = split
+    return max(_product_terms(f.num.terms, g_cof.terms)
+               + _product_terms(g.num.terms, f_cof.terms),
+               _product_terms(f_cof.terms, g.den.terms))
 
 
 def _rational(value: _IntTerms | RatFunc) -> RatFunc:
@@ -324,7 +326,8 @@ def _parse_sum(toks: _Tokenizer) -> _IntTerms | RatFunc:
             terms = len(value) + len(rhs)  # _sum_terms of two polynomials
         else:
             value, rhs = _rational(value), _rational(rhs)
-            terms = _sum_terms(value, rhs)
+            split = _cofactors(value.den, rhs.den)
+            terms = _sum_terms(value, rhs, split)
         if terms > MAX_POWER_TERMS:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "
@@ -332,7 +335,9 @@ def _parse_sum(toks: _Tokenizer) -> _IntTerms | RatFunc:
         if type(value) is dict:
             value = _int_sum(value, rhs, 1 if op == "+" else -1)
         else:
-            value = value + rhs if op == "+" else value - rhs
+            # the denominators' gcd in `split` serves the sum too
+            value = _sum(value.num, value.den, rhs.num if op == "+" else -rhs.num,
+                         rhs.den, split)
     return value
 
 

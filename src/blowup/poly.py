@@ -262,11 +262,6 @@ class Poly:
         out.terms = terms
         return out
 
-    def min_exponent(self, slot: int) -> int:
-        if not self.terms:
-            raise ValueError("zero polynomial")
-        return min(e[slot] for e in self.terms)
-
     # -- substitution ------------------------------------------------------
 
     def subst_xy(self, px: "Poly", py: "Poly") -> "Poly":
@@ -953,22 +948,33 @@ class RatFunc:
 # run on those alone.  A constant denominator of a reduced operand is 1.
 
 
-def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
+    """(g, b/g, d/g) for g = gcd(b, d) of two monic denominators; g is the
+    constant 1 when b or d is constant and then costs no gcd."""
+    if b.is_constant or d.is_constant:
+        return Poly.const(1), b, d
+    g = poly_gcd(b, d)
+    if g.is_constant:
+        return g, b, d
+    return g, b.divmod_exact(g), d.divmod_exact(g)
+
+
+def _sum(a: Poly, b: Poly, c: Poly, d: Poly,
+         split: Optional[Tuple[Poly, Poly, Poly]] = None) -> RatFunc:
     """a/b + c/d for reduced a/b and c/d with monic b and d.
 
     With g = gcd(b, d), b = g b' and d = g d', the sum is t / (b' d' g)
     with t = a d' + c b'; t is prime to b' and to d', so gcd(t, g) is the
-    whole common factor.
+    whole common factor.  `split` is `_cofactors(b, d)` when the caller
+    has it already.
     """
     if d.is_constant:
         return RatFunc.coprime(a + (c if b.is_constant else c * b), b)
     if b.is_constant:
         return RatFunc.coprime(a * d + c, d)
-    g = poly_gcd(b, d)
+    g, b1, d1 = split or _cofactors(b, d)
     if g.is_constant:
         return RatFunc.coprime(a * d + c * b, b * d)
-    b1 = b.divmod_exact(g)
-    d1 = d.divmod_exact(g)
     t = a * d1 + c * b1
     if t.is_zero:
         return RatFunc(t)

@@ -88,11 +88,15 @@ def settle(f: RatFunc, steps: Iterable[AnyStep]) -> Tuple[Position, RatFunc]:
 def classify_expressed(expressed: RatFunc) -> Position:
     if expressed.is_zero:
         return Position.ZERO
-    num_const = expressed.num.xy_constant_part()
-    den_const = expressed.den.xy_constant_part()
-    if den_const.is_zero:
-        return Position.UNDETERMINED if num_const.is_zero else Position.POLE
-    return Position.ZERO if num_const.is_zero else Position.UNIT
+    if _vanishes(expressed.den):
+        return Position.UNDETERMINED if _vanishes(expressed.num) else Position.POLE
+    return Position.ZERO if _vanishes(expressed.num) else Position.UNIT
+
+
+def _vanishes(p: Poly) -> bool:
+    """Whether p is zero at the origin: every term carries x or y."""
+    terms = p.terms
+    return (0, 0, 0, 0) not in terms and all(e[X] or e[Y] for e in terms)
 
 
 # -- candidate directions at an undetermined point ---------------------------
@@ -320,9 +324,12 @@ class ParametricPosition:
 
 
 def position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
-    """Classify f(a) at a point, uniformly in the parameter a."""
+    """Classify f(a) at a point, uniformly in the parameter a.
+
+    A concrete element, and f at each candidate value of a, is classified
+    at its first decided point on the path (`settle`)."""
     if not f.has_slot(A):
-        return ParametricPosition(position(point, f))
+        return ParametricPosition(settle(f, point.steps)[0])
     expressed = point.express(f)
     num, den = expressed.num, expressed.den
     cf = num.xy_constant_part()
@@ -348,7 +355,7 @@ def position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
             undefined.append(a0)
             continue
         special = RatFunc(f.num.subst_const(A, a0), den0)
-        pos = position(point, special)
+        pos = settle(special, point.steps)[0]
         if pos is not generic:
             exceptional[a0] = pos
     return ParametricPosition(generic, exceptional, tuple(undefined))

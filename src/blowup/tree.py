@@ -14,7 +14,9 @@ and the ring at the end is again two-dimensional regular local.
 A point stores only its path; chart data is derived when it is needed.
 `transform_step` is the one place that rewrites a polynomial across a step:
 it maps each term by its exponents, x^i y^j to x^(i+j) times y^i, y^j or
-(y + b)^j.  `express` pushes any element of the fraction field into the
+(y + b)^j.  The image of h is therefore divisible by x^d exactly, where d
+is the order of h, and the step kernel divides that power out in the same
+pass.  `express` pushes any element of the fraction field into the
 local chart one step at a time, and all order, membership and position
 questions reduce to looking at it there.
 
@@ -34,7 +36,7 @@ from typing import Iterable, List, Tuple
 
 from .errors import ComputationError, InputError
 from .expr import INF, Step, format_step, is_inf
-from .poly import Poly, RatFunc, Terms, X
+from .poly import Poly, RatFunc, Terms
 
 
 # Most products one finite nonzero step may form across a fraction's
@@ -142,30 +144,35 @@ class Point:
 # -- steps -----------------------------------------------------------------
 
 
-def transform_step(h: Poly, step: AnyStep) -> Poly:
-    """Rewrite h in the chart of the child reached by one step.
+def transform_step(h: Poly, step: AnyStep, drop: int = 0) -> Poly:
+    """Rewrite h in the chart of the child reached by one step, divided by
+    x^drop.
 
     A finite step b (the symbol t for `TSYM`) substitutes (x, x(y + b));
     the step inf substitutes (xy, x).  A term x^i y^j therefore goes to
     x^(i+j) y^i for inf, to x^(i+j) y^j for 0, and otherwise to
     x^(i+j) (y + b)^j = x^(i+j) sum_m C(j, m) b^(j-m) y^m, with b^(j-m)
-    becoming t^(j-m) for `TSYM`.
+    becoming t^(j-m) for `TSYM`.  The lowest power of x in the image is
+    the order of h: the terms of h of that order go to x^d times the image
+    of a nonzero polynomial in y under y -> y + b, so they cannot cancel.
+    `drop` may be at most that order.
     """
     terms: Terms = {}
     if is_inf(step):
         for (i, j, a, t), c in h.terms.items():
-            terms[(i + j, i, a, t)] = c
+            terms[(i + j - drop, i, a, t)] = c
     elif step == 0:
         for (i, j, a, t), c in h.terms.items():
-            terms[(i + j, j, a, t)] = c
+            terms[(i + j - drop, j, a, t)] = c
     else:
         rows = {}
         for (i, j, a, t), c in h.terms.items():
             row = rows.get(j)
             if row is None:
                 row = rows[j] = _binomial_row(j, step)
+            d = i + j - drop
             for m, (dt, w) in enumerate(row):
-                key = (i + j, m, a, t + dt)
+                key = (d, m, a, t + dt)
                 acc = terms.get(key, 0) + c * w
                 if acc:
                     terms[key] = acc
@@ -188,18 +195,18 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
 
     Once x is inverted the step is a ring isomorphism, k[x, y][1/x] =
     k[x, y'][1/x], so the images of a coprime numerator and denominator
-    can share no factor but a power of the new x.  Stripping that power
-    leaves the fraction reduced, with no gcd to compute.
+    can share no factor but a power of the new x: the smaller of the two
+    orders (`transform_step`).  Stripping that power leaves the fraction
+    reduced, with no gcd to compute.
 
     The step is charged to the chart budget (`charge`).
     """
     charge(step, f.num, f.den)
-    num = transform_step(f.num, step)
-    if num.is_zero:
+    if f.is_zero:
         return f
-    den = transform_step(f.den, step)
-    common = min(num.min_exponent(X), den.min_exponent(X))
-    return RatFunc.coprime(num.shift_down(X, common), den.shift_down(X, common))
+    drop = min(f.num.xy_order(), f.den.xy_order())
+    return RatFunc.coprime(transform_step(f.num, step, drop),
+                           transform_step(f.den, step, drop))
 
 
 _Y_EXPONENT = itemgetter(1)
@@ -231,8 +238,7 @@ def strict_step(h: Poly, step: AnyStep) -> Poly:
     and still take only a second.  A walk that carries a transform level
     after level charges each step itself.
     """
-    out = transform_step(h, step)
-    return out.shift_down(X, out.min_exponent(X))
+    return transform_step(h, step, h.xy_order())
 
 
 def normalize_step(step) -> Step:

@@ -322,6 +322,10 @@ def branch_step(strict: Poly) -> Step:
         ", ".join("inf" if is_inf(c) else str(c) for c in candidates))
 
 
+# The 0 step of every monomial path: one shared object, as steps are immutable.
+_ZERO_STEP = Fraction(0)
+
+
 def monomial_path(a, b) -> Tuple[Step, ...]:
     """The path of the monomial valuation v(x) = a, v(y) = b.
 
@@ -329,30 +333,39 @@ def monomial_path(a, b) -> Tuple[Step, ...]:
     a 0 step when x carries the smaller weight, an inf step (which swaps the
     parameters) otherwise.  The walk ends when the weights agree.
     """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0:
-        raise InputError("monomial weights must be positive")
-    scale = math.lcm(a.denominator, b.denominator)
-    ia, ib = int(a * scale), int(b * scale)
-    steps: List[Step] = []
-    while ia != ib:
-        if ia < ib:
-            steps.append(Fraction(0))
-            ib -= ia
-        else:
-            steps.append(INF)
-            ia, ib = ib, ia - ib
-    return tuple(steps)
+    return _weight_walk(a, b)[0]
 
 
 def monomial_valuation(a, b) -> SecondKind:
     """The monomial valuation, normalized to a scaled order valuation."""
-    path = monomial_path(a, b)
-    a, b = Fraction(a), Fraction(b)
-    denom_lcm = math.lcm(a.denominator, b.denominator)
-    g = math.gcd(int(a * denom_lcm), int(b * denom_lcm))
-    point = Point.from_path(path)
-    return SecondKind(point, scale=g)
+    path, scale = _weight_walk(a, b)
+    return SecondKind(Point(path), scale=scale)
+
+
+def _weight_walk(a, b) -> Tuple[Tuple[Step, ...], int]:
+    """`monomial_path` of the weights and the weight the walk ends on.
+
+    The weights are first scaled to integers by the lcm of their
+    denominators; the subtractive walk then ends on their gcd, which is
+    the scale of the order valuation at the end of the path.
+    """
+    if type(a) is int and type(b) is int:
+        ia, ib = a, b
+    else:
+        a, b = Fraction(a), Fraction(b)
+        scale = math.lcm(a.denominator, b.denominator)
+        ia, ib = int(a * scale), int(b * scale)
+    if ia <= 0 or ib <= 0:
+        raise InputError("monomial weights must be positive")
+    steps: List[Step] = []
+    while ia != ib:
+        if ia < ib:
+            steps.append(_ZERO_STEP)
+            ib -= ia
+        else:
+            steps.append(INF)
+            ia, ib = ib, ia - ib
+    return tuple(steps), ia
 
 
 # -- helpers ----------------------------------------------------------------

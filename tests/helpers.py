@@ -23,9 +23,10 @@ from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _co
                          _Tokenizer, is_inf)
 from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
                              family_parts, q1_downset_count)
-from blowup.poly import ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd
-from blowup.position import (Position, Resolution, _candidate_steps, _StepSet,
-                             classify_expressed)
+from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _cofactors, _pseudo_rem,
+                         poly_gcd, rational_roots, sylvester_resultant)
+from blowup.position import (ParametricPosition, Position, Resolution, _a_collapse_roots,
+                             _candidate_steps, _StepSet, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
 from blowup.valuations import MinimalCurveBranch, SecondKind
 
@@ -430,10 +431,46 @@ def reference_candidate_steps(expressed: RatFunc) -> _StepSet:
             steps.update(reference_rational_roots(phi, T))
         irrational = irrational or reference_has_irrational_factor(phi, T)
     ordered = tuple(sorted(steps))
-    if any(lowest.min_exponent(X) > 0 for lowest in lowests):
+    if any(all(e[X] for e in lowest.terms) for lowest in lowests):
         ordered += (INF,)
     gap = expressed.num.xy_order() - expressed.den.xy_order()
     return _StepSet(ordered, binding=gap <= 0, order_gap=gap, irrational=irrational)
+
+
+def reference_position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
+    """`position_parametric` with every class read at the end of the whole
+    path (`position`), the concrete element and each candidate value of a
+    alike."""
+    if not f.has_slot(A):
+        return ParametricPosition(position(point, f))
+    expressed = point.express(f)
+    num, den = expressed.num, expressed.den
+    cf = num.xy_constant_part()
+    cg = den.xy_constant_part()
+    generic = classify_expressed(expressed)
+    candidates: set = set()
+    for c in (cf, cg):
+        if not c.is_zero and c.has_slot(A):
+            candidates.update(rational_roots(c, A))
+    candidates.update(_a_collapse_roots(f.num))
+    candidates.update(_a_collapse_roots(f.den))
+    if cf.is_zero and cg.is_zero:
+        for v in (X, Y):
+            if num.degree(v) > 0 and den.degree(v) > 0:
+                res = sylvester_resultant(num, den, v)
+                if not res.is_zero:
+                    candidates.update(_a_collapse_roots(res))
+    exceptional = {}
+    undefined = []
+    for a0 in sorted(candidates):
+        den0 = f.den.subst_const(A, a0)
+        if den0.is_zero:
+            undefined.append(a0)
+            continue
+        pos = position(point, RatFunc(f.num.subst_const(A, a0), den0))
+        if pos is not generic:
+            exceptional[a0] = pos
+    return ParametricPosition(generic, exceptional, tuple(undefined))
 
 
 def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
@@ -503,7 +540,7 @@ def _ref_sum(toks: _Tokenizer) -> RatFunc:
     while toks.peek()[0] in ("+", "-"):
         op = toks.next()[0]
         rhs = _ref_product(toks)
-        terms = _sum_terms(value, rhs)
+        terms = _sum_terms(value, rhs, _cofactors(value.den, rhs.den))
         if terms > MAX_POWER_TERMS:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "

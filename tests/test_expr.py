@@ -22,7 +22,7 @@ from blowup.expr import (
     parse_path,
     parse_step,
 )
-from blowup.poly import A, Poly, RatFunc, X, Y
+from blowup.poly import A, Poly, RatFunc, X, Y, _cofactors
 
 from helpers import reference_parse_element
 
@@ -145,30 +145,69 @@ fraction_terms = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=
                                  min_size=1, max_size=4)
 
 
+def _bound(f: RatFunc, g: RatFunc) -> int:
+    return _sum_terms(f, g, _cofactors(f.den, g.den))
+
+
 @given(*[fraction_terms] * 4)
 @settings(deadline=None)
 def test_sum_term_bound_holds(p_terms, q_terms, r_terms, s_terms):
     p, q, r, s = (Poly({(i, j, k, 0): Fraction(c) for (i, j, k), c in terms.items()})
                   for terms in (p_terms, q_terms, r_terms, s_terms))
     f, g = RatFunc(p, q), RatFunc(r, s)
-    bound = _sum_terms(f, g)
-    for num in (f.num * g.den + g.num * f.den, f.num * g.den - g.num * f.den,
-                f.den * g.den):
+    bound = _bound(f, g)
+    # the forms the sum builds over the cofactors of the shared denominator
+    h = poly.poly_gcd(f.den, g.den)
+    f_cof, g_cof = f.den.divmod_exact(h), g.den.divmod_exact(h)
+    for num in (f.num * g_cof + g.num * f_cof, f.num * g_cof - g.num * f_cof,
+                f_cof * g.den):
         assert len(num.terms) <= bound
 
 
 def test_sum_term_bound_does_not_bound_the_reduced_value():
     f, g = parse_element("x^5/(x-1)"), parse_element("1/(x-1)")
-    assert _sum_terms(f, g) == 4
+    assert _bound(f, g) == 2
     assert len((f - g).num.terms) == 5 and (f - g).den == Poly.const(1)
 
 
 def test_sum_term_bound_is_exact_for_dense_sums():
     f = parse_element("1/(1+x+y)^30")
     g = parse_element("1/(1+x-y)^30")
-    assert _sum_terms(f, g) == 1891  # C(62, 2) for the denominator
-    assert _sum_terms(RatFunc(x), RatFunc(y)) == 2
-    assert _sum_terms(f, RatFunc(x)) == 497  # 1 + x * (1+x+y)^30
+    assert _bound(f, g) == 1891  # C(62, 2) for the denominator
+    assert _bound(RatFunc(x), RatFunc(y)) == 2
+    assert _bound(f, RatFunc(x)) == 497  # 1 + x * (1+x+y)^30
+
+
+def test_sum_over_a_shared_denominator_is_bounded_on_its_cofactors():
+    # (f.den/h) * g.den is the shared power itself, 496 terms; the full
+    # product of the two denominators would have 1,891
+    text = "x/(1+x+y)^30 + y/(1+x+y)^30"
+    f, g = parse_element("x/(1+x+y)^30"), parse_element("y/(1+x+y)^30")
+    assert _bound(f, g) == 496 <= MAX_POWER_TERMS
+    value = parse_element(text)
+    assert value == f + g
+    assert value.num == x + y
+    assert value.den == (Poly.const(1) + x + y) ** 30
+    assert reference_parse_element(text) == value
+
+
+def test_sum_reads_the_denominators_gcd_once(monkeypatch):
+    calls = []
+    real = poly.poly_gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return real(p, q)
+
+    monkeypatch.setattr(poly, "poly_gcd", counting)
+    f, g = parse_element("x/(1+x+y)^3"), parse_element("y/((1+x+y)^2*(1-y))")
+    calls.clear()
+    # the bound and the sum share one gcd of the denominators; the other
+    # gcd of the sum is of the new numerator and that common factor
+    value = parse_element("x/(1+x+y)^3 + y/((1+x+y)^2*(1-y))")
+    dens = [(p, q) for p, q in calls if {p, q} == {f.den, g.den}]
+    assert len(dens) == 1
+    assert value == f + g
 
 
 @pytest.mark.parametrize("n, seconds", [(10, 0.5), (30, 2)])

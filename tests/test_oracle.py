@@ -7,6 +7,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from blowup import tree
 from blowup.errors import CertificateError, InputError
 from blowup.expr import INF, parse_element
 from blowup.families import Chain, Fiber, Siblings, Singleton
@@ -14,7 +15,7 @@ from blowup.oracle import (MembershipAnswer, in_family, in_point,
                            irredundance_certificate, semigroup_member)
 from blowup.poly import A, Poly, RatFunc, T
 from blowup.tree import Point
-from blowup.valuations import MinimalEventuallyPeriodic
+from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
 from helpers import first_members
 
@@ -156,6 +157,33 @@ PATH_PARTS = st.one_of(
     st.builds(Chain, st.sampled_from(WALK_PATHS), st.integers(0, 2)),
     st.builds(Siblings, st.sampled_from(WALK_PATHS),
               st.sampled_from([Fraction(1), Fraction(-1), Fraction(2)])))
+
+
+# Elements whose walks reach past the first decided point of some member:
+# concrete ones, and ones with a whose exceptional values are rechecked.
+COUNTED = ("y^2/x^3", "x^5/(y^2 - x^3)", "x*y/(x^2 + y^3)", "(x + y)/(x - y)",
+           "y^3/(x^4 + a*y^2)", "y^2/(x + a*y)", "a*x/(y - x)")
+
+
+@pytest.mark.parametrize("family, bound", [
+    # siblings of the cusp's branch: 111 steps, 119 when every member
+    # position expressed f along its whole path
+    (Siblings(MinimalCurveBranch(e("y^2 - x^3").num), Fraction(1)), 112),
+    # the members 1<s><inf><0>: 58 steps, 84 with whole paths
+    (Fiber(Point.from_path([1]), frozenset([Fraction(-1)]), (INF, Fraction(0))), 60),
+])
+def test_member_positions_stop_at_the_first_decided_point(monkeypatch, family, bound):
+    # every express_step charges its step first
+    real, calls = tree.charge, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tree, "charge", counting)
+    for text in COUNTED:
+        in_family(e(text), family)
+    assert len(calls) <= bound
 
 
 @st.composite

@@ -24,7 +24,8 @@ from blowup.oracle import in_point
 from blowup.tree import Point
 from blowup.valuations import SecondKind
 
-from helpers import params, reference_candidate_steps, reference_resolve, subst_poly
+from helpers import (params, reference_candidate_steps, reference_position_parametric,
+                     reference_resolve, subst_poly)
 
 
 def P(literal):
@@ -104,6 +105,37 @@ def test_settled_answers_match_the_whole_path(num, den, steps):
     assert settle(f, point.steps)[0] is position(point, f)
     assert SecondKind(point).contains_element(f) == (point.ord_at(f) >= 0)
     assert in_point(f, point) == (position(point, f) in (Position.ZERO, Position.UNIT))
+
+
+parametric_steps = st.sampled_from(
+    (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(1, 2),
+     Fraction(1), Fraction(2), INF))
+
+
+@st.composite
+def parametric_cases(draw):
+    """A point to depth 5 and an element N(u, v, a)/D(u, v, a) in the local
+    parameters u, v of one of its ancestors, so that the element is often
+    undetermined far down the path and has exceptional values of a."""
+    point = Point.from_path(draw(st.lists(parametric_steps, max_size=5)))
+    u, v = params(point.ancestor(draw(st.integers(0, point.level))))
+    a_degree = draw(st.sampled_from((0, 1, 2)))
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, a_degree)),
+        st.sampled_from((Fraction(-2), Fraction(-1), Fraction(1), Fraction(2))),
+        min_size=1, max_size=4)
+    num, den = (sum((RatFunc(Poly.monomial((0, 0, k, 0), c)) * u ** i * v ** j
+                     for (i, j, k), c in draw(terms).items()), RatFunc(Poly()))
+                for _ in range(2))
+    return point, num / den
+
+
+@given(parametric_cases())
+@settings(max_examples=150, deadline=None)
+def test_parametric_positions_match_the_whole_path(case):
+    # with and without a: generic class, exceptional map and undefined values
+    point, f = case
+    assert position_parametric(point, f) == reference_position_parametric(point, f)
 
 
 @pytest.mark.parametrize("literal, text, member", [
