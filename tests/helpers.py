@@ -17,6 +17,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Tuple
 
+from blowup import tree
 from blowup.errors import ComputationError, DepthCapError, InputError, ResolveError
 from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _constant_bits,
                          _int_literal, _number_bits, _power_terms, _product_terms, _sum_terms,
@@ -626,6 +627,21 @@ def _ref_atom(toks: _Tokenizer) -> RatFunc:
 
 
 DEFAULT_SEED = 20240817
+def count_charges(monkeypatch) -> List[int]:
+    """A list that grows by one entry per `tree.charge` call from now on.
+
+    Every `express_step` charges its step first, so its length counts
+    the chart steps a computation takes."""
+    real, calls = tree.charge, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(tree, "charge", counting)
+    return calls
+
+
 STEP_ALPHABET = (Fraction(-1), Fraction(0), Fraction(1), INF)
 
 

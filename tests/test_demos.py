@@ -4,9 +4,10 @@ import json
 
 import pytest
 
-from blowup import tree
 from blowup.demos import demo_names, run_demo
 from blowup.errors import InputError
+
+from helpers import count_charges
 
 
 def test_known_names():
@@ -39,15 +40,9 @@ def test_demo_deterministic(name):
 
 
 def test_two_ring_cover_settles_its_walks_early(monkeypatch):
-    # every express_step charges its step first; the walks stop at the
-    # first decided point, 4,744 steps against 28,216 for whole paths
-    real, calls = tree.charge, []
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(tree, "charge", counting)
+    # the walks stop at the first decided point, 4,744 steps against
+    # 28,216 for whole paths
+    calls = count_charges(monkeypatch)
     assert run_demo("two-ring-cover")["ok"]
     assert len(calls) <= 5000
 

@@ -7,7 +7,6 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup import tree
 from blowup.errors import CertificateError, InputError
 from blowup.expr import INF, parse_element
 from blowup.families import Chain, Fiber, Siblings, Singleton
@@ -17,7 +16,7 @@ from blowup.poly import A, Poly, RatFunc, T
 from blowup.tree import Point
 from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
-from helpers import first_members
+from helpers import count_charges, first_members
 
 e = parse_element
 D = Point.root()
@@ -173,14 +172,7 @@ COUNTED = ("y^2/x^3", "x^5/(y^2 - x^3)", "x*y/(x^2 + y^3)", "(x + y)/(x - y)",
     (Fiber(Point.from_path([1]), frozenset([Fraction(-1)]), (INF, Fraction(0))), 60),
 ])
 def test_member_positions_stop_at_the_first_decided_point(monkeypatch, family, bound):
-    # every express_step charges its step first
-    real, calls = tree.charge, []
-
-    def counting(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(tree, "charge", counting)
+    calls = count_charges(monkeypatch)
     for text in COUNTED:
         in_family(e(text), family)
     assert len(calls) <= bound
