@@ -96,7 +96,8 @@ def demo_two_ring_cover() -> Dict[str, object]:
 
     For weights v(x) = a, v(y) = b the values are 2b - a and 2a - b, and
     both cannot be negative: a > 2b forces 2a > 4b > b.  The grid check
-    runs all 1 <= a, b <= 40 through the exact valuation oracle.
+    runs all 1 <= a, b <= 40 by the support-minimum rule: v(N/D) is the
+    least a*i + b*j over the terms x^i y^j of N less the same over D.
     """
     r_gen = _e("y^2/x")
     s_gen = _e("x^2/y")
@@ -287,8 +288,10 @@ def demo_local_fiber_intersection() -> Dict[str, object]:
     parametric y^2/(x + a*y) pass membership with no exceptional values,
     while y/x fails with the concrete witness D<inf><inf>.  The converse
     containment argument is sampled: every monomial valuation with
-    weights up to 20 contains the generator its case calls for, and the
-    branch valuations along sample fiber directions contain theirs.
+    weights up to 20 contains the generator its case calls for, its value
+    read by the support-minimum rule (the least a*i + b*j over the terms
+    x^i y^j of the numerator, less the same over the denominator), and
+    the branch valuations along sample fiber directions contain theirs.
     """
     family = Fiber(Point.root(), frozenset(), (INF,))
     checks = []

@@ -10,9 +10,12 @@ Four flavors appear:
   * minimal valuations: unions of the local rings along an infinite path.
     Two constructors are provided, an eventually periodic step sequence and
     curve following (step after step along the branch of a curve).
-  * monomial valuations v(x) = a, v(y) = b.  Subtracting exponents walks
-    the path to a tree point, so these normalize to a scaled order
-    valuation and bring nothing new.
+  * monomial valuations v(x) = a, v(y) = b.  The value of a polynomial is
+    the least weight a*i + b*j over the terms x^i y^j of its support, so
+    v(N/D) is the least weight of N less that of D, with no chart work.
+    Their rings are those of second kind: subtracting the smaller weight
+    from the larger walks a path to a tree point, whose order valuation,
+    scaled, is the monomial one.
 
 Membership of an element f rests on one rule, the domination order of the
 tree.  If P lies below Q, then O_Q is inside O_P and m_P meets O_Q in m_Q.
@@ -35,9 +38,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
+from numbers import Rational
 from typing import Iterable, List, Tuple
 
-from .errors import BranchError, DepthCapError, InputError
+from .errors import BranchError, ComputationError, DepthCapError, InputError
 from .expr import INF, Step, format_path, is_inf
 from .poly import (A, Poly, RatFunc, T, X, Y, _subst_slot_frac, factor_multiplicity,
                    poly_gcd, root_pass)
@@ -47,6 +52,7 @@ from .tree import Point, normalize_step, strict_step
 
 # Cap on walks down a minimal valuation's path; every element settles
 # after finitely many steps, so reaching it means a runaway computation.
+# It also caps the path of a monomial valuation's weights.
 WALK_CAP = 64
 
 
@@ -146,6 +152,47 @@ class SecondKind:
 
     def __repr__(self) -> str:
         return f"SecondKind({self.point})"
+
+
+class MonomialValuation(SecondKind):
+    """The monomial valuation v(x) = a, v(y) = b, on weights scaled to
+    integers by the lcm of their denominators.
+
+    Down the path of the weights (`monomial_path`) x and y become
+    monomials in the local parameters, by an invertible exponent map, so
+    distinct terms stay distinct and none cancel.  The value of a
+    polynomial is therefore the least weight a*i + b*j over its support,
+    and that of N/D the least weight of N less that of D (Zariski and
+    Samuel, Commutative Algebra II, Appendix 3).  The symbol a is a
+    scalar: a coefficient may be any nonzero polynomial in it.
+
+    As a ring this is the order valuation at the end of the path, scaled
+    by the gcd of the weights.  That point is derived only when a ring
+    question, equality, hashing or JSON reads it.
+    """
+
+    def __init__(self, a, b):
+        self.weights = _integer_weights(a, b)
+
+    @cached_property
+    def point(self) -> Point:
+        return Point(monomial_path(*self.weights))
+
+    @property
+    def scale(self) -> int:
+        return math.gcd(*self.weights)
+
+    def value(self, f: RatFunc) -> int:
+        if f.is_zero:
+            raise ValueError("order of zero undefined")
+        a, b = self.weights
+        return _least_weight(f.num, a, b) - _least_weight(f.den, a, b)
+
+    def contains_element(self, f: RatFunc) -> bool:
+        return f.is_zero or self.value(f) >= 0
+
+    def __repr__(self) -> str:
+        return "MonomialValuation({}, {})".format(*self.weights)
 
 
 class _MinimalBase:
@@ -336,27 +383,54 @@ def monomial_path(a, b) -> Tuple[Step, ...]:
     return _weight_walk(a, b)[0]
 
 
-def monomial_valuation(a, b) -> SecondKind:
-    """The monomial valuation, normalized to a scaled order valuation."""
-    path, scale = _weight_walk(a, b)
-    return SecondKind(Point(path), scale=scale)
+def monomial_valuation(a, b) -> MonomialValuation:
+    """The monomial valuation v(x) = a, v(y) = b."""
+    return MonomialValuation(a, b)
 
 
-def _weight_walk(a, b) -> Tuple[Tuple[Step, ...], int]:
-    """`monomial_path` of the weights and the weight the walk ends on.
+def _least_weight(p: Poly, a: int, b: int) -> int:
+    return min(a * e[X] + b * e[Y] for e in p.terms)
 
-    The weights are first scaled to integers by the lcm of their
-    denominators; the subtractive walk then ends on their gcd, which is
-    the scale of the order valuation at the end of the path.
+
+def _integer_weights(a, b) -> Tuple[int, int]:
+    """The weights scaled to integers by the lcm of their denominators.
+
+    A bool is no weight, and a binary fraction is not the exact weight it
+    rounds.
     """
     if type(a) is int and type(b) is int:
         ia, ib = a, b
     else:
+        for w in (a, b):
+            if isinstance(w, bool) or not isinstance(w, Rational):
+                raise InputError(f"bad weight {w!r}: expected a rational")
         a, b = Fraction(a), Fraction(b)
         scale = math.lcm(a.denominator, b.denominator)
         ia, ib = int(a * scale), int(b * scale)
     if ia <= 0 or ib <= 0:
         raise InputError("monomial weights must be positive")
+    return ia, ib
+
+
+def _weight_walk(a, b) -> Tuple[Tuple[Step, ...], int]:
+    """`monomial_path` of the weights and the weight the walk ends on.
+
+    The weights are first scaled to integers (`_integer_weights`); the
+    subtractive walk then ends on their gcd, which is the scale of the
+    order valuation at the end of the path.  Each partial quotient of
+    a/b counts the subtractions of one run, and the last run stops one
+    short, so the length is known before the walk: past `WALK_CAP` steps
+    it raises `ComputationError`.
+    """
+    ia, ib = _integer_weights(a, b)
+    length, p, q = -1, ia, ib
+    while q:
+        quotient, rest = divmod(p, q)
+        length, p, q = length + quotient, q, rest
+    if length > WALK_CAP:
+        raise ComputationError(
+            f"the path of the weights ({ia}, {ib}) has {length} steps, "
+            f"past the cap of {WALK_CAP}")
     steps: List[Step] = []
     while ia != ib:
         if ia < ib:

@@ -9,8 +9,11 @@ returned.  `tests/test_golden.py` replays every line and compares the
 output byte for byte.
 
 The corpus covers `member` in text and `--json` over nine family shapes
-and sixteen elements, the seven demos in `--json`, `position` on a fixed
-set of paths, and a sum whose two terms share a large denominator.
+and sixteen elements, the seven demos in text and `--json`, `position`
+on a fixed set of paths, a sum whose two terms share a large
+denominator, and chains and siblings refused for following a monomial
+valuation, small or with a weight path of 10^14 steps, or for a float
+weight.
 """
 
 from __future__ import annotations
@@ -59,6 +62,18 @@ POSITION_PATHS = ("[]", "[0]", "[1, inf]", "[inf, 0]", "[-1/2, inf]", "[inf, inf
 # The two terms share the denominator (1 + x + y)^30 of 496 terms.
 SUM_BUDGET = "x/(1+x+y)^30 + y/(1+x+y)^30"
 
+# Chains and siblings follow a minimal valuation, so every one of these
+# is refused with exit 2, the weight (10^14, 1) too, whose path is never
+# built.
+MONOMIAL_FAMILIES = {
+    f"{kind}-monomial-{a}-{b}": dict(part, valuation={"kind": "monomial", "a": a, "b": b})
+    for kind, part in (("chain", {"kind": "chain", "from": 1}),
+                       ("siblings", {"kind": "siblings", "offset": "1"}))
+    for a, b in ((2, 3), (10 ** 14, 1))
+}
+MONOMIAL_FAMILIES["chain-float-weight"] = {
+    "kind": "chain", "from": 1, "valuation": {"kind": "monomial", "a": 0.5, "b": 1}}
+
 
 def cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
     """(argv, input files) of every run, in corpus order."""
@@ -69,6 +84,7 @@ def cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
             yield argv, files
             yield argv + ["--json"], files
     for name in demo_names():
+        yield ["demo", name], {}
         yield ["demo", name, "--json"], {}
     for path in POSITION_PATHS:
         for text in ELEMENTS:
@@ -77,6 +93,11 @@ def cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
             yield argv + ["--json"], {}
     for extra in ([], ["--json"]):
         yield ["position", "--elt", SUM_BUDGET, "--point", "[]"] + extra, {}
+    for name, part in MONOMIAL_FAMILIES.items():
+        files = {f"{name}.json": json.dumps([part])}
+        argv = ["member", "--elt", "x", "--family", f"{name}.json"]
+        yield argv, files
+        yield argv + ["--json"], files
 
 
 def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:

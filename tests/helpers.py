@@ -29,7 +29,7 @@ from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _cofactor
 from blowup.position import (ParametricPosition, Position, Resolution, _a_collapse_roots,
                              _candidate_steps, _StepSet, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
-from blowup.valuations import MinimalCurveBranch, SecondKind
+from blowup.valuations import MinimalCurveBranch, SecondKind, _weight_walk
 
 
 # -- chart data that only the tests read -------------------------------------
@@ -253,6 +253,14 @@ def reference_express(steps, f: RatFunc) -> RatFunc:
     for step in steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
     return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
+
+
+def reference_monomial_valuation(a, b) -> SecondKind:
+    """The monomial valuation v(x) = a, v(y) = b by the chart walk: the
+    order valuation at the end of the weights' path, scaled by the weight
+    the subtractive walk ends on.  Its value expresses f down the path."""
+    path, scale = _weight_walk(a, b)
+    return SecondKind(Point(path), scale)
 
 
 # -- gcds and fraction arithmetic without shortcuts -------------------------

@@ -40,11 +40,20 @@ def test_demo_deterministic(name):
 
 
 def test_two_ring_cover_settles_its_walks_early(monkeypatch):
-    # the walks stop at the first decided point, 4,744 steps against
-    # 28,216 for whole paths
+    # monomial valuations take their values from support minima, with no
+    # chart step (4,744 steps when they walked the weights' paths)
     calls = count_charges(monkeypatch)
     assert run_demo("two-ring-cover")["ok"]
-    assert len(calls) <= 5000
+    assert not calls
+
+
+def test_local_fiber_intersection_walks_only_its_memberships(monkeypatch):
+    # the 28 steps are the five fiber memberships and the three branch
+    # valuations; the 400 monomial valuations take none (2,404 in all
+    # when they walked the weights' paths)
+    calls = count_charges(monkeypatch)
+    assert run_demo("local-fiber-intersection")["ok"]
+    assert len(calls) <= 28
 
 
 def test_unknown_name():

@@ -22,7 +22,7 @@ from blowup.valuations import (
     monomial_valuation,
 )
 
-from helpers import curve_along, reference_same_path
+from helpers import curve_along, reference_monomial_valuation, reference_same_path
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -150,6 +150,43 @@ def test_monomial_rejects_nonpositive():
         monomial_path(3, -2)
 
 
+@pytest.mark.parametrize("a, b", [(0.1, 1), (2, 0.5), (True, 2), (1, False)])
+def test_monomial_rejects_inexact_weights(a, b):
+    # a float is not the exact weight it rounds, and a bool is no weight
+    with pytest.raises(InputError, match="bad weight"):
+        monomial_valuation(a, b)
+    with pytest.raises(InputError, match="bad weight"):
+        monomial_path(a, b)
+
+
+def test_monomial_path_length_is_capped():
+    assert len(monomial_path(40, 1)) == 39
+    assert len(monomial_path(WALK_CAP + 1, 1)) == WALK_CAP
+    with pytest.raises(ComputationError, match="past the cap"):
+        monomial_path(WALK_CAP + 2, 1)
+    # the length comes from the partial quotients, before any step is taken
+    with pytest.raises(ComputationError, match="99999999999999 steps"):
+        monomial_path(10 ** 14, 1)
+
+
+def test_monomial_valuation_derives_its_point_only_when_asked():
+    v = monomial_valuation(10 ** 14, 1)
+    assert v.value(E("x/y^2")) == 10 ** 14 - 2
+    assert v.contains_element(E("x/y^3"))
+    assert v.scale == 1
+    with pytest.raises(ComputationError):
+        v.point
+    with pytest.raises(ValueError, match="order of zero undefined"):
+        v.value(E("0"))
+
+
+def test_monomial_symbol_a_is_a_scalar():
+    v = monomial_valuation(2, 3)
+    assert v.value(E("y^2/(x + a*y)")) == 4
+    # signs and a mix in the coefficients, and a + 1 is a unit
+    assert v.value(E("(a*x^3 - y^2)/(a + 1)")) == 6
+
+
 # -- minimal valuations ------------------------------------------------------
 
 def test_periodic_canonical_form():
@@ -260,12 +297,35 @@ def test_monomial_value_is_min_term_weight():
         terms = {}
         for _ in range(rng.randint(1, 6)):
             exps = (rng.randint(0, 5), rng.randint(0, 5), 0, 0)
-            terms[exps] = Fraction(rng.randint(1, 9), rng.randint(1, 4))
+            terms[exps] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
         p = Poly(terms)
-        # positive coefficients rule out cancellation of minimizing terms:
-        # monomial charts substitute monomials, so no signs ever mix
         expected = min(a * e[X] + b * e[Y] for e in terms)
         assert v.value(RatFunc(p)) == expected
+
+
+weights = st.one_of(st.integers(1, 12), st.builds(Fraction, st.integers(1, 8), st.integers(1, 4)))
+# signed coefficients and the symbol a; an empty numerator is the zero element
+weighted_terms = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.just(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+    max_size=4)
+
+
+@given(weights, weights, weighted_terms, weighted_terms.filter(bool))
+@settings(max_examples=200, deadline=None)
+@example(2, 3, {(0, 2, 0, 0): 1}, {(1, 0, 0, 0): 1, (0, 1, 1, 0): 1})
+@example(Fraction(5, 2), 1, {}, {(0, 0, 0, 0): 1})
+def test_monomial_valuation_matches_the_chart_walk(a, b, num, den):
+    f = RatFunc(Poly(num), Poly(den))
+    v, reference = monomial_valuation(a, b), reference_monomial_valuation(a, b)
+    assert v.contains_element(f) == reference.contains_element(f)
+    if f.is_zero:
+        for valuation in (v, reference):
+            with pytest.raises(ValueError, match="order of zero undefined"):
+                valuation.value(f)
+    else:
+        assert v.value(f) == reference.value(f)
+    assert v == reference and v.scale == reference.scale
 
 
 def test_same_path_across_constructors():
