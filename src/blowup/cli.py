@@ -25,7 +25,7 @@ from .jsonio import (family_set_from_json, family_set_to_json, steps_to_json,
                      valuation_to_json)
 from .oracle import in_family, irredundance_certificate, semigroup_member
 from .poly import A, Poly, RatFunc
-from .position import position, position_parametric, resolve
+from .position import position_parametric, resolve
 from .proximity import proximate_ancestors
 from .topology import (closure_member, irreducible_components, is_noetherian,
                        patch_limit_points, zariski_closure)
@@ -136,13 +136,13 @@ def _cmd_position(args) -> Dict:
     f = _element_from(args)
     point = _point_from(args.point)
     report = {"command": "position", "element": str(f), "point": _literal(point)}
+    pp = position_parametric(point, f)
     if f.has_slot(A):
-        pp = position_parametric(point, f)
         report["generic"] = pp.generic.value
         report["exceptional"] = {str(k): v.value for k, v in sorted(pp.exceptional.items())}
         report["undefined"] = [str(v) for v in pp.undefined]
     else:
-        report["position"] = position(point, f).value
+        report["position"] = pp.generic.value
     return report
 
 

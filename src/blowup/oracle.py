@@ -19,17 +19,20 @@ two parameters at the origin, so f belongs to it exactly when the reduced
 denominator does not vanish there, i.e. the position is Zero or Unit.
 
 One route serves elements with and without a: without it, an element is
-the parametric case with no exceptional values.  For a fiber the free
-step is the symbol t, and the zero set of the expressed denominator's
-constant part c(a, t) carries every possible membership failure: away
-from it the specialized denominator keeps a unit constant term.  The
-analysis splits c into factors in t alone (suspicious members, checked
-for all a at once), factors in a alone (candidate parameter values,
-rechecked concretely), and the square-free rest, whose factors are
-followed along their rational parameterization when one variable appears
-linearly.  Specializing can cancel further common factors, so candidates
-are always rechecked with the specialized element; the symbolic pass only
-decides the generic verdict and enumerates the places to look.
+the parametric case with no exceptional values.  A point is classified
+in one chart, where f settles or where a walk carries it; `a_candidates`
+reads the values of a where that class may differ off the same chart.
+For a fiber the free step is the symbol t, and the zero set of the
+expressed denominator's constant part c(a, t) carries every possible
+membership failure: away from it the specialized denominator keeps a
+unit constant term.  The analysis splits c into factors in t alone
+(suspicious members, checked for all a at once), factors in a alone
+(candidate parameter values), and the square-free rest, whose factors
+are followed along their rational parameterization when one variable
+appears linearly.  Specializing can cancel further common factors, so
+`in_family` alone decides each candidate with the specialized element;
+the symbolic pass only decides the generic verdict and enumerates the
+places to look.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots
-from .position import Position, _a_collapse_roots, position_parametric, settle
+from .position import Position, _a_collapse_roots, a_candidates, classify_expressed, settle
 from .tree import TSYM, Point, charge, express_step, strict_step
 from .valuations import WALK_CAP, FirstKind
 
@@ -94,17 +97,18 @@ def in_family(f: RatFunc, family) -> MembershipAnswer:
       * a chain's rings grow along the path, so its intersection is the
         ring at its first member;
       * sibling member i is a child of the path point P_i, so its ring
-        contains O_{P_i}.  The walk goes down the path and checks member
-        i before classifying f at P_i.  Once f is a zero or a unit at
-        some P_L, every later member contains it; once f is a pole at P_L,
-        member max(L, 1) dominates P_L and is the witness.  f settles on
-        every path (the union is a valuation ring); the walk stops with
-        `DepthCapError` past level `WALK_CAP` (64) all the same;
+        contains O_{P_i}.  The walk carries f's chart down the path one
+        step a level.  Once f is a zero or a unit at some P_L, every later
+        member contains it; once f is a pole at P_L, member max(L, 1)
+        dominates P_L and is the witness; while f is undetermined at P_L,
+        member L is classified one step off its chart.  f settles on every
+        path (the union is a valuation ring); the walk stops with
+        `DepthCapError` at P_64 (`WALK_CAP`), its open point, all the same;
       * fibers are decided symbolically for every member at once.
 
-    For f carrying a, the same rules decide the generic value, and the
-    finitely many values of a where some visited position differs are
-    rechecked with the specialized element.
+    For f carrying a, the same rules decide the generic value, and here
+    alone each value of a where some visited chart's class may differ is
+    decided again with the specialized element.
     """
     if f.has_slot(T):
         raise InputError("the symbol t is reserved for fiber steps")
@@ -147,37 +151,37 @@ def _check(f: RatFunc, parts: Sequence[Family], candidates: Set[Fraction],
             # a chain's rings grow along its path: the first member decides
             witness = (part.point if isinstance(part, Singleton)
                        else part.member(part.from_level))
-            ok = _position(witness, f, candidates) in _MEMBER
+            ok = _position(f, settle(f, witness.steps)[1], candidates) in _MEMBER
         if not ok:
             return False, witness
     return True, None
 
 
-def _position(point: Point, f: RatFunc, candidates: Set[Fraction]) -> Position:
-    """Generic position of f at the point, with the values of a where f is
-    not in the ring added to `candidates`."""
-    pp = position_parametric(point, f)
-    candidates.update(a0 for a0, pos in pp.exceptional.items()
-                      if pos not in _MEMBER)
-    return pp.generic
+def _position(f: RatFunc, chart: RatFunc, candidates: Set[Fraction]) -> Position:
+    """Generic class of f in a chart, f expressed at some point, with the
+    values of a where it may differ added to `candidates`."""
+    candidates.update(a_candidates(f, chart))
+    return classify_expressed(chart)
 
 
 def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
                   ) -> Tuple[bool, Optional[Point]]:
+    path, chart = part.valuation, f
     for level in range(WALK_CAP + 1):
-        # member i before P_i: the first failing member is the witness
-        if level >= 1:
-            beta = part.member(level)
-            if _position(beta, f, candidates) not in _MEMBER:
-                return False, beta
-        pos = _position(part.valuation.point_at(level), f, candidates)
+        if level:
+            chart = express_step(chart, path.step_at(level - 1))
+        pos = _position(f, chart, candidates)
         if pos in _MEMBER:
             return True, None
         if pos is Position.POLE:
             return False, part.member(max(level, 1))
+        # member L is one more step off P_L, where f is still undetermined
+        if level and _position(f, express_step(chart, part.sibling_step(level)),
+                               candidates) not in _MEMBER:
+            return False, part.member(level)
     raise DepthCapError(
         f"position of {f} along the path of {part.describe()} did not "
-        f"settle within {WALK_CAP} steps")
+        f"settle within {WALK_CAP} steps", open_points=[path.point_at(WALK_CAP)])
 
 
 # -- fibers ------------------------------------------------------------------
@@ -192,7 +196,8 @@ def _failing_member(fiber: Fiber, pairs: Iterable[Tuple[Step, RatFunc]],
     scanning for one pass 16 steps: a short scan cannot miss."""
     for step, g in pairs:
         beta = fiber.allowed_member(step)
-        if beta is not None and _position(beta, g, candidates) not in _MEMBER:
+        if beta is not None and _position(g, settle(g, beta.steps)[1],
+                                          candidates) not in _MEMBER:
             return beta
     return None
 

@@ -324,17 +324,32 @@ class ParametricPosition:
 
 
 def position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
-    """Classify f(a) at a point, uniformly in the parameter a.
+    """Classify f(a) at a point, uniformly in the parameter a: f, and f at
+    each value of a that `a_candidates` finds in the chart where f settles,
+    are classified at their first decided points on the path (`settle`)."""
+    generic, chart = settle(f, point.steps)
+    exceptional: Dict[Fraction, Position] = {}
+    undefined: List[Fraction] = []
+    for a0 in a_candidates(f, chart):
+        den0 = f.den.subst_const(A, a0)
+        if den0.is_zero:
+            undefined.append(a0)
+            continue
+        pos = settle(RatFunc(f.num.subst_const(A, a0), den0), point.steps)[0]
+        if pos is not generic:
+            exceptional[a0] = pos
+    return ParametricPosition(generic, exceptional, tuple(undefined))
 
-    A concrete element, and f at each candidate value of a, is classified
-    at its first decided point on the path (`settle`)."""
+
+def a_candidates(f: RatFunc, chart: RatFunc) -> List[Fraction]:
+    """Values of a, in order, where f may leave its class in `chart`, f
+    expressed at a point: roots of the chart's constant parts, values that
+    kill f's numerator or denominator, and, in an undetermined chart, roots
+    of the resultants of its two parts.  None for a concrete f."""
     if not f.has_slot(A):
-        return ParametricPosition(settle(f, point.steps)[0])
-    expressed = point.express(f)
-    num, den = expressed.num, expressed.den
-    cf = num.xy_constant_part()
-    cg = den.xy_constant_part()
-    generic = classify_expressed(expressed)
+        return []
+    cf = chart.num.xy_constant_part()
+    cg = chart.den.xy_constant_part()
     candidates: set = set()
     for c in (cf, cg):
         if not c.is_zero and c.has_slot(A):
@@ -343,22 +358,11 @@ def position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
     candidates.update(_a_collapse_roots(f.den))
     if cf.is_zero and cg.is_zero:
         for v in (X, Y):
-            if num.degree(v) > 0 and den.degree(v) > 0:
-                res = sylvester_resultant(num, den, v)
+            if chart.num.degree(v) > 0 and chart.den.degree(v) > 0:
+                res = sylvester_resultant(chart.num, chart.den, v)
                 if not res.is_zero:
                     candidates.update(_a_collapse_roots(res))
-    exceptional: Dict[Fraction, Position] = {}
-    undefined: List[Fraction] = []
-    for a0 in sorted(candidates):
-        den0 = f.den.subst_const(A, a0)
-        if den0.is_zero:
-            undefined.append(a0)
-            continue
-        special = RatFunc(f.num.subst_const(A, a0), den0)
-        pos = settle(special, point.steps)[0]
-        if pos is not generic:
-            exceptional[a0] = pos
-    return ParametricPosition(generic, exceptional, tuple(undefined))
+    return sorted(candidates)
 
 
 def _a_collapse_roots(p: Poly) -> List[Fraction]:

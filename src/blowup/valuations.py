@@ -221,7 +221,8 @@ class _MinimalBase:
         pos, _ = settle(f, map(self.step_at, range(WALK_CAP)))
         if pos is Position.UNDETERMINED:
             raise DepthCapError(
-                f"position of {f} along the path did not settle within {WALK_CAP} steps")
+                f"position of {f} along the path did not settle within {WALK_CAP} steps",
+                open_points=[self.point_at(WALK_CAP)])
         return pos is not Position.POLE
 
     def ring_contains(self, beta: Point) -> bool:

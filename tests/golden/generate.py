@@ -11,7 +11,9 @@ output byte for byte.
 The corpus covers `member` in text and `--json` over nine family shapes
 and sixteen elements, the seven demos in text and `--json`, `position`
 on a fixed set of paths, a sum whose two terms share a large
-denominator, and chains and siblings refused for following a monomial
+denominator, elements decided at the root of a path whose end chart is
+over the budget, walks that settle deep along a path or not within its
+cap, and chains and siblings refused for following a monomial
 valuation, small or with a weight path of 10^14 steps, or for a float
 weight.
 """
@@ -62,6 +64,16 @@ POSITION_PATHS = ("[]", "[0]", "[1, inf]", "[inf, 0]", "[-1/2, inf]", "[inf, inf
 # The two terms share the denominator (1 + x + y)^30 of 496 terms.
 SUM_BUDGET = "x/(1+x+y)^30 + y/(1+x+y)^30"
 
+# Units at the root whose chart at the end of the path is over the budget.
+ROOT_UNITS = ("a/(1+x+y)^30", "1/(1+x+y)^30")
+ROOT_UNIT_PATH = "[1, 1, 1, 1, 1, 1]"
+
+# Siblings along [] + [0]: the first two elements settle at levels 30 and
+# 20, the last at level 70, past the walk's cap.
+DEEP_SIBLINGS = {"kind": "siblings", "offset": "1",
+                 "valuation": {"kind": "minimal", "prefix": [], "period": ["0"]}}
+DEEP_ELEMENTS = ("x*y/(y - x^30)", "y^2/(x^20 + a*y)", "x^70/y")
+
 # Chains and siblings follow a minimal valuation, so every one of these
 # is refused with exit 2, the weight (10^14, 1) too, whose path is never
 # built.
@@ -96,6 +108,15 @@ def cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
     for name, part in MONOMIAL_FAMILIES.items():
         files = {f"{name}.json": json.dumps([part])}
         argv = ["member", "--elt", "x", "--family", f"{name}.json"]
+        yield argv, files
+        yield argv + ["--json"], files
+    for text in ROOT_UNITS:
+        argv = ["position", "--elt", text, "--point", ROOT_UNIT_PATH]
+        yield argv, {}
+        yield argv + ["--json"], {}
+    files = {"deep-siblings.json": json.dumps([DEEP_SIBLINGS])}
+    for text in DEEP_ELEMENTS:
+        argv = ["member", "--elt", text, "--family", "deep-siblings.json"]
         yield argv, files
         yield argv + ["--json"], files
 

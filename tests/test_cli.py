@@ -292,6 +292,15 @@ class TestErrors:
         assert error["type"] == "DepthCapError"
         assert "within 64 steps" in error["message"]
 
+    def test_member_walk_cap_names_its_open_point(self, capsys, family_file):
+        # x^70/y settles at level 70 of [] + [0], past the cap: P_64 is open
+        code, out, err = run(capsys, "member", "--elt", "x^70/y",
+                             "--family", family_file(SIBLINGS))
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "DepthCapError"
+        assert error["open_points"] == ["[" + ", ".join(["0"] * 64) + "]"]
+
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "position", "--elt", "x+", "--point", "[0]")
         assert code == 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowup.errors import CertificateError, InputError
 from blowup.expr import INF, parse_element
@@ -164,24 +164,34 @@ COUNTED = ("y^2/x^3", "x^5/(y^2 - x^3)", "x*y/(x^2 + y^3)", "(x + y)/(x - y)",
            "y^3/(x^4 + a*y^2)", "y^2/(x + a*y)", "a*x/(y - x)")
 
 
-@pytest.mark.parametrize("family, bound", [
-    # siblings of the cusp's branch: 111 steps, 119 when every member
-    # position expressed f along its whole path
-    (Siblings(MinimalCurveBranch(e("y^2 - x^3").num), Fraction(1)), 112),
-    # the members 1<s><inf><0>: 58 steps, 84 with whole paths
-    (Fiber(Point.from_path([1]), frozenset([Fraction(-1)]), (INF, Fraction(0))), 60),
+@pytest.mark.parametrize("family, texts, bound", [
+    # siblings of the cusp's branch: 32 steps, 111 when the walk expressed
+    # f from the root at every level
+    pytest.param(Siblings(MinimalCurveBranch(e("y^2 - x^3").num), Fraction(1)),
+                 COUNTED, 32, id="cusp-siblings"),
+    # the members 1<s><inf><0>: 46 steps, 58 when each member classified
+    # f along its whole path and rechecked each value of a there
+    pytest.param(Fiber(Point.from_path([1]), frozenset([Fraction(-1)]), (INF, Fraction(0))),
+                 COUNTED, 46, id="fiber"),
+    # siblings along [] + [0]: 18 steps, 37 from the root
+    pytest.param(Siblings(V0, Fraction(1)), COUNTED, 18, id="zero-path-siblings"),
+    # settled at levels 30 and 20: about two steps a level, where walks
+    # from the root took 870 and 1,131
+    pytest.param(Siblings(V0, Fraction(1)), ("x*y/(y - x^30)",), 58, id="settles-at-30"),
+    pytest.param(Siblings(V0, Fraction(1)), ("y^2/(x^20 + a*y)",), 79, id="settles-at-20"),
 ])
-def test_member_positions_stop_at_the_first_decided_point(monkeypatch, family, bound):
+def test_member_positions_stop_at_the_first_decided_point(monkeypatch, family,
+                                                          texts, bound):
     calls = count_charges(monkeypatch)
-    for text in COUNTED:
+    for text in texts:
         in_family(e(text), family)
     assert len(calls) <= bound
 
 
 @st.composite
-def curve_quotients(draw):
+def curve_quotients(draw, coefficients=st.sampled_from(["-1", "1", "2"])):
     """x^i y^j over a curve that follows one of the paths for a while."""
-    c = draw(st.sampled_from([-1, 1, 2]))
+    c = draw(coefficients)
     k = draw(st.integers(1, 5))
     curve = draw(st.sampled_from(
         [f"y - ({c})*x^{k}", f"x - ({c})*y^{k}", f"y + x - ({c})*x^{k}",
@@ -202,6 +212,22 @@ def test_walk_witness_is_the_first_failing_member(part, f):
     if answer.verdict == "no":
         assert not in_point(f, answer.witness)
     assert answer.flags == ()
+
+
+@given(PATH_PARTS, curve_quotients(st.sampled_from(["a", "a - 1", "2*a"])))
+@example(Siblings(V0, Fraction(1)), e("x^2/(y - a*x^2)"))
+@settings(max_examples=60, deadline=None)
+def test_parametric_walk_matches_the_concrete_walks(part, f):
+    # the walk at each value of a is the oracle; a value that fails only
+    # at a member, one step off an undetermined path point, must be found
+    answer = in_family(f, part)
+    if answer.verdict not in ("yes", "yes_except"):
+        return
+    for a0 in map(Fraction, range(-3, 4)):
+        if f.den.subst_const(A, a0).is_zero:
+            continue
+        concrete = in_family(f.subst_const(A, a0), part)
+        assert (concrete.verdict == "no") == (a0 in answer.exceptions), a0
 
 
 class TestInFamilyParametric:

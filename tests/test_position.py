@@ -14,6 +14,7 @@ from blowup.position import (
     ParametricPosition,
     Position,
     _candidate_steps,
+    a_candidates,
     locate,
     position,
     position_parametric,
@@ -24,8 +25,8 @@ from blowup.oracle import in_point
 from blowup.tree import Point
 from blowup.valuations import SecondKind
 
-from helpers import (params, reference_candidate_steps, reference_position_parametric,
-                     reference_resolve, subst_poly)
+from helpers import (count_charges, params, reference_candidate_steps,
+                     reference_position_parametric, reference_resolve, subst_poly)
 
 
 def P(literal):
@@ -417,6 +418,26 @@ def test_parametric_concrete_element_is_its_position(monkeypatch):
     f = E("(x + y)/(x - y)")
     assert position_parametric(Point.root(), f) == \
         ParametricPosition(position(Point.root(), f))
+
+
+def test_a_candidates_read_the_chart_of_an_element_with_a():
+    f = E("(x + y)/(x - y)")
+    assert a_candidates(f, f) == []
+    g = E("y^2/(x + a*y)")
+    assert a_candidates(g, P("[-1/2]").express(g)) == [Fraction(2)]
+
+
+def test_parametric_decided_above_the_point_takes_no_step(monkeypatch):
+    # a unit at the root; the chart at the end of the path is over the budget
+    point = P("[1, 1, 1, 1, 1, 1]")
+    with pytest.raises(ComputationError):
+        position(point, E("1/(1+x+y)^30"))
+    calls = count_charges(monkeypatch)
+    assert position_parametric(point, E("1/(1+x+y)^30")) == \
+        ParametricPosition(Position.UNIT)
+    assert position_parametric(point, E("a/(1+x+y)^30")) == \
+        ParametricPosition(Position.UNIT, {Fraction(0): Position.ZERO})
+    assert calls == []
 
 
 def test_parametric_rejects_symbolic_point():

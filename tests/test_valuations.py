@@ -426,6 +426,13 @@ def test_cross_kind_rings_agree_on_samples():
         assert v.contains_element(E(text)) == w.contains_element(E(text))
 
 
+def test_walk_cap_names_the_open_path_point():
+    v = MinimalEventuallyPeriodic([], [0])
+    with pytest.raises(DepthCapError) as caught:
+        v.contains_element(E("x^70/y"))
+    assert caught.value.open_points == (v.point_at(WALK_CAP),)
+
+
 # -- the membership walk against expressing from the root ---------------------
 
 def _walk_from_root(v, f):
