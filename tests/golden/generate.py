@@ -16,6 +16,14 @@ over the budget, walks that settle deep along a path or not within its
 cap, and chains and siblings refused for following a monomial
 valuation, small or with a weight path of 10^14 steps, or for a float
 weight.
+
+It also runs every other subcommand in text and `--json`: `resolve`
+over the sixteen elements and with a depth bound or a start point,
+`prox`, `ancestors` and `strict` over the position paths, the four
+topology commands over the nine family shapes (`closure` also with
+probe points), `irredundant` on two fibers, `semigroup`, `dot`, the
+README's examples with every exit-2 and exit-3 case it names, and
+malformed family and curve inputs.
 """
 
 from __future__ import annotations
@@ -119,6 +127,117 @@ def cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         argv = ["member", "--elt", text, "--family", "deep-siblings.json"]
         yield argv, files
         yield argv + ["--json"], files
+    for argv, files in _subcommand_cases():
+        yield argv, files
+        yield argv + ["--json"], files
+
+
+# The README's element, and the start point of a `resolve` below it.
+README_ELEMENT = "x*y/(y^2 + x^3)"
+CURVES = ("y^2 - x^3", "y - x^2", "x^2 - y^3")
+CLOSURE_PROBES = ("[0, inf]", "[0, 0, 0]", "[1, -1, 0]")
+# The family-queries workload's certificate family: two fibers that share
+# no member.
+TWO_FIBERS = [{"kind": "fiber", "base": [], "excluded": [INF]}, {"kind": "fiber", "base": [INF]}]
+IRREDUNDANT = (("[2]", "y - (2)*x"), ("[inf, 3]", "x - (3)*y^2"), ("[2]", "y - (3)*x"))
+SIBLINGS_OFF_INF = {"kind": "siblings", "offset": "1",
+                    "valuation": {"kind": "minimal", "prefix": [INF], "period": ["-1"]}}
+
+# The exit-2 and exit-3 elements the README names.
+README_REFUSED = ("2^100000", "(1+x+y)^100", "(1+x)^30*(1+y)^30", "1/(1+x)^30 + 1/(1+y)^30",
+                  "x^\u00b2", "(" * 101 + "x" + ")" * 101)
+README_RESOLVE = ("(y^2 - 1000000000000000003*x^2)/x^2",
+                  "(963761198400*y^2 + x*y + 963761198400*x^2)/x^2",
+                  "(y - 1000000000000000003*x)/x",
+                  "((y^2 - x^3)^2 - x^5*y)/((y^2 - x^3)^2 - x^5*y + x^90)")
+# Curve descriptors refused when read: a split tangent cone, an irrational
+# direction, and a branch still singular after the walk's cap.
+REFUSED_CURVES = ("y^2 - x^2", "y^2 - 2*x^2", "y^2 - x^131")
+
+# Family inputs that the readers refuse or accept at their edges.
+EDGE_FAMILIES = {
+    "chain-from-negative": {"kind": "chain", "from": -1,
+                            "valuation": {"kind": "minimal", "prefix": [], "period": ["0"]}},
+    "chain-from-true": {"kind": "chain", "from": True,
+                        "valuation": {"kind": "minimal", "prefix": [], "period": ["0"]}},
+    "chain-second": {"kind": "chain", "from": 1,
+                     "valuation": {"kind": "second", "point": ["0"]}},
+    "siblings-first": {"kind": "siblings", "offset": "1",
+                       "valuation": {"kind": "first", "h": "y - x"}},
+    "chain-unknown-kind": {"kind": "chain", "from": 1, "valuation": {"kind": "cusp"}},
+}
+BAD_CURVES = ("y - 1/x", "y - a*x")
+
+
+def _subcommand_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
+    """(argv, input files) of the runs past `member`, `demo` and `position`,
+    each recorded in text and in `--json`."""
+    for text in ELEMENTS:
+        yield ["resolve", "--elt", text], {}
+    yield ["resolve", "--elt", README_ELEMENT, "--max-depth", "2"], {}
+    yield ["resolve", "--elt", README_ELEMENT, "--point", "[0]"], {}
+    yield ["resolve", "--f", "x*y", "--g", "y^2 + x^3"], {}
+    for path in POSITION_PATHS:
+        yield ["prox", "--point", path], {}
+        yield ["ancestors", "--point", path], {}
+        for curve in CURVES:
+            yield ["strict", "--f", curve, "--point", path], {}
+    for name, part in FAMILIES.items():
+        files = {f"{name}.json": json.dumps([part])}
+        for command in ("limits", "noetherian", "components", "closure"):
+            yield [command, "--family", f"{name}.json"], files
+        for probe in CLOSURE_PROBES:
+            yield ["closure", "--family", f"{name}.json", "--point", probe], files
+        yield ["dot", "--family", f"{name}.json", "--max-depth", "2"], files
+    files = {"two-fibers.json": json.dumps(TWO_FIBERS)}
+    for member, curve in IRREDUNDANT:
+        yield (["irredundant", "--family", "two-fibers.json", "--member", member,
+                "--candidates", curve], files)
+    yield ["semigroup", "--target", "-2,3", "--gens", "1,0;0,1;-1,2;-2,3"], {}
+    yield ["semigroup", "--target", "-3,1", "--gens", "1,0;0,1;-1,2"], {}
+    yield ["dot"], {}
+    files = {"fiber-tail.json": json.dumps([FAMILIES["fiber-tail"]])}
+    yield ["dot", "--family", "fiber-tail.json", "--steps", "-1/2,2,inf"], files
+    yield ["dot", "--family", "fiber-tail.json", "--node-cap", "3"], files
+    yield from _readme_cases()
+    yield from _edge_cases()
+
+
+def _readme_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
+    yield ["resolve", "--elt", README_ELEMENT], {}
+    yield ["position", "--elt", "(x + a*y)/y", "--point", "[-1/2, inf]"], {}
+    yield ["prox", "--point", "[0, inf, 0]"], {}
+    yield ["noetherian", "--family", "sib.json"], {"sib.json": json.dumps([DEEP_SIBLINGS])}
+    files = {"fam.json": json.dumps([{"kind": "fiber", "base": []}])}
+    yield ["irredundant", "--family", "fam.json", "--member", "[2]",
+           "--candidates", "y - 2*x"], files
+    yield ["dot", "--family", "fam.json"], files
+    for text in README_REFUSED:
+        yield ["position", "--elt", text, "--point", "[]"], {}
+    for text in README_RESOLVE:
+        yield ["resolve", "--elt", text], {}
+    files = {"budget.json": json.dumps([{"kind": "singleton", "point": ["1"]},
+                                        SIBLINGS_OFF_INF])}
+    yield ["irredundant", "--family", "budget.json", "--member", "[1]",
+           "--candidates", "(y - x)*(y^2 - x*y + x + x^29)"], files
+    for curve in REFUSED_CURVES:
+        files = {"branch.json": json.dumps(
+            [{"kind": "chain", "from": 1, "valuation": {"kind": "curve", "h": curve}}])}
+        yield ["limits", "--family", "branch.json"], files
+    yield ["limits", "--family", "nested.json"], {"nested.json": "[" * 5000 + "]" * 5000}
+
+
+def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
+    for name, part in EDGE_FAMILIES.items():
+        files = {f"{name}.json": json.dumps([part])}
+        yield ["member", "--elt", "x", "--family", f"{name}.json"], files
+        yield ["limits", "--family", f"{name}.json"], files
+    files = {"two-fibers.json": json.dumps(TWO_FIBERS)}
+    for curve in BAD_CURVES:
+        yield ["strict", "--f", curve, "--point", "[0]"], {}
+        yield (["irredundant", "--family", "two-fibers.json", "--member", "[2]",
+                "--candidates", curve], files)
+    yield ["strict", "--f", "y - x^2", "--g", "x", "--point", "[0]"], {}
 
 
 def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:
