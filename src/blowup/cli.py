@@ -20,11 +20,11 @@ from .demos import demo_names, run_demo
 from .dot import DEFAULT_STEPS, export_dot
 from .errors import (BlowupError, CertificateError, ComponentError,
                      DepthCapError, InputError)
-from .expr import format_path, parse_element, parse_path, parse_step
+from .expr import format_path, parse_curve, parse_element, parse_path, parse_step
 from .jsonio import (family_set_from_json, family_set_to_json, steps_to_json,
                      valuation_to_json)
 from .oracle import in_family, irredundance_certificate, semigroup_member
-from .poly import A, Poly, RatFunc
+from .poly import A, RatFunc
 from .position import position_parametric, resolve
 from .proximity import proximate_ancestors
 from .topology import (closure_member, irreducible_components, is_noetherian,
@@ -79,13 +79,13 @@ def _sorted_descriptors(items) -> List[Dict]:
 
 
 def _element_from(args) -> RatFunc:
-    if getattr(args, "elt", None) is not None:
-        if getattr(args, "f", None) is not None or getattr(args, "g", None) is not None:
+    if args.elt is not None:
+        if args.f is not None or args.g is not None:
             raise InputError("give either --elt or the --f/--g pair, not both")
         return parse_element(args.elt)
-    if getattr(args, "f", None) is not None:
+    if args.f is not None:
         f = parse_element(args.f)
-        if getattr(args, "g", None) is not None:
+        if args.g is not None:
             g = parse_element(args.g)
             if g.is_zero:
                 raise InputError("--g must not be zero")
@@ -109,15 +109,6 @@ def _family_from(path: Optional[str]):
     except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"bad JSON in family file {path!r}: {exc}") from None
     return family_set_from_json(data)
-
-
-def _curve_from(text: str) -> Poly:
-    value = parse_element(text)
-    if value.den != Poly.const(1):
-        raise InputError(f"curve {text!r} must be a polynomial, not a fraction")
-    if value.num.has_slot(A):
-        raise InputError(f"curve {text!r} must not carry the parameter a")
-    return value.num
 
 
 def _steps_from(text: Optional[str]):
@@ -181,7 +172,7 @@ def _cmd_ancestors(args) -> Dict:
 def _cmd_strict(args) -> Dict:
     if args.f is None:
         raise InputError("a curve is required: --f POLY")
-    curve = _curve_from(args.f)
+    curve = parse_curve(args.f)
     point = _point_from(args.point)
     transformed = point.strict_transform(curve)
     return {
@@ -266,7 +257,7 @@ def _cmd_irredundant(args) -> Dict:
     delta = _point_from(args.member)
     if not args.candidates:
         raise InputError("candidate curves are required: --candidates \"p1,p2\"")
-    candidates = [_curve_from(piece) for piece in args.candidates.split(",")]
+    candidates = [parse_curve(piece) for piece in args.candidates.split(",")]
     cert = irredundance_certificate(family, delta, candidates)
     return {
         "command": "irredundant",
@@ -396,13 +387,13 @@ def _build_parser() -> _Parser:
                                  "two-dimensional regular local ring")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text, *, elt=False, pair=False, point=None,
+    def add(name, handler, help_text, *, elt=False, point=None,
             family=False, depth=None, steps=False, extra=None):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         if elt:
             p.add_argument("--elt", help="element of k(x, y), may carry the parameter a")
-        if pair or elt:
+        if elt:
             p.add_argument("--f", help="numerator element (alternative to --elt)")
             p.add_argument("--g", help="denominator element, used with --f")
         if point is not None:
@@ -425,8 +416,9 @@ def _build_parser() -> _Parser:
         point="optional", depth=16)
     add("prox", _cmd_prox, "list the proximate ancestors of a point", point="required")
     add("ancestors", _cmd_ancestors, "list the tree ancestors of a point", point="required")
-    add("strict", _cmd_strict, "strict transform of a plane curve at a point", pair=True,
-        point="required")
+    add("strict", _cmd_strict, "strict transform of a plane curve at a point",
+        point="required",
+        extra=((("--f",), dict(help="the curve, a polynomial in x and y")),))
     add("limits", _cmd_limits, "patch limit points of a family", family=True)
     add("closure", _cmd_closure, "Zariski closure of a family, optionally test a point",
         family=True, point="optional")

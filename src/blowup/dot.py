@@ -9,31 +9,29 @@ the path literal, so output is deterministic and diffable.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set, Tuple
+from typing import Iterator, Sequence, Set, Tuple
 
 from .errors import InputError
 from .expr import INF, Step, format_path
-from .families import Chain, Fiber, Siblings, Singleton, family_parts
+from .families import Chain, Fiber, Singleton, family_parts
 from .proximity import proximate_ancestors
 from .tree import Point
 
 DEFAULT_STEPS: Tuple[Step, ...] = (-1, 0, 1, INF)
 
 
-def _instantiate(part, steps: Sequence[Step], max_depth: int) -> List[Point]:
-    """The finitely many members of one family part within the bounds."""
+def _instantiate(part, steps: Sequence[Step], max_depth: int) -> Iterator[Point]:
+    """The members of one family part within the bounds, one at a time."""
     if isinstance(part, Singleton):
-        return [part.point]
-    if isinstance(part, Fiber):
-        members = map(part.allowed_member, steps)
-        return [point for point in members
-                if point is not None and point.level <= max_depth]
-    if isinstance(part, Chain):
-        return [part.member(level)
-                for level in range(max(part.from_level, 1), max_depth + 1)]
-    if isinstance(part, Siblings):
-        return [part.member(i) for i in range(1, max_depth + 1)]
-    raise InputError(f"not a family: {part!r}")
+        yield part.point
+    elif isinstance(part, Fiber):
+        for point in map(part.allowed_member, steps):
+            if point is not None and point.level <= max_depth:
+                yield point
+    elif isinstance(part, Chain):
+        yield from map(part.member, range(max(part.from_level, 1), max_depth + 1))
+    else:
+        yield from map(part.member, range(1, max_depth + 1))
 
 
 def export_dot(family=(), steps: Sequence[Step] = DEFAULT_STEPS,
@@ -43,24 +41,26 @@ def export_dot(family=(), steps: Sequence[Step] = DEFAULT_STEPS,
     `steps` instantiates the free step of fiber parts; `max_depth` bounds
     member levels for fibers and chains and the member count for sibling
     parts, whose members sit one step off their path point.  The root is
-    always drawn.  Exceeding `node_cap` raises rather than truncating.
+    always drawn.  Exceeding `node_cap` raises rather than truncating, as
+    soon as a member takes the count past it.
     """
     if max_depth < 0:
         raise InputError("max_depth must be nonnegative")
     if node_cap < 1:
         raise InputError("node_cap must be positive")
     members: Set[Tuple[Step, ...]] = set()
-    for part in family_parts(family):
-        members.update(point.steps for point in _instantiate(part, steps, max_depth))
     nodes: Set[Tuple[Step, ...]] = {()}
-    for path in members:
-        for level in range(len(path), 0, -1):
-            if path[:level] in nodes:
-                break
-            nodes.add(path[:level])
-    if len(nodes) > node_cap:
-        raise InputError(
-            f"enumeration too large: {len(nodes)} nodes exceed the cap of {node_cap}")
+    for part in family_parts(family):
+        for point in _instantiate(part, steps, max_depth):
+            path = point.steps
+            members.add(path)
+            for level in range(len(path), 0, -1):
+                if path[:level] in nodes:
+                    break
+                nodes.add(path[:level])
+            if len(nodes) > node_cap:
+                raise InputError(
+                    f"enumeration too large: over the cap of {node_cap} nodes")
 
     ordered = sorted(nodes, key=lambda path: (len(path), format_path(path)))
     lines = [

@@ -316,6 +316,17 @@ def parse_element(text: str) -> RatFunc:
     return value
 
 
+def parse_curve(text) -> Poly:
+    """Parse a plane curve: a polynomial in x and y, with no fraction and
+    no parameter a."""
+    if not isinstance(text, str):
+        raise InputError(f"bad curve {text!r}: expected an expression string")
+    value = parse_element(text)
+    if value.den != Poly.const(1) or value.num.has_slot(A):
+        raise InputError(f"bad curve {text!r}: expected a polynomial in x and y")
+    return value.num
+
+
 def _parse_sum(toks: _Tokenizer) -> _IntTerms | RatFunc:
     first = toks.index
     value = _parse_product(toks)

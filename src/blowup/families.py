@@ -18,7 +18,7 @@ from .errors import InputError
 from .expr import INF, Step, format_step, is_inf
 from .proximity import is_ray_tail
 from .tree import Point, is_prefix, normalize_step
-from .valuations import _MinimalBase
+from .valuations import WALK_CAP, _MinimalBase
 
 
 class _Infinite:
@@ -184,7 +184,10 @@ class Fiber:
 
 @dataclass(frozen=True)
 class Chain:
-    """The prefix points of a minimal valuation's path from a level on."""
+    """The prefix points of a minimal valuation's path from a level on.
+
+    The first level is at most `WALK_CAP`: the first member is a walk down
+    the path, as long as any other walk along a minimal valuation."""
 
     valuation: _MinimalBase
     from_level: int = 1
@@ -194,8 +197,10 @@ class Chain:
     def __post_init__(self):
         if not isinstance(self.valuation, _MinimalBase):
             raise InputError("chains follow a minimal valuation's path")
-        if self.from_level < 0:
-            raise InputError("from_level must be nonnegative")
+        level = self.from_level
+        if type(level) is not int or not 0 <= level <= WALK_CAP:
+            raise InputError(
+                f"bad chain level {level!r}: expected an integer from 0 to {WALK_CAP}")
 
     def member(self, level: int) -> Point:
         if level < self.from_level:
@@ -322,14 +327,12 @@ def _q1_children(part: Family, alpha: Point):
         if part.downset_member(alpha):
             return {alpha.child(part.valuation.step_at(alpha.level))}
         return set()
-    if isinstance(part, Siblings):
-        if not part.valuation.ring_contains(alpha):
-            return set()
-        out = {alpha.child(part.valuation.step_at(alpha.level))}
-        if alpha.level >= 1:
-            out.add(alpha.child(part.sibling_step(alpha.level)))
-        return out
-    raise InputError(f"not a family: {part!r}")
+    if not part.valuation.ring_contains(alpha):
+        return set()
+    out = {alpha.child(part.valuation.step_at(alpha.level))}
+    if alpha.level >= 1:
+        out.add(alpha.child(part.sibling_step(alpha.level)))
+    return out
 
 
 def pairwise_incomparable(family) -> bool:
@@ -352,6 +355,8 @@ def pairwise_incomparable(family) -> bool:
 
 
 def _parts_comparable(a: Family, b: Family) -> bool:
+    """Whether a member of one part is a proper prefix of a member of the
+    other; neither part is a chain."""
     if isinstance(a, Singleton):
         return _point_comparable(b, a.point)
     if isinstance(b, Singleton):
@@ -366,7 +371,8 @@ def _parts_comparable(a: Family, b: Family) -> bool:
 
 
 def _point_comparable(part: Family, gamma: Point) -> bool:
-    """Whether some member of the part is strictly above or below gamma."""
+    """Whether some member of the part, not a chain, is strictly above or
+    below gamma."""
     if isinstance(part, Singleton):
         other = part.point
         return other != gamma and (is_prefix(other, gamma)
@@ -377,23 +383,15 @@ def _point_comparable(part: Family, gamma: Point) -> bool:
         if gamma.level > part.member_level:
             return part._pattern_match(gamma.steps[:part.member_level])
         return False
-    if isinstance(part, Chain):
-        agreement = part.valuation.agreement(gamma.steps)
-        if agreement == gamma.level:
-            # On the path: strictly below the deeper members.
-            return True
-        return part.from_level <= agreement
-    if isinstance(part, Siblings):
-        agreement = part.valuation.agreement(gamma.steps)
-        if agreement == gamma.level:
-            return True  # on the path, hence below every deep member
-        # gamma leaves the path at index `agreement`; the only member
-        # comparable with it is the one deviating at that same index, and
-        # gamma is strictly below it when it extends it.
-        deviation = agreement
-        return (deviation >= 1 and gamma.steps[deviation] == part.sibling_step(deviation)
-                and gamma.level > deviation + 1)
-    raise InputError(f"not a family: {part!r}")
+    agreement = part.valuation.agreement(gamma.steps)
+    if agreement == gamma.level:
+        return True  # on the path, hence below every deep member
+    # gamma leaves the path at index `agreement`; the only member
+    # comparable with it is the one deviating at that same index, and
+    # gamma is strictly below it when it extends it.
+    deviation = agreement
+    return (deviation >= 1 and gamma.steps[deviation] == part.sibling_step(deviation)
+            and gamma.level > deviation + 1)
 
 
 _FREE = object()
@@ -431,51 +429,28 @@ def _path_pattern_agreement(fiber: Fiber, v: _MinimalBase) -> int:
     return fiber.member_level
 
 
-def _fiber_path_comparable(fiber: Fiber, part: Family) -> bool:
-    v = part.valuation
+def _fiber_path_comparable(fiber: Fiber, part: Siblings) -> bool:
     lf = fiber.member_level
-    if isinstance(part, Chain):
-        agreement = _path_pattern_agreement(fiber, v)
-        if agreement == lf:
-            # The fiber member on the path is a proper prefix of deep
-            # chain members.
-            return True
-        # A chain member strictly inside a fiber member:
-        return part.from_level <= min(agreement, lf - 1)
-    if isinstance(part, Siblings):
-        agreement = _path_pattern_agreement(fiber, v)
-        if agreement == lf:
-            return True  # on-path fiber member sits below deep siblings
-        # A sibling strictly inside a fiber member: deviation at index
-        # i <= lf - 2 (a deviation at lf - 1 would give equal levels,
-        # which is at worst coincidence, not proper containment).
-        return any(fiber._fits(i, part.sibling_step(i))
-                   for i in range(1, min(agreement, lf - 2) + 1))
-    raise InputError(f"not a family: {part!r}")
+    agreement = _path_pattern_agreement(fiber, part.valuation)
+    if agreement == lf:
+        return True  # on-path fiber member sits below deep siblings
+    # A sibling strictly inside a fiber member: deviation at index
+    # i <= lf - 2 (a deviation at lf - 1 would give equal levels,
+    # which is at worst coincidence, not proper containment).
+    return any(fiber._fits(i, part.sibling_step(i))
+               for i in range(1, min(agreement, lf - 2) + 1))
 
 
-def _path_parts_comparable(a: Family, b: Family) -> bool:
+def _path_parts_comparable(a: Siblings, b: Siblings) -> bool:
     va, vb = a.valuation, b.valuation
-    a_chain = isinstance(a, Chain)
-    b_chain = isinstance(b, Chain)
     if va.same_path(vb):
-        # Chain members are nested across the parts and sit below the deep
-        # siblings.  Two sibling parts on one path never nest: the offsets
-        # move every deviating step off the shared path.
-        return a_chain or b_chain
+        # Two sibling parts on one path never nest: the offsets move every
+        # deviating step off the shared path.
+        return False
     # the paths differ, so this walk ends at their first difference
     agreement = vb.agreement(map(va.step_at, itertools.count()))
-    if a_chain and b_chain:
-        return a.from_level <= agreement or b.from_level <= agreement
-    if a_chain or b_chain:
-        chain, sib = (a, b) if a_chain else (b, a)
-        if chain.from_level <= agreement:
-            return True
-        # A sibling member lying on the chain's path:
-        return any(sib.sibling_step(i) == chain.valuation.step_at(i)
-                   for i in range(1, agreement + 1))
-    # Siblings against siblings: a member of one is a proper prefix of a
-    # member of the other only when its deviating step coincides with the
-    # other path's own step there.
+    # A member of one is a proper prefix of a member of the other only
+    # when its deviating step coincides with the other path's own step
+    # there.
     return any(a.sibling_step(i) == vb.step_at(i) or b.sibling_step(i) == va.step_at(i)
                for i in range(1, agreement + 1))

@@ -2,10 +2,10 @@
 
 Steps travel as strings ("0", "-1/2", "inf") so that exact rationals
 survive the trip; integers are accepted on input for convenience.  A
-family is a tagged object; a family set is a JSON array of them.  The
-encoders and parsers are exact inverses up to value equality: a monomial
-valuation is spelled {"kind": "monomial", ...} on the way in but comes
-back as the order valuation it constructs.
+family is a tagged object; a family set is a JSON array of them.  Every
+kind of valuation is written, as the reports print them, but only the
+two that a chain or siblings part can follow, `minimal` and `curve`, are
+read.
 """
 
 from __future__ import annotations
@@ -14,45 +14,24 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InputError
-from .expr import Step, format_step, parse_element, parse_step
+from .expr import Step, format_step, parse_curve
 from .families import (Chain, Family, Fiber, MoebiusMap, Siblings, Singleton,
                        family_parts)
-from .poly import A, Poly
-from .tree import Point
+from .tree import Point, normalize_step
 from .valuations import (FirstKind, MinimalCurveBranch,
-                         MinimalEventuallyPeriodic, SecondKind, _MinimalBase,
-                         monomial_valuation)
+                         MinimalEventuallyPeriodic, SecondKind, _MinimalBase)
 
 JsonValue = Union[dict, list, str, int]
-
-
-def _parse_one_step(value) -> Step:
-    if isinstance(value, bool):
-        raise InputError(f"bad step {value!r}: expected a rational or inf")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        return parse_step(value)
-    raise InputError(f"bad step {value!r}: expected a rational or inf")
 
 
 def steps_from_json(data) -> Tuple[Step, ...]:
     if not isinstance(data, list):
         raise InputError(f"bad path {data!r}: expected an array of steps")
-    return tuple(_parse_one_step(s) for s in data)
+    return tuple(map(normalize_step, data))
 
 
 def steps_to_json(steps: Sequence[Step]) -> List[str]:
     return [format_step(s) for s in steps]
-
-
-def _curve_poly(text) -> Poly:
-    if not isinstance(text, str):
-        raise InputError(f"bad curve {text!r}: expected an expression string")
-    value = parse_element(text)
-    if value.den != Poly.const(1) or value.num.has_slot(A):
-        raise InputError(f"bad curve {text!r}: expected a polynomial in x and y")
-    return value.num
 
 
 def _expect(data: dict, key: str):
@@ -65,31 +44,18 @@ def _expect(data: dict, key: str):
 # -- valuations --------------------------------------------------------------
 
 
-def valuation_from_json(data) -> object:
+def valuation_from_json(data) -> _MinimalBase:
+    """The valuation a chain or siblings part follows."""
     if not isinstance(data, dict):
         raise InputError(f"bad valuation {data!r}: expected an object")
     kind = _expect(data, "kind")
-    if kind == "second":
-        point = Point.from_path(steps_from_json(_expect(data, "point")))
-        scale = data.get("scale", 1)
-        if not isinstance(scale, int) or scale < 1:
-            raise InputError(f"bad scale {scale!r}: expected a positive integer")
-        return SecondKind(point, scale)
-    if kind == "first":
-        return FirstKind(_curve_poly(_expect(data, "h")))
     if kind == "minimal":
         return MinimalEventuallyPeriodic(
             steps_from_json(_expect(data, "prefix")),
             steps_from_json(_expect(data, "period")))
     if kind == "curve":
-        return MinimalCurveBranch(_curve_poly(_expect(data, "h")))
-    if kind == "monomial":
-        a, b = _expect(data, "a"), _expect(data, "b")
-        for w in (a, b):
-            if not isinstance(w, int) or isinstance(w, bool) or w < 1:
-                raise InputError(f"bad weight {w!r}: expected a positive integer")
-        return monomial_valuation(a, b)
-    raise InputError(f"unknown valuation kind {kind!r}")
+        return MinimalCurveBranch(parse_curve(_expect(data, "h")))
+    raise InputError("chains and siblings follow a minimal valuation")
 
 
 def valuation_to_json(v) -> Dict[str, JsonValue]:
@@ -112,15 +78,8 @@ def valuation_to_json(v) -> Dict[str, JsonValue]:
 # -- families ----------------------------------------------------------------
 
 
-def _minimal_from_json(data) -> _MinimalBase:
-    v = valuation_from_json(data)
-    if not isinstance(v, _MinimalBase):
-        raise InputError("chains and siblings follow a minimal valuation")
-    return v
-
-
 def _fraction_from_json(value, what: str) -> Fraction:
-    step = _parse_one_step(value)
+    step = normalize_step(value)
     if not isinstance(step, Fraction):
         raise InputError(f"bad {what} {value!r}: expected a finite rational")
     return step
@@ -145,10 +104,10 @@ def family_from_json(data) -> Family:
             return Fiber(base, excluded, tail, MoebiusMap(*coeffs))
         return Fiber(base, excluded, tail)
     if kind == "chain":
-        return Chain(_minimal_from_json(_expect(data, "valuation")),
+        return Chain(valuation_from_json(_expect(data, "valuation")),
                      _expect(data, "from"))
     if kind == "siblings":
-        return Siblings(_minimal_from_json(_expect(data, "valuation")),
+        return Siblings(valuation_from_json(_expect(data, "valuation")),
                         _fraction_from_json(_expect(data, "offset"), "offset"))
     raise InputError(f"unknown family kind {kind!r}")
 

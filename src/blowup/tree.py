@@ -35,7 +35,7 @@ from operator import itemgetter
 from typing import Iterable, List, Tuple
 
 from .errors import ComputationError, InputError
-from .expr import INF, Step, format_step, is_inf
+from .expr import INF, Step, format_step, is_inf, parse_step
 from .poly import Poly, RatFunc, Terms
 
 
@@ -242,15 +242,16 @@ def strict_step(h: Poly, step: AnyStep) -> Poly:
 
 
 def normalize_step(step) -> Step:
+    """The one step reader: a `Fraction` or `INF` as it is, text such as
+    "-1/2" or "inf" by `parse_step`, any other rational as a `Fraction`."""
     if type(step) is Fraction or is_inf(step):
         return step
+    if isinstance(step, str):
+        return parse_step(step)
     # a bool is no step, and a binary fraction is not the exact step it rounds
-    if isinstance(step, bool) or not isinstance(step, (Rational, str)):
+    if isinstance(step, bool) or not isinstance(step, Rational):
         raise InputError(f"bad step {step!r}: expected a rational or inf")
-    try:
-        return Fraction(step)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad step {step!r}: expected a rational or inf") from exc
+    return Fraction(step)
 
 
 # -- path order ------------------------------------------------------------

@@ -377,11 +377,32 @@ _ZERO_STEP = Fraction(0)
 def monomial_path(a, b) -> Tuple[Step, ...]:
     """The path of the monomial valuation v(x) = a, v(y) = b.
 
-    While the weights differ, the smaller one is subtracted from the larger:
-    a 0 step when x carries the smaller weight, an inf step (which swaps the
-    parameters) otherwise.  The walk ends when the weights agree.
+    The weights are first scaled to integers (`_integer_weights`).  While
+    they differ, the smaller one is subtracted from the larger: a 0 step
+    when x carries the smaller weight, an inf step (which swaps the
+    parameters) otherwise.  The walk ends when the weights agree, on their
+    gcd.  Each partial quotient of a/b counts the subtractions of one run,
+    and the last run stops one short, so the length is known before the
+    walk: past `WALK_CAP` steps it raises `ComputationError`.
     """
-    return _weight_walk(a, b)[0]
+    ia, ib = _integer_weights(a, b)
+    length, p, q = -1, ia, ib
+    while q:
+        quotient, rest = divmod(p, q)
+        length, p, q = length + quotient, q, rest
+    if length > WALK_CAP:
+        raise ComputationError(
+            f"the path of the weights ({ia}, {ib}) has {length} steps, "
+            f"past the cap of {WALK_CAP}")
+    steps: List[Step] = []
+    while ia != ib:
+        if ia < ib:
+            steps.append(_ZERO_STEP)
+            ib -= ia
+        else:
+            steps.append(INF)
+            ia, ib = ib, ia - ib
+    return tuple(steps)
 
 
 def monomial_valuation(a, b) -> MonomialValuation:
@@ -411,36 +432,6 @@ def _integer_weights(a, b) -> Tuple[int, int]:
     if ia <= 0 or ib <= 0:
         raise InputError("monomial weights must be positive")
     return ia, ib
-
-
-def _weight_walk(a, b) -> Tuple[Tuple[Step, ...], int]:
-    """`monomial_path` of the weights and the weight the walk ends on.
-
-    The weights are first scaled to integers (`_integer_weights`); the
-    subtractive walk then ends on their gcd, which is the scale of the
-    order valuation at the end of the path.  Each partial quotient of
-    a/b counts the subtractions of one run, and the last run stops one
-    short, so the length is known before the walk: past `WALK_CAP` steps
-    it raises `ComputationError`.
-    """
-    ia, ib = _integer_weights(a, b)
-    length, p, q = -1, ia, ib
-    while q:
-        quotient, rest = divmod(p, q)
-        length, p, q = length + quotient, q, rest
-    if length > WALK_CAP:
-        raise ComputationError(
-            f"the path of the weights ({ia}, {ib}) has {length} steps, "
-            f"past the cap of {WALK_CAP}")
-    steps: List[Step] = []
-    while ia != ib:
-        if ia < ib:
-            steps.append(_ZERO_STEP)
-            ib -= ia
-        else:
-            steps.append(INF)
-            ia, ib = ib, ia - ib
-    return tuple(steps), ia
 
 
 # -- helpers ----------------------------------------------------------------

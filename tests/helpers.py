@@ -29,7 +29,8 @@ from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _cofactor
 from blowup.position import (ParametricPosition, Position, Resolution, _a_collapse_roots,
                              _candidate_steps, _StepSet, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
-from blowup.valuations import MinimalCurveBranch, SecondKind, _weight_walk
+from blowup.valuations import (MinimalCurveBranch, SecondKind, _integer_weights,
+                               monomial_path)
 
 
 # -- chart data that only the tests read -------------------------------------
@@ -74,6 +75,33 @@ def first_members(part, count: int) -> List[Point]:
     if isinstance(part, Chain):
         return [part.member(part.from_level + i) for i in range(count)]
     return [part.member(i) for i in range(1, count + 1)]
+
+
+# The free steps and levels that bound `reference_comparable`:
+# every step that a drawn fiber's base or tail or a drawn sibling takes,
+# and every level at which drawn parts nest.
+REFERENCE_FREE_STEPS = (*map(Fraction, range(-5, 6)), Fraction(1, 2), Fraction(-1, 2), INF)
+MEMBER_LEVELS = 9
+
+
+def _bounded_members(part) -> List[Point]:
+    if isinstance(part, Singleton):
+        return [part.point]
+    if isinstance(part, Fiber):
+        return [point for point in map(part.allowed_member, REFERENCE_FREE_STEPS)
+                if point is not None]
+    if isinstance(part, Chain):
+        return [part.member(level) for level in range(part.from_level, MEMBER_LEVELS + 1)]
+    return [part.member(i) for i in range(1, MEMBER_LEVELS + 1)]
+
+
+def reference_comparable(a, b) -> bool:
+    """Whether some member of the parts a and b is a proper prefix of
+    another, by enumeration: fiber members over `REFERENCE_FREE_STEPS`,
+    chain levels and sibling indices up to `MEMBER_LEVELS`."""
+    members = {point.steps for part in (a, b) for point in _bounded_members(part)}
+    proper_prefixes = {path[:level] for path in members for level in range(len(path))}
+    return not members.isdisjoint(proper_prefixes)
 
 
 # Levels the path oracle walks; the curves and paths the tests draw part
@@ -259,8 +287,15 @@ def reference_monomial_valuation(a, b) -> SecondKind:
     """The monomial valuation v(x) = a, v(y) = b by the chart walk: the
     order valuation at the end of the weights' path, scaled by the weight
     the subtractive walk ends on.  Its value expresses f down the path."""
-    path, scale = _weight_walk(a, b)
-    return SecondKind(Point(path), scale)
+    path = monomial_path(a, b)
+    weight_x, weight_y = _integer_weights(a, b)
+    for step in path:
+        if is_inf(step):
+            weight_x, weight_y = weight_y, weight_x - weight_y
+        else:
+            weight_y -= weight_x
+    assert weight_x == weight_y
+    return SecondKind(Point(path), weight_x)
 
 
 # -- gcds and fraction arithmetic without shortcuts -------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from blowup import cli
 from blowup.cli import main
+from blowup.errors import InputError
 from blowup.expr import INF, format_path, parse_element, parse_path
 from blowup.families import Chain, Fiber, MoebiusMap, Siblings, Singleton
 from blowup.jsonio import (family_set_from_json, family_set_to_json,
@@ -48,6 +49,28 @@ C_FIBER = {"kind": "fiber", "base": [], "tail": ["inf"]}
 SIBLINGS = {"kind": "siblings",
             "valuation": {"kind": "minimal", "prefix": [], "period": ["0"]},
             "offset": "1"}
+CHAIN = {"kind": "chain", "valuation": {"kind": "minimal", "prefix": [], "period": ["0"]},
+         "from": 1}
+CURVE_CHAIN = {"kind": "chain", "valuation": {"kind": "curve", "h": "x^2 - y^3"}, "from": 2}
+
+# One part of each shape, and the values that replace each of its fields.
+EXAMPLE_PARTS = ({"kind": "singleton", "point": ["0", "inf"]},
+                 {"kind": "fiber", "base": [], "excluded": ["0"], "tail": ["inf"]},
+                 CHAIN, CURVE_CHAIN, SIBLINGS)
+MALFORMED = ("1", None, 1.5, True, -1, 10 ** 20, [], {})
+# (field, replacement) pairs that still make a family: an empty path or
+# exclusion list, and a nonzero offset.
+WELL_FORMED = [("point", []), ("base", []), ("excluded", []), ("tail", []),
+               ("offset", "1"), ("offset", -1), ("offset", 10 ** 20)]
+
+
+def malformed_parts():
+    """(part, field, value) for each field of each example part replaced by
+    each of the malformed values."""
+    for part in EXAMPLE_PARTS:
+        for field in part:
+            for value in MALFORMED:
+                yield dict(part, **{field: value}), field, value
 
 
 # -- command dispatch --------------------------------------------------------
@@ -515,6 +538,44 @@ class TestErrors:
         assert code == 2
         assert "enumeration too large" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("part", [CHAIN, SIBLINGS], ids=["chain", "siblings"])
+    def test_dot_stops_at_its_cap(self, capsys, family_file, part):
+        # members are built one at a time, so the walk ends past 400 nodes
+        # and not at the depth bound
+        path = family_file(part)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "dot", "--family", path, "--max-depth", "100000")
+        assert time.perf_counter() - start < 2
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"] == (
+            "enumeration too large: over the cap of 400 nodes")
+
+    def test_malformed_family_fields_exit_2(self, capsys, family_file):
+        # each field of each example part replaced in turn; a replacement
+        # that is itself well formed answers
+        for part, field, value in malformed_parts():
+            path = family_file([part])
+            commands = [["limits"]]
+            if field == "from":
+                commands += [["dot"]] + ([] if value == 10 ** 20 else [["member", "--elt", "x"]])
+            for command in commands:
+                code, out, err = run(capsys, *command, "--family", path)
+                if (field, value) in WELL_FORMED:
+                    assert code == 0 and not err
+                else:
+                    assert code in (2, 3) and not out, (command, part)
+                    assert json.loads(err)["error"]["exit"] == code
+
+    @pytest.mark.parametrize("part", [CHAIN, CURVE_CHAIN], ids=["periodic", "curve"])
+    def test_huge_chain_level_exits_2(self, family_file, part):
+        # a fresh process with a timeout: the first member of a chain is a
+        # walk down the path to its level
+        path = family_file(dict(part, **{"from": 10 ** 20}))
+        code, out, err = run_fresh("member", "--elt", "x", "--family", path)
+        assert code == 2 and not out
+        assert json.loads(err)["error"]["message"] == (
+            "bad chain level 100000000000000000000: expected an integer from 0 to 64")
+
 
 # -- round trips -------------------------------------------------------------
 
@@ -578,16 +639,22 @@ class TestRoundTrips:
         assert family_set_from_json(json.loads(json.dumps(data))) == families
 
     def test_valuation_json_round_trip(self):
-        e = parse_element
-        for v in (SecondKind(Point.from_path([INF])), monomial_valuation(2, 3),
-                  FirstKind(e("y-x^2").num), MinimalCurveBranch(e("x^2-y^3").num),
+        for v in (MinimalCurveBranch(parse_element("x^2-y^3").num),
                   MinimalEventuallyPeriodic([1], [0])):
             data = valuation_to_json(v)
             assert valuation_from_json(json.loads(json.dumps(data))) == v
 
-    def test_monomial_json_spelling_accepted(self):
-        data = {"kind": "monomial", "a": 2, "b": 3}
-        assert valuation_from_json(data) == monomial_valuation(2, 3)
+    def test_only_minimal_valuations_are_read(self):
+        # reports print these kinds, but no chain or siblings part follows one
+        e = parse_element
+        for v in (SecondKind(Point.from_path([INF])), monomial_valuation(2, 3),
+                  FirstKind(e("y-x^2").num)):
+            data = json.loads(json.dumps(valuation_to_json(v)))
+            with pytest.raises(InputError, match="^chains and siblings follow a minimal"):
+                valuation_from_json(data)
+        for data in ({"kind": "monomial", "a": 2, "b": 3}, {"kind": "cusp"}):
+            with pytest.raises(InputError, match="^chains and siblings follow a minimal"):
+                valuation_from_json(data)
 
     def test_cli_json_is_loadable_for_every_command(self, capsys, family_file,
                                                     tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from blowup.errors import InputError
 from blowup.expr import INF, parse_element
@@ -16,7 +16,7 @@ from blowup.proximity import is_proximate
 from blowup.tree import TSYM, Point, express_step, is_prefix
 from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
-from helpers import first_members
+from helpers import first_members, reference_comparable
 
 
 D = Point.root()
@@ -244,6 +244,29 @@ class TestIncomparability:
         # member 69 of the straight part turns onto the curve's path
         assert is_prefix(straight.member(69), near.member(70))
         assert not pairwise_incomparable((near, straight))
+
+
+COMPARE_STEPS = st.sampled_from((Fraction(-1), Fraction(0), Fraction(1), INF))
+periodic_paths = st.builds(MinimalEventuallyPeriodic, st.lists(COMPARE_STEPS, max_size=2),
+                           st.lists(COMPARE_STEPS, min_size=1, max_size=2))
+compared_parts = st.one_of(
+    st.builds(lambda path: Singleton(Point.from_path(path)),
+              st.lists(COMPARE_STEPS, max_size=4)),
+    st.builds(lambda base, tail, excluded: Fiber(Point.from_path(base), frozenset(excluded),
+                                                 tuple(tail)),
+              st.lists(COMPARE_STEPS, max_size=3), st.lists(COMPARE_STEPS, max_size=2),
+              st.lists(COMPARE_STEPS, max_size=2)),
+    st.builds(Siblings, periodic_paths, st.sampled_from((1, -1, 2))),
+    st.builds(Chain, periodic_paths, st.integers(0, 3)),
+)
+
+
+@given(compared_parts, compared_parts)
+# a sibling at the level of the fiber's members, off the excluded path step
+@example(Siblings(V0, 1), Fiber(Point.from_path([0]), frozenset([Fraction(0)])))
+@settings(max_examples=400, deadline=None)
+def test_incomparability_matches_enumerated_members(a, b):
+    assert pairwise_incomparable((a, b)) == (not reference_comparable(a, b))
 
 
 class TestEnumerationConsistency:

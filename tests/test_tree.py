@@ -86,7 +86,7 @@ def test_binary_fraction_and_bool_steps_are_refused(step):
 
 
 def test_zero_denominator_step_is_an_input_error():
-    message = "bad step '1/0': expected a rational or inf"
+    message = "bad path step '1/0': expected a rational or inf"
     with pytest.raises(InputError, match=message):
         Point.root().child("1/0")
     with pytest.raises(InputError, match=message):
@@ -94,9 +94,9 @@ def test_zero_denominator_step_is_an_input_error():
 
 
 def test_rational_int_and_text_steps_are_kept():
-    steps = [Fraction(1, 3), 2, "-1/2", "1.5", INF]
+    steps = [Fraction(1, 3), 2, "-1/2", "1.5", INF, "inf"]
     assert Point.from_path(steps).steps == (
-        Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(3, 2), INF)
+        Fraction(1, 3), Fraction(2), Fraction(-1, 2), Fraction(3, 2), INF, INF)
 
 
 # -- expressing elements in local charts -----------------------------------
