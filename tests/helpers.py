@@ -77,9 +77,9 @@ def first_members(part, count: int) -> List[Point]:
     return [part.member(i) for i in range(1, count + 1)]
 
 
-# The free steps and levels that bound `reference_comparable`:
-# every step that a drawn fiber's base or tail or a drawn sibling takes,
-# and every level at which drawn parts nest.
+# Bounds of `reference_comparable`: the free steps hold every step of a
+# drawn path or sibling, and the levels reach every level at which drawn
+# parts nest.
 REFERENCE_FREE_STEPS = (*map(Fraction, range(-5, 6)), Fraction(1, 2), Fraction(-1, 2), INF)
 MEMBER_LEVELS = 9
 
