@@ -24,6 +24,12 @@ topology commands over the nine family shapes (`closure` also with
 probe points), `irredundant` on two fibers, `semigroup`, `dot`, the
 README's examples with every exit-2 and exit-3 case it names, and
 malformed family and curve inputs.
+
+Last, `position` at the root reads quotients: regular parameter pairs of
+points with inf steps, as the deep-charts benchmark builds them, constant,
+monomial and nested divisors, negative powers, quotients in `a`, a large
+coprime quotient, and a sum, a product and a power of quotients over
+their budgets.
 """
 
 from __future__ import annotations
@@ -168,6 +174,26 @@ EDGE_FAMILIES = {
 }
 BAD_CURVES = ("y - 1/x", "y - a*x")
 
+# Regular parameter pairs (u, v) of [1, -2, inf, inf], [2, inf, -1, inf] and
+# [1, 2, -1, inf, -2, 1]: after a step b the pair is (u, v/u - b), after inf
+# it is (v, u/v).
+PARAMETER_PAIRS = (
+    ("(x)/(((y)/(x) - (1))/(x) - (-2))",
+     "(((y)/(x) - (1))/(x) - (-2))/((x)/(((y)/(x) - (1))/(x) - (-2)))"),
+    ("((x)/((y)/(x) - (2)))/((y)/(x) - (2)) - (-1)",
+     "((y)/(x) - (2))/(((x)/((y)/(x) - (2)))/((y)/(x) - (2)) - (-1))"),
+    ("(((y)/(x) - (1))/(x) - (2))/(x) - (-1)",
+     "(((x)/((((y)/(x) - (1))/(x) - (2))/(x) - (-1)))/((((y)/(x) - (1))/(x) - (2))/(x)"
+     " - (-1)) - (-2))/((((y)/(x) - (1))/(x) - (2))/(x) - (-1)) - (1)"),
+)
+QUOTIENTS = (
+    "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
+    "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
+    "(1+x+y)^30/(1-x+y)^30",
+    # over the budget: a sum, a product and a power of quotients
+    "x/(1+x+y)^20 + 1/(1-x+y)^20", "(1+x+y)^20/x*(1-x+y)^20", "((1+x+y)/(x-y))^40",
+)
+
 
 def _subcommand_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
     """(argv, input files) of the runs past `member`, `demo` and `position`,
@@ -238,6 +264,8 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield (["irredundant", "--family", "two-fibers.json", "--member", "[2]",
                 "--candidates", curve], files)
     yield ["strict", "--f", "y - x^2", "--g", "x", "--point", "[0]"], {}
+    for text in [e for pair in PARAMETER_PAIRS for e in pair] + list(QUOTIENTS):
+        yield ["position", "--point", "[]", "--elt", text], {}
 
 
 def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:
