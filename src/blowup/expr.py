@@ -18,12 +18,14 @@ Each step is a rational number or `inf`.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import comb
+from itertools import chain
+from math import comb, gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from .errors import InputError
-from .poly import NVARS, A, Exponents, Poly, RatFunc, X, Y, _cofactors, _sum
+from .poly import NVARS, A, Exponents, Poly, RatFunc, X, Y, _grlex_key, poly_gcd
 
 
 class ExprSyntaxError(InputError):
@@ -85,12 +87,16 @@ def format_path(steps: Sequence[Step]) -> str:
 # non-negative powers) has integer coefficients, since the grammar has no
 # other constants.  The reader carries such a part as an int term map
 # {exponents: coefficient}, which multiplies several times faster than a
-# Poly of Fractions, and makes it a RatFunc only at the first `/`, at a
-# negative power or at the end of the input.  Term maps are never changed
-# in place: a value may be shared by the group memo.
+# Poly of Fractions.  A value past a `/` or a negative power is a pair
+# (num, den) of int term maps with no common factor of positive degree, no
+# common integer factor, and den positive when it is a constant; it becomes
+# a RatFunc only at the end of the input.  Term maps are never changed in
+# place: a value may be shared by the group memo.
 _IntTerms = Dict[Exponents, int]
+_Quotient = Tuple[_IntTerms, _IntTerms]
 
 _ONE_EXPS: Exponents = (0,) * NVARS
+_UNIT: _IntTerms = {_ONE_EXPS: 1}
 _VARIABLES = {name: tuple(int(i == slot) for i in range(NVARS))
               for name, slot in (("x", X), ("y", Y), ("a", A))}
 
@@ -168,27 +174,24 @@ def _product_excess(p: Mapping, q: Mapping) -> int:
     return terms if terms > MAX_POWER_TERMS else 0
 
 
-def _sum_terms(f: RatFunc, g: RatFunc, split: Tuple[Poly, Poly, Poly]) -> int:
+def _sum_terms(f: _Quotient, g: _Quotient, f_cof: Mapping, g_cof: Mapping) -> int:
     """An upper bound on the term counts of f + g and f - g as the sum
-    forms them, before anything cancels.  With h = gcd(f.den, g.den) and
-    `split` = (h, f.den/h, g.den/h) from `_cofactors`, these are
-    f.num*(g.den/h) +- g.num*(f.den/h) and (f.den/h)*g.den.
+    forms them, before anything cancels.  With h = gcd(f.den, g.den),
+    f_cof = f.den/h and g_cof = g.den/h, these are
+    f.num*g_cof +- g.num*f_cof and f_cof*g.den.
 
     The reduced value can have more terms: x^5/(x-1) - 1/(x-1) is bounded by
     2, but reduces to x^4+x^3+x^2+x+1 over 1.  For two polynomials the bound
     is the sum of their term counts (at least 1).
     """
-    _, f_cof, g_cof = split
-    return max(_product_terms(f.num.terms, g_cof.terms)
-               + _product_terms(g.num.terms, f_cof.terms),
-               _product_terms(f_cof.terms, g.den.terms))
+    (f_num, _), (g_num, g_den) = f, g
+    return max(_product_terms(f_num, g_cof) + _product_terms(g_num, f_cof),
+               _product_terms(f_cof, g_den))
 
 
-def _rational(value: _IntTerms | RatFunc) -> RatFunc:
-    """value as a RatFunc: an int term map is a polynomial over 1."""
-    if type(value) is dict:
-        return RatFunc.coprime(Poly(value), Poly.const(1))
-    return value
+def _pair(value: _IntTerms | _Quotient) -> _Quotient:
+    """value as a pair: an int term map is a polynomial over 1."""
+    return (value, _UNIT) if type(value) is dict else value
 
 
 def _int_sum(p: _IntTerms, q: _IntTerms, sign: int) -> _IntTerms:
@@ -224,6 +227,97 @@ def _int_power(p: _IntTerms, n: int) -> _IntTerms:
     return result
 
 
+# Arithmetic on reduced pairs, as `poly._product` and `poly._sum` do it on
+# RatFuncs (Henrici; Knuth, TAOCP vol. 2, 4.5.1): only the factors that can
+# cancel are looked for.
+
+
+def _scaled(p: _IntTerms, k: int) -> _IntTerms:
+    """p/k for an integer k that divides every coefficient of p."""
+    return {exps: c // k for exps, c in p.items()}
+
+
+def _gcd(p: _IntTerms, q: _IntTerms) -> _IntTerms:
+    """A gcd of two nonzero int term maps, primitive over Z.  When one is a
+    constant or a monomial it is the monomial their exponents share."""
+    if len(p) == 1 or len(q) == 1:
+        return {tuple(map(min, *p, *q)): 1}
+    if p == q:
+        return _scaled(p, gcd(*p.values()))
+    g = poly_gcd(Poly(p), Poly(q)).terms
+    scale = lcm(*(c.denominator for c in g.values()))
+    ints = {exps: c.numerator * (scale // c.denominator) for exps, c in g.items()}
+    return _scaled(ints, gcd(*ints.values()))
+
+
+def _divide(p: _IntTerms, g: _IntTerms) -> _IntTerms:
+    """p/g for int term maps when g divides p, over Z when g is primitive
+    (Gauss's lemma).  The least term of the remainder is always the least
+    term of g times a term of the quotient, so a heap serves them in turn."""
+    if len(g) == 1:
+        ((shift, lc),) = g.items()
+        if lc == 1 and not any(shift):
+            return p
+        return {tuple(i - j for i, j in zip(exps, shift)): c // lc for exps, c in p.items()}
+    trail = min(g, key=_grlex_key)
+    lc = g[trail]
+    rest = [(exps, c) for exps, c in g.items() if exps != trail]
+    rem = dict(p)
+    heap = [(sum(exps), exps) for exps in rem]
+    heapq.heapify(heap)
+    quotient: _IntTerms = {}
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = rem.pop(exps)
+        if not c:
+            continue
+        q = c // lc
+        delta = tuple(i - j for i, j in zip(exps, trail))
+        quotient[delta] = q
+        for (i, j, k, m), d in rest:
+            target = (delta[0] + i, delta[1] + j, delta[2] + k, delta[3] + m)
+            if target not in rem:
+                heapq.heappush(heap, (sum(target), target))
+            rem[target] = rem.get(target, 0) - q * d
+    return quotient
+
+
+def _quotient(num: _IntTerms, den: _IntTerms) -> _IntTerms | _Quotient:
+    """num/den for int term maps with no common factor of positive degree:
+    a term map when it is a polynomial, else a reduced pair."""
+    if not num:
+        return {}
+    k = gcd(*num.values(), *den.values())
+    if len(den) == 1 and den.get(_ONE_EXPS, 0) < 0:
+        k = -k
+    if k != 1:
+        num, den = _scaled(num, k), _scaled(den, k)
+    return num if den == _UNIT else (num, den)
+
+
+def _cancel(p: _IntTerms, q: _IntTerms) -> _Quotient:
+    """p and q divided by their gcd."""
+    g = _gcd(p, q)
+    return _divide(p, g), _divide(q, g)
+
+
+def _ratfunc(num: _IntTerms, den: _IntTerms) -> RatFunc:
+    """num/den as a RatFunc: one Fraction per coefficient, over den's
+    leading coefficient."""
+    lc = den[max(den, key=_grlex_key)]
+    num_poly, den_poly = Poly(), Poly()
+    num_poly.terms = {exps: Fraction(c, lc) for exps, c in num.items()}
+    den_poly.terms = {exps: Fraction(c, lc) for exps, c in den.items()}
+    return RatFunc.coprime(num_poly, den_poly)
+
+
+def _monic_bits(num: _IntTerms, den: _IntTerms) -> int:
+    """`_constant_bits` of the RatFunc that num/den stands for."""
+    lc = den[max(den, key=_grlex_key)]
+    return max(max((c // k).bit_length(), (lc // k).bit_length())
+               for c in chain(num.values(), den.values()) for k in (gcd(c, lc),))
+
+
 # Each open parenthesis costs the parser a few stack frames, so nesting is
 # bounded by a count of its own rather than by the caller's stack depth.
 MAX_NESTING = 100
@@ -244,7 +338,7 @@ class _Tokenizer:
         # token index of each "(" -> token index of its ")"
         self.closing: Dict[int, int] = {}
         # the tokens inside a group already read -> its value
-        self.groups: Dict[Tuple[Tuple[str, str], ...], _IntTerms | RatFunc] = {}
+        self.groups: Dict[Tuple[Tuple[str, str], ...], _IntTerms | _Quotient] = {}
         self._scan()
         self.index = 0
 
@@ -311,7 +405,7 @@ def parse_element(text: str) -> RatFunc:
     value = _parse_sum(toks)
     if toks.peek()[0] != "end":
         raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
-    value = _rational(value)
+    value = _ratfunc(*_pair(value))
     _check_bits(_number_bits(value))
     return value
 
@@ -327,58 +421,72 @@ def parse_curve(text) -> Poly:
     return value.num
 
 
-def _parse_sum(toks: _Tokenizer) -> _IntTerms | RatFunc:
+def _parse_sum(toks: _Tokenizer) -> _IntTerms | _Quotient:
     first = toks.index
     value = _parse_product(toks)
     while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
+        sign = 1 if toks.next()[0] == "+" else -1
         rhs = _parse_product(toks)
-        if type(value) is dict and type(rhs) is dict:
+        polynomials = type(value) is dict and type(rhs) is dict
+        if polynomials:
             terms = len(value) + len(rhs)  # _sum_terms of two polynomials
         else:
-            value, rhs = _rational(value), _rational(rhs)
-            split = _cofactors(value.den, rhs.den)
-            terms = _sum_terms(value, rhs, split)
+            (a, b), (c, d) = _pair(value), _pair(rhs)
+            h = _gcd(b, d)
+            b1, d1 = _divide(b, h), _divide(d, h)
+            # the term count products bound the sum: exact only past the budget
+            terms = max(len(a) * len(d1) + len(c) * len(b1), len(b1) * len(d))
+            if terms > MAX_POWER_TERMS:
+                terms = _sum_terms((a, b), (c, d), b1, d1)
         if terms > MAX_POWER_TERMS:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "
                              f"terms, and a sum may have at most {MAX_POWER_TERMS}")
-        if type(value) is dict:
-            value = _int_sum(value, rhs, 1 if op == "+" else -1)
-        else:
-            # the denominators' gcd in `split` serves the sum too
-            value = _sum(value.num, value.den, rhs.num if op == "+" else -rhs.num,
-                         rhs.den, split)
+        if polynomials:
+            value = _int_sum(value, rhs, sign)
+            continue
+        # the sum is t/(b1*d1*h) with t = a*d1 + sign*c*b1; t is prime to b1
+        # and to d1, so gcd(t, h) is the whole common factor
+        t = _int_sum(_int_product(a, d1), _int_product(c, b1), sign)
+        common = _gcd(t, h) if t else _UNIT
+        value = _quotient(_divide(t, common), _int_product(b1, _divide(d, common)))
     return value
 
 
-def _parse_product(toks: _Tokenizer) -> _IntTerms | RatFunc:
+def _parse_product(toks: _Tokenizer) -> _IntTerms | _Quotient:
     first = toks.index
     value = _parse_factor(toks)
     while toks.peek()[0] in ("*", "/"):
         op = toks.next()[0]
         rhs = _parse_factor(toks)
-        if op == "*" and type(value) is dict and type(rhs) is dict:
+        polynomials = op == "*" and type(value) is dict and type(rhs) is dict
+        if polynomials:
             pairs = ((value, rhs),)  # the denominators' product 1 has 1 term
         else:
-            value, rhs = _rational(value), _rational(rhs)
-            if op == "/" and rhs.is_zero:
-                raise ExprSyntaxError("division by zero")
-            num, den = (rhs.num, rhs.den) if op == "*" else (rhs.den, rhs.num)
-            pairs = ((value.num.terms, num.terms), (value.den.terms, den.terms))
+            (a, b), (c, d) = _pair(value), _pair(rhs)
+            if op == "/":
+                if not c:
+                    raise ExprSyntaxError("division by zero")
+                c, d = d, c
+            pairs = ((a, c), (b, d))
         terms = max(_product_excess(p, q) for p, q in pairs)
         if terms:
             product = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"product too large: {product} may have up to {terms} "
                              f"terms, and a product may have at most {MAX_POWER_TERMS}")
-        if type(value) is dict:
+        if polynomials:
             value = _int_product(value, rhs)
+        elif a and c:
+            # only gcd(a, d) and gcd(c, b) can cancel
+            a, d = _cancel(a, d)
+            c, b = _cancel(c, b)
+            value = _quotient(_int_product(a, c), _int_product(b, d))
         else:
-            value = value * rhs if op == "*" else value / rhs
+            value = {}
     return value
 
 
-def _parse_factor(toks: _Tokenizer) -> _IntTerms | RatFunc:
+def _parse_factor(toks: _Tokenizer) -> _IntTerms | _Quotient:
     negate = False
     while toks.peek()[0] in ("+", "-"):
         if toks.next()[0] == "-":
@@ -388,10 +496,11 @@ def _parse_factor(toks: _Tokenizer) -> _IntTerms | RatFunc:
         return value
     if type(value) is dict:
         return {exps: -c for exps, c in value.items()}
-    return -value
+    num, den = value
+    return {exps: -c for exps, c in num.items()}, den
 
 
-def _parse_power(toks: _Tokenizer) -> _IntTerms | RatFunc:
+def _parse_power(toks: _Tokenizer) -> _IntTerms | _Quotient:
     first = toks.index
     base = _parse_atom(toks)
     if toks.peek()[0] != "^":
@@ -403,26 +512,25 @@ def _parse_power(toks: _Tokenizer) -> _IntTerms | RatFunc:
             sign = -sign
     tok = toks.expect("num")
     exponent = sign * _int_literal(tok[1])
-    parts = (base,) if type(base) is dict else (base.num.terms, base.den.terms)
+    parts = (base,) if type(base) is dict else base
     if exponent < 0 and not parts[0]:
         raise ExprSyntaxError("division by zero")
     n = abs(exponent)
     # c^n has at least (bits(c) - 1) * n bits: refuse before computing it
-    _check_bits((_constant_bits(*parts) - 1) * n)
+    bits = _constant_bits(base) if type(base) is dict else _monic_bits(*base)
+    _check_bits((bits - 1) * n)
     # a denominator 1 bounds its power by 1, and every bound is at least 1
     terms = max(_power_terms(p, n) for p in parts)
     if terms > MAX_POWER_TERMS:
         power = "".join(text for _, text in toks.tokens[first:toks.index])
         raise InputError(f"power too large: {power} may have up to {terms} "
                          f"terms, and a power may have at most {MAX_POWER_TERMS}")
-    if type(base) is not dict:
-        return base ** exponent
-    power = _int_power(base, n)
-    # 1/p^n is reduced: no gcd is needed
-    return power if exponent >= 0 else RatFunc.coprime(Poly.const(1), Poly(power))
+    # a power of a reduced pair is reduced
+    num, den = (_int_power(p, n) for p in _pair(base))
+    return _quotient(num, den) if exponent >= 0 else _quotient(den, num)
 
 
-def _parse_atom(toks: _Tokenizer) -> _IntTerms | RatFunc:
+def _parse_atom(toks: _Tokenizer) -> _IntTerms | _Quotient:
     start = toks.index
     kind, text = toks.next()
     if kind == "num":

@@ -584,7 +584,9 @@ def _ref_sum(toks: _Tokenizer) -> RatFunc:
     while toks.peek()[0] in ("+", "-"):
         op = toks.next()[0]
         rhs = _ref_product(toks)
-        terms = _sum_terms(value, rhs, _cofactors(value.den, rhs.den))
+        _, f_cof, g_cof = _cofactors(value.den, rhs.den)
+        terms = _sum_terms((value.num.terms, value.den.terms), (rhs.num.terms, rhs.den.terms),
+                           f_cof.terms, g_cof.terms)
         if terms > MAX_POWER_TERMS:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "

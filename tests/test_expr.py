@@ -2,11 +2,12 @@
 
 import time
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup import poly
+from blowup import expr, poly
 from blowup.errors import BlowupError
 from blowup.expr import (
     INF,
@@ -146,7 +147,9 @@ fraction_terms = st.dictionaries(st.tuples(*[st.integers(min_value=0, max_value=
 
 
 def _bound(f: RatFunc, g: RatFunc) -> int:
-    return _sum_terms(f, g, _cofactors(f.den, g.den))
+    _, f_cof, g_cof = _cofactors(f.den, g.den)
+    return _sum_terms((f.num.terms, f.den.terms), (g.num.terms, g.den.terms),
+                      f_cof.terms, g_cof.terms)
 
 
 @given(*[fraction_terms] * 4)
@@ -200,12 +203,15 @@ def test_sum_reads_the_denominators_gcd_once(monkeypatch):
         return real(p, q)
 
     monkeypatch.setattr(poly, "poly_gcd", counting)
+    monkeypatch.setattr(expr, "poly_gcd", counting)
     f, g = parse_element("x/(1+x+y)^3"), parse_element("y/((1+x+y)^2*(1-y))")
     calls.clear()
     # the bound and the sum share one gcd of the denominators; the other
-    # gcd of the sum is of the new numerator and that common factor
+    # gcd of the sum is of the new numerator and that common factor.  The
+    # reader holds the denominators on integers, so they match f.den and
+    # g.den up to a constant factor
     value = parse_element("x/(1+x+y)^3 + y/((1+x+y)^2*(1-y))")
-    dens = [(p, q) for p, q in calls if {p, q} == {f.den, g.den}]
+    dens = [(p, q) for p, q in calls if {p.normalized(), q.normalized()} == {f.den, g.den}]
     assert len(dens) == 1
     assert value == f + g
 
@@ -227,14 +233,27 @@ def test_power_term_bound_is_exact_for_dense_powers():
     assert len(parse_element("(1+x+y)^30").num.terms) == 496 <= MAX_POWER_TERMS
 
 
-# Leaves of random element texts: light ones, and ones that push products,
-# sums and numbers toward or over their budgets.
+# Leaves of random element texts: light ones; constant, monomial and
+# non-monomial divisors that share factors with each other; parts in a; and
+# ones that push products, sums and numbers toward or over their budgets.
 LEAVES = ["x", "y", "a", "0", "1", "2", "3", "12", "x - x"] * 3 + [
+    "2*x^2*y", "x + y", "x - y", "2*x + 2", "x^2 - y^2", "x + a*y", "a - 1",
     "(1 + x + y)^20", "(x - a)^12", "7^5000"]
+
+
+def _nested_left(texts):
+    """((t0)/(t1))/(t2)...: quotients nested len(texts) - 1 deep."""
+    return reduce(lambda inner, t: f"({inner})/({t})", texts)
+
+
+def _nested_right(texts):
+    """(t0)/((t1)/((t2)/...)): quotients nested len(texts) - 1 deep."""
+    return reduce(lambda inner, t: f"({t})/({inner})", reversed(texts))
 
 
 def _grow(children):
     pairs = st.tuples(children, children)
+    chains = st.lists(children, min_size=4, max_size=5)
     return st.one_of(
         st.tuples(children, st.sampled_from("+-*/"), children).map(" ".join),
         st.tuples(children, st.integers(min_value=-3, max_value=3)).map(
@@ -244,6 +263,11 @@ def _grow(children):
         # repeated groups: the second read of a group comes from the memo
         pairs.map(lambda t: f"({t[0]})*({t[1]}) - ({t[0]})"),
         pairs.map(lambda t: f"({t[0]})/({t[1]}) + ({t[1]})^-1*({t[0]})"),
+        # quotients nested three or more deep, and negative powers of quotients
+        chains.map(_nested_left),
+        chains.map(_nested_right),
+        st.tuples(children, children, st.integers(min_value=-3, max_value=-1)).map(
+            lambda t: f"(({t[0]})/({t[1]}))^{t[2]}"),
     )
 
 
@@ -257,7 +281,7 @@ def _outcome(read, text):
 
 
 @given(st.recursive(st.sampled_from(LEAVES), _grow, max_leaves=8))
-@settings(deadline=None, max_examples=150)
+@settings(deadline=None, max_examples=200)
 def test_reader_matches_the_reference_reader(text):
     assert _outcome(parse_element, text) == _outcome(reference_parse_element, text)
 
@@ -288,8 +312,28 @@ def test_division_free_element_is_read_without_reduction(monkeypatch):
         real_init(self, *args)
 
     monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
+    monkeypatch.setattr(expr, "poly_gcd", counted_gcd)
     monkeypatch.setattr(RatFunc, "__init__", counted_init)
     assert parse_element(text) == want
     assert calls == []
-    parse_element("x/(x + y)")  # a quotient is reduced, and the counters see it
+    # a quotient with a common factor is reduced, and the counters see it
+    assert parse_element("(x + y)/(x^2 - y^2)") == RatFunc(Poly.const(1), x - y)
     assert "poly_gcd" in calls
+
+
+def test_finite_step_parameter_pair_is_read_without_a_gcd(monkeypatch):
+    # a parameter along finite steps, written as the deep-charts benchmark
+    # writes it: every divisor is x, so each gcd is read off the exponents
+    text = "(((y)/(x) - (2))/(x) - (1))/(x)"
+    want = reference_parse_element(text)
+    calls = []
+    real = poly.poly_gcd
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(poly, "poly_gcd", counting)
+    monkeypatch.setattr(expr, "poly_gcd", counting)
+    assert parse_element(text) == want
+    assert calls == []
