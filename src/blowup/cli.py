@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .demos import demo_names, run_demo
 from .dot import DEFAULT_STEPS, export_dot
@@ -450,27 +450,35 @@ _VALUE_FLAGS = frozenset([
 ])
 
 
-def _absorb_values(argv: Sequence[str]) -> List[str]:
-    """Join "--flag value" into "--flag=value" so values may start with "-"."""
+def _absorb_values(argv: Sequence[str]) -> Tuple[List[str], Dict[str, str]]:
+    """Join "--flag value" into "--flag=value" so values may start with "-";
+    also each joined token -> the "--flag value" it was typed as."""
     merged: List[str] = []
+    typed: Dict[str, str] = {}
     i = 0
     while i < len(argv):
         token = argv[i]
         if token in _VALUE_FLAGS and i + 1 < len(argv):
-            merged.append(f"{token}={argv[i + 1]}")
+            joined = f"{token}={argv[i + 1]}"
+            typed[joined] = f"{token} {argv[i + 1]}"
+            merged.append(joined)
             i += 2
         else:
             merged.append(token)
             i += 1
-    return merged
+    return merged, typed
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
+    merged, typed = _absorb_values(list(argv))
     try:
-        args = parser.parse_args(_absorb_values(list(argv)))
+        args, unknown = parser.parse_known_args(merged)
+        if unknown:
+            parser.error("unrecognized arguments: "
+                         + " ".join(typed.get(token, token) for token in unknown))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .errors import CertificateError, DepthCapError, InputError
@@ -506,10 +507,9 @@ def _budget_search(goal: ExponentVector, gens: List[ExponentVector],
     memo: Dict[Tuple[int, int, int], bool] = {}
 
     def reachable(index: int, v1: int, v2: int) -> bool:
-        if v1 == 0 and v2 == 0:
-            return True
-        if index == len(gens):
-            return False
+        if len(gens) - index <= 2:
+            # the last one or two generators are decided exactly
+            return _pair_member((v1, v2), gens[index], gens[-1])
         key = (index, v1, v2)
         known = memo.get(key)
         if known is not None:
@@ -527,6 +527,32 @@ def _budget_search(goal: ExponentVector, gens: List[ExponentVector],
         return result
 
     return reachable(0, goal[0], goal[1])
+
+
+def _pair_member(v: ExponentVector, g: ExponentVector, h: ExponentVector) -> bool:
+    """Whether v = c*g + e*h for integers c, e >= 0, where g and h (which may
+    be equal) are positive under one functional.
+
+    Independent g and h: c and e by Cramer's rule.  Parallel ones point the
+    same way, g = m*d and h = n*d for the primitive d; then v must be k*d,
+    and k = c*m + e*n has a solution iff the least c >= 0 with c*m = k mod n
+    leaves e >= 0.
+    """
+    det = g[0] * h[1] - g[1] * h[0]
+    if det:
+        c = v[0] * h[1] - v[1] * h[0]
+        e = g[0] * v[1] - g[1] * v[0]
+        return not c % det and not e % det and c // det >= 0 and e // det >= 0
+    m, n = gcd(*g), gcd(*h)
+    d = (g[0] // m, g[1] // m)
+    if v[0] * d[1] != v[1] * d[0]:
+        return False
+    k = v[0] // d[0] if d[0] else v[1] // d[1]
+    r = gcd(m, n)
+    if k < 0 or k % r:
+        return False
+    c = k // r * pow(m // r, -1, n // r) % (n // r)
+    return c * m <= k
 
 
 def _box_search(goal: ExponentVector, gens: List[ExponentVector]) -> bool:

@@ -29,7 +29,9 @@ Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
 monomial and nested divisors, negative powers, quotients in `a`, a large
 coprime quotient, and a sum, a product and a power of quotients over
-their budgets.
+their budgets.  `member` over the fiber at the root takes the two
+branches of the parametric fiber analysis for poles that move with a
+along a curve.
 """
 
 from __future__ import annotations
@@ -186,6 +188,9 @@ PARAMETER_PAIRS = (
      "(((x)/((((y)/(x) - (1))/(x) - (2))/(x) - (-1)))/((((y)/(x) - (1))/(x) - (2))/(x)"
      " - (-1)) - (-2))/((((y)/(x) - (1))/(x) - (2))/(x) - (-1)) - (1)"),
 )
+# Coincidence loci in a and t of fiber poles: t^2 - a is linear in a, and
+# (t - a)(t - a - 1) is nonlinear in both symbols.
+MIXED_FACTOR = ("x^2/(y^2 - a*x^2)", "x^2/((y - a*x)*(y - (a + 1)*x))")
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -266,6 +271,9 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
     yield ["strict", "--f", "y - x^2", "--g", "x", "--point", "[0]"], {}
     for text in [e for pair in PARAMETER_PAIRS for e in pair] + list(QUOTIENTS):
         yield ["position", "--point", "[]", "--elt", text], {}
+    files = {"fiber.json": json.dumps([{"kind": "fiber", "base": []}])}
+    for text in MIXED_FACTOR:
+        yield ["member", "--elt", text, "--family", "fiber.json"], files
 
 
 def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:

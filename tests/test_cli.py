@@ -396,6 +396,17 @@ class TestErrors:
         assert error["type"] == "DepthCapError"
         assert error["open_points"] == ["[]"]
 
+    @pytest.mark.parametrize("argv, named", [
+        (("strict", "--f", "y - x^2", "--g", "x", "--point", "[0]"), "--g x"),
+        (("strict", "--f", "y - x^2", "--point", "[0]", "--g=x", "extra"), "--g=x extra"),
+        (("prox", "--point", "[0]", "--elt", "-x"), "--elt -x"),
+    ])
+    def test_unknown_flag_is_named_as_typed(self, capsys, argv, named):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and not out
+        assert json.loads(err)["error"] == {
+            "type": "UsageError", "message": f"unrecognized arguments: {named}", "exit": 2}
+
     @pytest.mark.parametrize("args", [("--elt", "y/x"), ("--f", "x", "--g", "y")])
     def test_negative_depth_exits_2(self, capsys, args):
         code, out, err = run(capsys, "resolve", *args, "--max-depth", "-1")

@@ -1,6 +1,7 @@
 """Membership oracles, irredundance certificates, semigroup reduction."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -290,6 +291,17 @@ class TestInFamilyParametric:
         assert answer.verdict == "no"
         assert answer.witness == Point.from_path([1])
 
+    def test_pole_along_a_curve_in_a_and_t_is_flagged_generic(self):
+        # x^2/(y^2 - a*x^2) has a pole at the member [t] when t^2 = a: the
+        # values of a that fail are infinitely many but not cofinite, which
+        # is the a-linear branch of the fiber analysis
+        answer = in_family(e("x^2/(y^2 - a*x^2)"), Fiber(D))
+        assert answer.verdict == "yes"
+        assert answer.exceptions == {}
+        assert answer.witness is None
+        assert answer.flags == ("infinitely many parameter values fail along t^2 - a; "
+                                "they are not a cofinite set, the verdict is generic only",)
+
     def test_repeated_moving_pole_fails_for_every_a(self):
         # (y - a*x)^2 puts a double pole on the member at step a
         answer = in_family(e("x^2/(y - a*x)^2"), Fiber(D))
@@ -510,6 +522,27 @@ class TestSemigroup:
                 sum(c * g[1] for c, g in zip(combo, gens)) == target[1]
                 for combo in product(range(9), repeat=len(gens)))
             assert semigroup_member(target, gens) == expected, (target, gens)
+
+    def test_parallel_generators_agree_with_brute_force(self):
+        # the last two generators are decided in closed form; parallel ones
+        # reduce to a sum of two multiples along their common line.  p + q is
+        # again at least 1 on every generator here
+        rng = random.Random(20261019)
+        space = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3), (-1, 2), (-2, 4)]
+        for _ in range(60):
+            gens = rng.sample(space, rng.randint(1, 3))
+            target = (rng.randint(-4, 4), rng.randint(-4, 4))
+            expected = any(
+                sum(c * g[0] for c, g in zip(combo, gens)) == target[0] and
+                sum(c * g[1] for c, g in zip(combo, gens)) == target[1]
+                for combo in product(range(9), repeat=len(gens)))
+            assert semigroup_member(target, gens) == expected, (target, gens)
+
+    @pytest.mark.parametrize("gens", [[(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 2)]])
+    def test_large_target_is_decided_quickly(self, gens):
+        start = time.perf_counter()
+        assert semigroup_member((20000, 20000), gens)
+        assert time.perf_counter() - start < 1
 
 
 class TestAnswerShape:
