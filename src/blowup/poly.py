@@ -959,20 +959,18 @@ def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
     return g, b.divmod_exact(g), d.divmod_exact(g)
 
 
-def _sum(a: Poly, b: Poly, c: Poly, d: Poly,
-         split: Optional[Tuple[Poly, Poly, Poly]] = None) -> RatFunc:
+def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
     """a/b + c/d for reduced a/b and c/d with monic b and d.
 
     With g = gcd(b, d), b = g b' and d = g d', the sum is t / (b' d' g)
     with t = a d' + c b'; t is prime to b' and to d', so gcd(t, g) is the
-    whole common factor.  `split` is `_cofactors(b, d)` when the caller
-    has it already.
+    whole common factor.
     """
     if d.is_constant:
         return RatFunc.coprime(a + (c if b.is_constant else c * b), b)
     if b.is_constant:
         return RatFunc.coprime(a * d + c, d)
-    g, b1, d1 = split or _cofactors(b, d)
+    g, b1, d1 = _cofactors(b, d)
     if g.is_constant:
         return RatFunc.coprime(a * d + c * b, b * d)
     t = a * d1 + c * b1

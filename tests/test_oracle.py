@@ -508,13 +508,13 @@ class TestSemigroup:
         assert semigroup_member((-3, 0), gens)
         assert not semigroup_member((0, 1), gens)
 
-    def test_agrees_with_brute_force(self):
+    @staticmethod
+    def check_against_brute_force(seed, space, draws):
         # the functional p + q is at least 1 on every generator in the
         # space, so a target with coordinate sum at most 8 can only be
         # reached with coefficients at most 8: the brute cap is complete
-        rng = random.Random(20240817)
-        space = [(1, 0), (0, 1), (-1, 2), (-2, 3), (2, -1), (1, 1), (3, -2)]
-        for _ in range(30):
+        rng = random.Random(seed)
+        for _ in range(draws):
             gens = rng.sample(space, rng.randint(1, 3))
             target = (rng.randint(-4, 4), rng.randint(-4, 4))
             expected = any(
@@ -523,20 +523,15 @@ class TestSemigroup:
                 for combo in product(range(9), repeat=len(gens)))
             assert semigroup_member(target, gens) == expected, (target, gens)
 
+    def test_agrees_with_brute_force(self):
+        self.check_against_brute_force(
+            20240817, [(1, 0), (0, 1), (-1, 2), (-2, 3), (2, -1), (1, 1), (3, -2)], 30)
+
     def test_parallel_generators_agree_with_brute_force(self):
         # the last two generators are decided in closed form; parallel ones
-        # reduce to a sum of two multiples along their common line.  p + q is
-        # again at least 1 on every generator here
-        rng = random.Random(20261019)
-        space = [(1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3), (-1, 2), (-2, 4)]
-        for _ in range(60):
-            gens = rng.sample(space, rng.randint(1, 3))
-            target = (rng.randint(-4, 4), rng.randint(-4, 4))
-            expected = any(
-                sum(c * g[0] for c, g in zip(combo, gens)) == target[0] and
-                sum(c * g[1] for c, g in zip(combo, gens)) == target[1]
-                for combo in product(range(9), repeat=len(gens)))
-            assert semigroup_member(target, gens) == expected, (target, gens)
+        # reduce to a sum of two multiples along their common line
+        self.check_against_brute_force(
+            20261019, [(1, 0), (2, 0), (3, 0), (1, 1), (2, 2), (3, 3), (-1, 2), (-2, 4)], 60)
 
     @pytest.mark.parametrize("gens", [[(1, 0), (0, 1)], [(1, 0), (0, 1), (-1, 2)]])
     def test_large_target_is_decided_quickly(self, gens):
