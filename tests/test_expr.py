@@ -194,16 +194,22 @@ def test_sum_over_a_shared_denominator_is_bounded_on_its_cofactors():
     assert reference_parse_element(text) == value
 
 
-def test_sum_reads_the_denominators_gcd_once(monkeypatch):
-    calls = []
-    real = poly.poly_gcd
+def count_gcds(monkeypatch):
+    """A list that grows by the arguments of each `poly_gcd` call from now
+    on, the element reader's own calls included."""
+    calls, real = [], poly.poly_gcd
 
-    def counting(p, q):
-        calls.append((p, q))
-        return real(p, q)
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(poly, "poly_gcd", counting)
     monkeypatch.setattr(expr, "poly_gcd", counting)
+    return calls
+
+
+def test_sum_reads_the_denominators_gcd_once(monkeypatch):
+    calls = count_gcds(monkeypatch)
     f, g = parse_element("x/(1+x+y)^3"), parse_element("y/((1+x+y)^2*(1-y))")
     calls.clear()
     # the bound and the sum share one gcd of the denominators; the other
@@ -300,25 +306,19 @@ def test_refusals_match_the_reference_reader(text):
 def test_division_free_element_is_read_without_reduction(monkeypatch):
     text = "(x + y)^3*(x - 2*a) - (x + y)^3 + 5*y^2 - -(x + y)^3"
     want = reference_parse_element(text)
-    calls = []
-    real_gcd, real_init = poly.poly_gcd, RatFunc.__init__
-
-    def counted_gcd(*args):
-        calls.append("poly_gcd")
-        return real_gcd(*args)
+    gcds, inits = count_gcds(monkeypatch), []
+    real_init = RatFunc.__init__
 
     def counted_init(self, *args):
-        calls.append("RatFunc.__init__")
+        inits.append(args)
         real_init(self, *args)
 
-    monkeypatch.setattr(poly, "poly_gcd", counted_gcd)
-    monkeypatch.setattr(expr, "poly_gcd", counted_gcd)
     monkeypatch.setattr(RatFunc, "__init__", counted_init)
     assert parse_element(text) == want
-    assert calls == []
+    assert gcds == [] and inits == []
     # a quotient with a common factor is reduced, and the counters see it
     assert parse_element("(x + y)/(x^2 - y^2)") == RatFunc(Poly.const(1), x - y)
-    assert "poly_gcd" in calls
+    assert gcds
 
 
 def test_finite_step_parameter_pair_is_read_without_a_gcd(monkeypatch):
@@ -326,14 +326,6 @@ def test_finite_step_parameter_pair_is_read_without_a_gcd(monkeypatch):
     # writes it: every divisor is x, so each gcd is read off the exponents
     text = "(((y)/(x) - (2))/(x) - (1))/(x)"
     want = reference_parse_element(text)
-    calls = []
-    real = poly.poly_gcd
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(poly, "poly_gcd", counting)
-    monkeypatch.setattr(expr, "poly_gcd", counting)
+    calls = count_gcds(monkeypatch)
     assert parse_element(text) == want
     assert calls == []
