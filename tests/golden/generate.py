@@ -1,12 +1,16 @@
-"""Write the golden CLI corpus: one JSON line per in-process CLI run.
+"""Write the golden CLI corpus and its cost corpus: one JSON line per
+in-process CLI run in each.
 
-    PYTHONPATH=src python3 tests/golden/generate.py > tests/golden/cli.jsonl
+    PYTHONPATH=src python3 tests/golden/generate.py
 
-Each line holds {"argv", "files", "stdout", "stderr", "exit"}: the
-arguments, the input files the run reads (name -> text, written into an
-empty working directory first), and what `blowup.cli.main` printed and
-returned.  `tests/test_golden.py` replays every line and compares the
-output byte for byte.
+Each line of `cli.jsonl` holds {"argv", "files", "stdout", "stderr",
+"exit"}: the arguments, the input files the run reads (name -> text,
+written into an empty working directory first), and what
+`blowup.cli.main` printed and returned.  The line of `cost.jsonl` in the
+same place holds {"argv", "charges"}: the number of chart steps the run
+charged to the chart budget (`tree.charge`).  `tests/test_golden.py`
+replays every run and compares the output byte for byte and the count
+exactly.
 
 The corpus covers `member` in text and `--json` over nine family shapes
 and sixteen elements, the seven demos in text and `--json`, `position`
@@ -42,9 +46,10 @@ import json
 import os
 import sys
 import tempfile
+from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
-from blowup import cli
+from blowup import cli, oracle, tree
 from blowup.demos import demo_names
 
 INF = "inf"
@@ -276,6 +281,23 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield ["member", "--elt", text, "--family", "fiber.json"], files
 
 
+@contextlib.contextmanager
+def counting_charges() -> Iterator[List[int]]:
+    """A list that grows by one entry per `tree.charge` call in the block,
+    the calls through `oracle`'s own binding of it too."""
+    real, calls = tree.charge, []
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    tree.charge = oracle.charge = counting
+    try:
+        yield calls
+    finally:
+        tree.charge = oracle.charge = real
+
+
 def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:
     """One in-process CLI run in the current directory, with its files."""
     for name, text in files.items():
@@ -289,15 +311,21 @@ def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:
 
 
 def main() -> int:
-    lines = []
+    outputs, costs = [], []
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         try:
-            lines = [json.dumps(run(argv, files)) for argv, files in cases()]
+            for argv, files in cases():
+                with counting_charges() as calls:
+                    outputs.append(run(argv, files))
+                costs.append({"argv": argv, "charges": len(calls)})
         finally:
             os.chdir(cwd)
-    sys.stdout.write("".join(line + "\n" for line in lines))
+    here = Path(__file__).resolve().parent
+    for name, records in (("cli.jsonl", outputs), ("cost.jsonl", costs)):
+        (here / name).write_text("".join(json.dumps(r) + "\n" for r in records),
+                                 encoding="utf-8")
     return 0
 
 
