@@ -14,11 +14,14 @@ and the ring at the end is again two-dimensional regular local.
 A point stores only its path; chart data is derived when it is needed.
 `transform_step` is the one place that rewrites a polynomial across a step:
 it maps each term by its exponents, x^i y^j to x^(i+j) times y^i, y^j or
-(y + b)^j.  The image of h is therefore divisible by x^d exactly, where d
-is the order of h, and the step kernel divides that power out in the same
-pass.  `express` pushes any element of the fraction field into the
-local chart one step at a time, and all order, membership and position
-questions reduce to looking at it there.
+(y + b)^j.  For b = r/s in lowest terms, (y + b)^j is s^(-j) times the
+integer row C(j, m) r^(j-m) s^m of y^m, so the kernel divides each
+coefficient by s^j once and multiplies it by integers only.  The image of
+h is divisible by x^d exactly, where d is the order of h, and the step
+kernel divides that power out in the same pass.  `express` pushes any
+element of the fraction field into the local chart one step at a time,
+and all order, membership and position questions reduce to looking at it
+there.
 
 Every step of a point is concrete: a rational or inf.  The step kernel
 (`transform_step`, `express_step`, `strict_step`) also accepts `TSYM`, a
@@ -151,11 +154,13 @@ def transform_step(h: Poly, step: AnyStep, drop: int = 0) -> Poly:
     A finite step b (the symbol t for `TSYM`) substitutes (x, x(y + b));
     the step inf substitutes (xy, x).  A term x^i y^j therefore goes to
     x^(i+j) y^i for inf, to x^(i+j) y^j for 0, and otherwise to
-    x^(i+j) (y + b)^j = x^(i+j) sum_m C(j, m) b^(j-m) y^m, with b^(j-m)
-    becoming t^(j-m) for `TSYM`.  The lowest power of x in the image is
-    the order of h: the terms of h of that order go to x^d times the image
-    of a nonzero polynomial in y under y -> y + b, so they cannot cancel.
-    `drop` may be at most that order.
+    x^(i+j) (y + b)^j.  For b = r/s in lowest terms that power is
+    s^(-j) times the integer row of `_binomial_row`, so each coefficient
+    is divided by s^j once and then multiplied by integer weights only;
+    for `TSYM` the row carries the powers of t instead.  The lowest power
+    of x in the image is the order of h: the terms of h of that order go
+    to x^d times the image of a nonzero polynomial in y under y -> y + b,
+    so they cannot cancel.  `drop` may be at most that order.
     """
     terms: Terms = {}
     if is_inf(step):
@@ -165,11 +170,14 @@ def transform_step(h: Poly, step: AnyStep, drop: int = 0) -> Poly:
         for (i, j, a, t), c in h.terms.items():
             terms[(i + j - drop, j, a, t)] = c
     else:
+        s = 1 if step is TSYM else step.denominator
         rows = {}
         for (i, j, a, t), c in h.terms.items():
             row = rows.get(j)
             if row is None:
                 row = rows[j] = _binomial_row(j, step)
+            if s != 1:
+                c /= s ** j
             d = i + j - drop
             for m, (dt, w) in enumerate(row):
                 key = (d, m, a, t + dt)
@@ -183,11 +191,14 @@ def transform_step(h: Poly, step: AnyStep, drop: int = 0) -> Poly:
     return out
 
 
-def _binomial_row(j: int, step: AnyStep) -> List[Tuple[int, Fraction]]:
-    """(t exponent, weight) of y^m in (y + b)^j, for m = 0 .. j."""
+def _binomial_row(j: int, step: AnyStep) -> List[Tuple[int, int]]:
+    """(t exponent, integer weight) of y^m, m = 0 .. j: the terms of
+    (y + t)^j for `TSYM`, and of s^j (y + r/s)^j = (sy + r)^j, that is
+    C(j, m) r^(j-m) s^m, for a step r/s in lowest terms."""
     if step is TSYM:
-        return [(j - m, Fraction(comb(j, m))) for m in range(j + 1)]
-    return [(0, comb(j, m) * step ** (j - m)) for m in range(j + 1)]
+        return [(j - m, comb(j, m)) for m in range(j + 1)]
+    r, s = step.numerator, step.denominator
+    return [(0, comb(j, m) * r ** (j - m) * s ** m) for m in range(j + 1)]
 
 
 def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
