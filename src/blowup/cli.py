@@ -173,6 +173,8 @@ def _cmd_strict(args) -> Dict:
     if args.f is None:
         raise InputError("a curve is required: --f POLY")
     curve = parse_curve(args.f)
+    if curve.is_zero:
+        raise InputError("--f must not be zero: the zero curve has no strict transform")
     point = _point_from(args.point)
     transformed = point.strict_transform(curve)
     return {

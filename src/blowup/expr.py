@@ -54,13 +54,33 @@ def is_inf(step) -> bool:
 
 
 def parse_step(text: str) -> Step:
+    """The one step reader: "inf" (or "oo") or a rational in any form
+    `Fraction` reads, such as "-1/2", "0.5", "1e3" or "1_000", whose
+    numerator and denominator have at most `MAX_NUMBER_BITS` bits."""
     text = text.strip()
     if text in ("inf", "oo"):
         return INF
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        # A nonzero mantissa of n characters times 10^e has a numerator
+        # of at least 10^(e - n) or a denominator above 10^(-e - n), so an
+        # exponent this large is refused before 10^|e| is formed, and a
+        # zero mantissa reads as zero without it.
+        if exponent and abs(int(exponent)) - len(mantissa) > _STEP_EXPONENT_SLACK:
+            if Fraction(mantissa + "e0"):
+                _refuse_step_bits()
+            text = mantissa + "e0"
+        step = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ExprSyntaxError(f"bad path step {text!r}: expected a rational or inf") from exc
+    if max(step.numerator.bit_length(), step.denominator.bit_length()) > MAX_NUMBER_BITS:
+        _refuse_step_bits()
+    return step
+
+
+def _refuse_step_bits() -> None:
+    raise InputError(f"number too large: the numerator and denominator of a path "
+                     f"step may have at most {MAX_NUMBER_BITS} bits")
 
 
 def format_step(step: Step) -> str:
@@ -103,6 +123,10 @@ _VARIABLES = {name: tuple(int(i == slot) for i in range(NVARS))
 # Every number in an element must stay printable: Python converts an int of
 # at most 4,300 decimal digits to text, and 13,000 bits is about 3,900 digits.
 MAX_NUMBER_BITS = 13000
+
+
+# 10^3,914 has more than MAX_NUMBER_BITS bits.
+_STEP_EXPONENT_SLACK = 3914
 
 
 def _check_bits(bits: int) -> None:

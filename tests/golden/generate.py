@@ -27,7 +27,8 @@ over the sixteen elements and with a depth bound or a start point,
 topology commands over the nine family shapes (`closure` also with
 probe points), `irredundant` on two fibers, `semigroup`, `dot`, the
 README's examples with every exit-2 and exit-3 case it names, and
-malformed family and curve inputs.
+malformed family and curve inputs: path steps past the bit bound of a
+number and the zero curve under `strict` among them.
 
 Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
@@ -196,6 +197,10 @@ PARAMETER_PAIRS = (
 # Coincidence loci in a and t of fiber poles: t^2 - a is linear in a, and
 # (t - a)(t - a - 1) is nonlinear in both symbols.
 MIXED_FACTOR = ("x^2/(y^2 - a*x^2)", "x^2/((y - a*x)*(y - (a + 1)*x))")
+# Steps past the bit bound of a number, refused before the power of ten
+# is formed: by its size, by its exponent alone, and in a family.
+HUGE_STEP_PATHS = ("[1e5000]", "[1e100000000]")
+HUGE_STEP_FIBER = {"kind": "fiber", "base": ["1e100000"]}
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -279,6 +284,11 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
     files = {"fiber.json": json.dumps([{"kind": "fiber", "base": []}])}
     for text in MIXED_FACTOR:
         yield ["member", "--elt", text, "--family", "fiber.json"], files
+    for path in HUGE_STEP_PATHS:
+        yield ["prox", "--point", path], {}
+    files = {"huge-step.json": json.dumps([HUGE_STEP_FIBER])}
+    yield ["member", "--elt", "x", "--family", "huge-step.json"], files
+    yield ["strict", "--f", "0", "--point", "[]"], {}
 
 
 @contextlib.contextmanager

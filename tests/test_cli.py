@@ -444,6 +444,36 @@ class TestErrors:
         assert error["type"] == "InputError"
         assert "too large" in error["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ("prox", "--point", "[1e5000]"),
+        ("prox", "--point", "[1e100000000]"),
+        ("dot", "--steps", "1e-100000000"),
+        ("member", "--elt", "x", "--family", "FAMILY"),
+    ])
+    def test_huge_step_exits_2(self, capsys, family_file, argv):
+        # refused before the power of ten is formed: the second text used
+        # to run for minutes, the first and the family's step to end in a
+        # traceback
+        path = family_file([{"kind": "fiber", "base": ["1e100000"]}])
+        start = time.perf_counter()
+        code, out, err = run(capsys, *[path if arg == "FAMILY" else arg for arg in argv])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert error["message"] == ("number too large: the numerator and denominator "
+                                    "of a path step may have at most 13000 bits")
+
+    def test_strict_of_zero_curve_exits_2(self, capsys):
+        code, out, err = run(capsys, "strict", "--f", "x - x", "--point", "[]")
+        assert code == 2 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "InputError"
+        assert "--f must not be zero" in error["message"]
+        # a nonzero constant is no zero curve: its multiplicity is 0
+        code, report, _ = run_json(capsys, "strict", "--f", "1", "--point", "[0]")
+        assert code == 0 and report["multiplicity"] == 0
+
     @pytest.mark.parametrize("elt, power", [
         ("(1+x+y)^100", "(1+x+y)^100"),
         ("1/(1+x+y)^100", "(1+x+y)^100"),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from blowup import expr, poly
-from blowup.errors import BlowupError
+from blowup.errors import BlowupError, InputError
 from blowup.expr import (
     INF,
     MAX_NESTING,
@@ -91,8 +91,25 @@ def test_parse_step_values():
     assert parse_step("inf") is INF
     assert parse_step("-1/2") == Fraction(-1, 2)
     assert parse_step(" 3 ") == Fraction(3)
+    # every form Fraction reads, within the bound
+    assert [parse_step(t) for t in ("1e3", "1_000", "0.5", "-2.5E-1", "0e100000000")] == \
+        [1000, 1000, Fraction(1, 2), Fraction(-1, 4), 0]
+    assert parse_step("1e3913") == 10 ** 3913
+    assert parse_step("-3e-3913") == Fraction(-3, 10 ** 3913)
     with pytest.raises(ExprSyntaxError):
         parse_step("x")
+    with pytest.raises(ExprSyntaxError):
+        parse_step("1/2e100000000")
+
+
+@pytest.mark.parametrize("text", ["1e3914", "-1e-3914", "1" + "0" * 3914, "1/" + "9" * 3914,
+                                  "7e100000000", "0.001e-100000000", "12345e-100000000"])
+def test_parse_step_refuses_past_the_bit_bound(text):
+    # 10^3914 has 13,003 bits; the exponent alone refuses the last three
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="at most 13000 bits"):
+        parse_step(text)
+    assert time.perf_counter() - start < 1
 
 
 def test_path_round_trip():
