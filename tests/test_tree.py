@@ -246,12 +246,17 @@ def test_strict_transform_line_leaves_chart():
     assert P("[3]").strict_transform(h).constant_term() != 0
 
 
+# Steps r/s with |r| and s up to 2^20: the kernel's integer rows carry
+# r^(j-m) s^m, and each coefficient is divided by s^j.
+STEP_PART = 2 ** 20
 any_steps = st.one_of(
     st.just(INF), st.just(TSYM), st.just(Fraction(0)),
-    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.integers(-STEP_PART, STEP_PART).map(Fraction),
+    st.builds(Fraction, st.integers(-STEP_PART, STEP_PART), st.integers(1, STEP_PART)))
 
 polys_xya = st.dictionaries(
-    st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 1), st.just(0)),
+    st.tuples(st.integers(0, 3), st.integers(0, 8), st.integers(0, 1), st.just(0)),
     st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
     min_size=1, max_size=6).map(Poly)
 
