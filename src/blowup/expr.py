@@ -68,19 +68,20 @@ def parse_step(text: str) -> Step:
         # zero mantissa reads as zero without it.
         if exponent and abs(int(exponent)) - len(mantissa) > _STEP_EXPONENT_SLACK:
             if Fraction(mantissa + "e0"):
-                _refuse_step_bits()
+                raise InputError(_STEP_TOO_LARGE)
             text = mantissa + "e0"
         step = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ExprSyntaxError(f"bad path step {text!r}: expected a rational or inf") from exc
+    return bounded_step(step)
+
+
+def bounded_step(step: Fraction) -> Fraction:
+    """The step itself, refused with `InputError` when its numerator or
+    denominator has more than `MAX_NUMBER_BITS` bits."""
     if max(step.numerator.bit_length(), step.denominator.bit_length()) > MAX_NUMBER_BITS:
-        _refuse_step_bits()
+        raise InputError(_STEP_TOO_LARGE)
     return step
-
-
-def _refuse_step_bits() -> None:
-    raise InputError(f"number too large: the numerator and denominator of a path "
-                     f"step may have at most {MAX_NUMBER_BITS} bits")
 
 
 def format_step(step: Step) -> str:
@@ -127,6 +128,8 @@ MAX_NUMBER_BITS = 13000
 
 # 10^3,914 has more than MAX_NUMBER_BITS bits.
 _STEP_EXPONENT_SLACK = 3914
+_STEP_TOO_LARGE = (f"number too large: the numerator and denominator of a path step "
+                   f"may have at most {MAX_NUMBER_BITS} bits")
 
 
 def _check_bits(bits: int) -> None:

@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Iterable, List, Tuple
 
 from .errors import ComputationError, InputError
-from .expr import INF, Step, format_step, is_inf, parse_step
+from .expr import INF, Step, bounded_step, format_step, is_inf, parse_step
 from .poly import Poly, RatFunc, Terms
 
 
@@ -254,7 +254,8 @@ def strict_step(h: Poly, step: AnyStep) -> Poly:
 
 def normalize_step(step) -> Step:
     """The one step reader: a `Fraction` or `INF` as it is, text such as
-    "-1/2" or "inf" by `parse_step`, any other rational as a `Fraction`."""
+    "-1/2" or "inf" by `parse_step`, any other rational, such as a JSON
+    integer, as a `Fraction` within `bounded_step`'s bit bound."""
     if type(step) is Fraction or is_inf(step):
         return step
     if isinstance(step, str):
@@ -262,7 +263,7 @@ def normalize_step(step) -> Step:
     # a bool is no step, and a binary fraction is not the exact step it rounds
     if isinstance(step, bool) or not isinstance(step, Rational):
         raise InputError(f"bad step {step!r}: expected a rational or inf")
-    return Fraction(step)
+    return bounded_step(Fraction(step))
 
 
 # -- path order ------------------------------------------------------------

@@ -197,10 +197,11 @@ PARAMETER_PAIRS = (
 # Coincidence loci in a and t of fiber poles: t^2 - a is linear in a, and
 # (t - a)(t - a - 1) is nonlinear in both symbols.
 MIXED_FACTOR = ("x^2/(y^2 - a*x^2)", "x^2/((y - a*x)*(y - (a + 1)*x))")
-# Steps past the bit bound of a number, refused before the power of ten
-# is formed: by its size, by its exponent alone, and in a family.
+# Steps past the bit bound of a number: by its size, by its exponent
+# alone, refused before the power of ten is formed, and in a family as
+# text and as a JSON integer.
 HUGE_STEP_PATHS = ("[1e5000]", "[1e100000000]")
-HUGE_STEP_FIBER = {"kind": "fiber", "base": ["1e100000"]}
+HUGE_STEP_BASES = ("1e100000", 10 ** 4200)
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -286,8 +287,9 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield ["member", "--elt", text, "--family", "fiber.json"], files
     for path in HUGE_STEP_PATHS:
         yield ["prox", "--point", path], {}
-    files = {"huge-step.json": json.dumps([HUGE_STEP_FIBER])}
-    yield ["member", "--elt", "x", "--family", "huge-step.json"], files
+    for base in HUGE_STEP_BASES:
+        files = {"huge-step.json": json.dumps([{"kind": "fiber", "base": [base]}])}
+        yield ["member", "--elt", "x", "--family", "huge-step.json"], files
     yield ["strict", "--f", "0", "--point", "[]"], {}
 
 

@@ -444,19 +444,22 @@ class TestErrors:
         assert error["type"] == "InputError"
         assert "too large" in error["message"]
 
-    @pytest.mark.parametrize("argv", [
-        ("prox", "--point", "[1e5000]"),
-        ("prox", "--point", "[1e100000000]"),
-        ("dot", "--steps", "1e-100000000"),
-        ("member", "--elt", "x", "--family", "FAMILY"),
+    @pytest.mark.parametrize("argv, base", [
+        (("prox", "--point", "[1e5000]"), None),
+        (("prox", "--point", "[1e100000000]"), None),
+        (("dot", "--steps", "1e-100000000"), None),
+        (("member", "--elt", "x", "--family", "FAMILY"), "1e100000"),
+        (("member", "--elt", "x", "--family", "FAMILY"), 10 ** 4200),
     ])
-    def test_huge_step_exits_2(self, capsys, family_file, argv):
+    def test_huge_step_exits_2(self, capsys, family_file, argv, base):
         # refused before the power of ten is formed: the second text used
-        # to run for minutes, the first and the family's step to end in a
-        # traceback
-        path = family_file([{"kind": "fiber", "base": ["1e100000"]}])
+        # to run for minutes, the first and the family's text to end in a
+        # traceback; a JSON integer step is held to the same bound
+        if base is not None:
+            path = family_file([{"kind": "fiber", "base": [base]}])
+            argv = [path if arg == "FAMILY" else arg for arg in argv]
         start = time.perf_counter()
-        code, out, err = run(capsys, *[path if arg == "FAMILY" else arg for arg in argv])
+        code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1
         assert code == 2 and not out
         error = json.loads(err)["error"]
