@@ -450,7 +450,7 @@ class TestErrors:
         (("dot", "--steps", "1e-100000000"), None),
         (("member", "--elt", "x", "--family", "FAMILY"), "1e100000"),
         (("member", "--elt", "x", "--family", "FAMILY"), 10 ** 4200),
-    ])
+    ], ids=["point", "point-exponent", "steps-exponent", "family-text", "family-integer"])
     def test_huge_step_exits_2(self, capsys, family_file, argv, base):
         # refused before the power of ten is formed: the second text used
         # to run for minutes, the first and the family's text to end in a

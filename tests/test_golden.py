@@ -26,13 +26,13 @@ def test_corpus_holds_every_generated_case():
 
 def test_cli_output_matches_the_golden_corpus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    differing, costlier = [], []
+    differing, recounted = [], []
     for recorded, cost in zip(_records(CORPUS), _records(COSTS)):
         with counting_charges() as calls:
             output = run(recorded["argv"], recorded["files"])
         if output != recorded:
             differing.append(" ".join(recorded["argv"]))
         if len(calls) != cost["charges"]:
-            costlier.append(f"{' '.join(cost['argv'])}: {cost['charges']} -> {len(calls)}")
+            recounted.append(f"{' '.join(cost['argv'])}: {cost['charges']} -> {len(calls)}")
     assert not differing, "runs that differ from the corpus:\n" + "\n".join(differing)
-    assert not costlier, "runs whose charged steps changed:\n" + "\n".join(costlier)
+    assert not recounted, "runs whose charged steps changed:\n" + "\n".join(recounted)
