@@ -395,7 +395,6 @@ def _build_parser() -> _Parser:
         p.set_defaults(handler=handler)
         if elt:
             p.add_argument("--elt", help="element of k(x, y), may carry the parameter a")
-        if elt:
             p.add_argument("--f", help="numerator element (alternative to --elt)")
             p.add_argument("--g", help="denominator element, used with --f")
         if point is not None:

@@ -14,18 +14,24 @@ Tree paths are written as bracketed step lists:
     []      [0]      [0, inf, -1/2]
 
 Each step is a rational number or `inf`.
+
+This module only parses: the tokenizer, the grammar, the group memo, the
+term budgets and the bit checks.  The arithmetic on what it reads is
+`blowup.poly`'s.
 """
 
 from __future__ import annotations
 
-import heapq
+import re
 from fractions import Fraction
 from itertools import chain
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from .errors import InputError
-from .poly import NVARS, A, Exponents, Poly, RatFunc, X, Y, _grlex_key, poly_gcd
+from .poly import (NVARS, _ZERO_EXP, A, Poly, RatFunc, X, Y, _grlex_key, _IntTerms, _pair,
+                   _pair_product, _pair_sum, _plus, _Quotient, _quotient, _raised, _ratfunc,
+                   _split_gcd, _times)
 
 
 class ExprSyntaxError(InputError):
@@ -72,7 +78,12 @@ def parse_step(text: str) -> Step:
             text = mantissa + "e0"
         step = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ExprSyntaxError(f"bad path step {text!r}: expected a rational or inf") from exc
+        # Python reads at most 4,300 digits into an int, and a run of them
+        # that long is past the bit bound unless it is padded with zeros
+        if max((len(run.replace("_", "")) for run in re.findall(r"[\d_]+", text)),
+               default=0) > _PYTHON_DIGITS:
+            raise InputError(_STEP_TOO_LARGE) from exc
+        raise ExprSyntaxError(f"bad path step {_shown(text)}: expected a rational or inf") from exc
     return bounded_step(step)
 
 
@@ -91,7 +102,7 @@ def format_step(step: Step) -> str:
 def parse_path(text: str) -> Tuple[Step, ...]:
     text = text.strip()
     if not (text.startswith("[") and text.endswith("]")):
-        raise ExprSyntaxError(f"bad path literal {text!r}: expected [step, step, ...]")
+        raise ExprSyntaxError(f"bad path literal {_shown(text)}: expected [step, step, ...]")
     inner = text[1:-1].strip()
     if not inner:
         return ()
@@ -102,22 +113,21 @@ def format_path(steps: Sequence[Step]) -> str:
     return "[" + ", ".join(format_step(s) for s in steps) + "]"
 
 
+def _shown(text: str) -> str:
+    """text quoted for an error message: its first 40 characters and its
+    length when it is longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 # -- element expressions ----------------------------------------------------
 
 # A division-free part of an element (integer literals, x, y, a, + - * and
 # non-negative powers) has integer coefficients, since the grammar has no
 # other constants.  The reader carries such a part as an int term map
 # {exponents: coefficient}, which multiplies several times faster than a
-# Poly of Fractions.  A value past a `/` or a negative power is a pair
-# (num, den) of int term maps with no common factor of positive degree, no
-# common integer factor, and den positive when it is a constant; it becomes
-# a RatFunc only at the end of the input.  Term maps are never changed in
-# place: a value may be shared by the group memo.
-_IntTerms = Dict[Exponents, int]
-_Quotient = Tuple[_IntTerms, _IntTerms]
-
-_ONE_EXPS: Exponents = (0,) * NVARS
-_UNIT: _IntTerms = {_ONE_EXPS: 1}
+# Poly of Fractions, and a value past a `/` or a negative power as a reduced
+# pair of them (`blowup.poly` states the pair invariants and does the
+# arithmetic); it becomes a RatFunc only at the end of the input.
 _VARIABLES = {name: tuple(int(i == slot) for i in range(NVARS))
               for name, slot in (("x", X), ("y", Y), ("a", A))}
 
@@ -128,6 +138,7 @@ MAX_NUMBER_BITS = 13000
 
 # 10^3,914 has more than MAX_NUMBER_BITS bits.
 _STEP_EXPONENT_SLACK = 3914
+_PYTHON_DIGITS = 4300
 _STEP_TOO_LARGE = (f"number too large: the numerator and denominator of a path step "
                    f"may have at most {MAX_NUMBER_BITS} bits")
 
@@ -214,128 +225,6 @@ def _sum_terms(f: _Quotient, g: _Quotient, f_cof: Mapping, g_cof: Mapping) -> in
     (f_num, _), (g_num, g_den) = f, g
     return max(_product_terms(f_num, g_cof) + _product_terms(g_num, f_cof),
                _product_terms(f_cof, g_den))
-
-
-def _pair(value: _IntTerms | _Quotient) -> _Quotient:
-    """value as a pair: an int term map is a polynomial over 1."""
-    return (value, _UNIT) if type(value) is dict else value
-
-
-def _int_sum(p: _IntTerms, q: _IntTerms, sign: int) -> _IntTerms:
-    """p + sign*q."""
-    out = dict(p)
-    for exps, c in q.items():
-        c = out.get(exps, 0) + sign * c
-        if c:
-            out[exps] = c
-        else:
-            del out[exps]
-    return out
-
-
-def _int_product(p: _IntTerms, q: _IntTerms) -> _IntTerms:
-    out: _IntTerms = {}
-    get = out.get
-    for (i, j, k, m), c in p.items():
-        for (i2, j2, k2, m2), d in q.items():
-            exps = (i + i2, j + j2, k + k2, m + m2)
-            out[exps] = get(exps, 0) + c * d
-    return {exps: c for exps, c in out.items() if c}
-
-
-def _int_power(p: _IntTerms, n: int) -> _IntTerms:
-    result: _IntTerms = {_ONE_EXPS: 1}
-    while n:
-        if n & 1:
-            result = _int_product(result, p)
-        n >>= 1
-        if n:
-            p = _int_product(p, p)
-    return result
-
-
-# Arithmetic on reduced pairs, as `poly._product` and `poly._sum` do it on
-# RatFuncs (Henrici; Knuth, TAOCP vol. 2, 4.5.1): only the factors that can
-# cancel are looked for.
-
-
-def _scaled(p: _IntTerms, k: int) -> _IntTerms:
-    """p/k for an integer k that divides every coefficient of p."""
-    return {exps: c // k for exps, c in p.items()}
-
-
-def _gcd(p: _IntTerms, q: _IntTerms) -> _IntTerms:
-    """A gcd of two nonzero int term maps, primitive over Z.  When one is a
-    constant or a monomial it is the monomial their exponents share."""
-    if len(p) == 1 or len(q) == 1:
-        return {tuple(map(min, *p, *q)): 1}
-    if p == q:
-        return _scaled(p, gcd(*p.values()))
-    g = poly_gcd(Poly(p), Poly(q)).terms
-    scale = lcm(*(c.denominator for c in g.values()))
-    ints = {exps: c.numerator * (scale // c.denominator) for exps, c in g.items()}
-    return _scaled(ints, gcd(*ints.values()))
-
-
-def _divide(p: _IntTerms, g: _IntTerms) -> _IntTerms:
-    """p/g for int term maps when g divides p, over Z when g is primitive
-    (Gauss's lemma).  The least term of the remainder is always the least
-    term of g times a term of the quotient, so a heap serves them in turn."""
-    if len(g) == 1:
-        ((shift, lc),) = g.items()
-        if lc == 1 and not any(shift):
-            return p
-        return {tuple(i - j for i, j in zip(exps, shift)): c // lc for exps, c in p.items()}
-    trail = min(g, key=_grlex_key)
-    lc = g[trail]
-    rest = [(exps, c) for exps, c in g.items() if exps != trail]
-    rem = dict(p)
-    heap = [(sum(exps), exps) for exps in rem]
-    heapq.heapify(heap)
-    quotient: _IntTerms = {}
-    while heap:
-        exps = heapq.heappop(heap)[1]
-        c = rem.pop(exps)
-        if not c:
-            continue
-        q = c // lc
-        delta = tuple(i - j for i, j in zip(exps, trail))
-        quotient[delta] = q
-        for (i, j, k, m), d in rest:
-            target = (delta[0] + i, delta[1] + j, delta[2] + k, delta[3] + m)
-            if target not in rem:
-                heapq.heappush(heap, (sum(target), target))
-            rem[target] = rem.get(target, 0) - q * d
-    return quotient
-
-
-def _quotient(num: _IntTerms, den: _IntTerms) -> _IntTerms | _Quotient:
-    """num/den for int term maps with no common factor of positive degree:
-    a term map when it is a polynomial, else a reduced pair."""
-    if not num:
-        return {}
-    k = gcd(*num.values(), *den.values())
-    if len(den) == 1 and den.get(_ONE_EXPS, 0) < 0:
-        k = -k
-    if k != 1:
-        num, den = _scaled(num, k), _scaled(den, k)
-    return num if den == _UNIT else (num, den)
-
-
-def _cancel(p: _IntTerms, q: _IntTerms) -> _Quotient:
-    """p and q divided by their gcd."""
-    g = _gcd(p, q)
-    return _divide(p, g), _divide(q, g)
-
-
-def _ratfunc(num: _IntTerms, den: _IntTerms) -> RatFunc:
-    """num/den as a RatFunc: one Fraction per coefficient, over den's
-    leading coefficient."""
-    lc = den[max(den, key=_grlex_key)]
-    num_poly, den_poly = Poly(), Poly()
-    num_poly.terms = {exps: Fraction(c, lc) for exps, c in num.items()}
-    den_poly.terms = {exps: Fraction(c, lc) for exps, c in den.items()}
-    return RatFunc.coprime(num_poly, den_poly)
 
 
 def _monic_bits(num: _IntTerms, den: _IntTerms) -> int:
@@ -432,7 +321,7 @@ def parse_element(text: str) -> RatFunc:
     value = _parse_sum(toks)
     if toks.peek()[0] != "end":
         raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
-    value = _ratfunc(*_pair(value))
+    value = _ratfunc(value)
     _check_bits(_number_bits(value))
     return value
 
@@ -459,8 +348,7 @@ def _parse_sum(toks: _Tokenizer) -> _IntTerms | _Quotient:
             terms = len(value) + len(rhs)  # _sum_terms of two polynomials
         else:
             (a, b), (c, d) = _pair(value), _pair(rhs)
-            h = _gcd(b, d)
-            b1, d1 = _divide(b, h), _divide(d, h)
+            h, b1, d1 = _split_gcd(b, d)
             # the term count products bound the sum: exact only past the budget
             terms = max(len(a) * len(d1) + len(c) * len(b1), len(b1) * len(d))
             if terms > MAX_POWER_TERMS:
@@ -469,14 +357,7 @@ def _parse_sum(toks: _Tokenizer) -> _IntTerms | _Quotient:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "
                              f"terms, and a sum may have at most {MAX_POWER_TERMS}")
-        if polynomials:
-            value = _int_sum(value, rhs, sign)
-            continue
-        # the sum is t/(b1*d1*h) with t = a*d1 + sign*c*b1; t is prime to b1
-        # and to d1, so gcd(t, h) is the whole common factor
-        t = _int_sum(_int_product(a, d1), _int_product(c, b1), sign)
-        common = _gcd(t, h) if t else _UNIT
-        value = _quotient(_divide(t, common), _int_product(b1, _divide(d, common)))
+        value = _plus(value, rhs, sign) if polynomials else _pair_sum(a, c, d, sign, h, b1, d1)
     return value
 
 
@@ -501,15 +382,7 @@ def _parse_product(toks: _Tokenizer) -> _IntTerms | _Quotient:
             product = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"product too large: {product} may have up to {terms} "
                              f"terms, and a product may have at most {MAX_POWER_TERMS}")
-        if polynomials:
-            value = _int_product(value, rhs)
-        elif a and c:
-            # only gcd(a, d) and gcd(c, b) can cancel
-            a, d = _cancel(a, d)
-            c, b = _cancel(c, b)
-            value = _quotient(_int_product(a, c), _int_product(b, d))
-        else:
-            value = {}
+        value = _times(value, rhs) if polynomials else _pair_product(a, b, c, d)
     return value
 
 
@@ -553,7 +426,7 @@ def _parse_power(toks: _Tokenizer) -> _IntTerms | _Quotient:
         raise InputError(f"power too large: {power} may have up to {terms} "
                          f"terms, and a power may have at most {MAX_POWER_TERMS}")
     # a power of a reduced pair is reduced
-    num, den = (_int_power(p, n) for p in _pair(base))
+    num, den = (_raised(p, n) for p in _pair(base))
     return _quotient(num, den) if exponent >= 0 else _quotient(den, num)
 
 
@@ -562,7 +435,7 @@ def _parse_atom(toks: _Tokenizer) -> _IntTerms | _Quotient:
     kind, text = toks.next()
     if kind == "num":
         value = _int_literal(text)
-        return {_ONE_EXPS: value} if value else {}
+        return {_ZERO_EXP: value} if value else {}
     if kind == "name":
         exps = _VARIABLES.get(text)
         if exps is None:

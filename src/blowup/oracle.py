@@ -40,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -193,8 +194,8 @@ def _failing_member(fiber: Fiber, pairs: Iterable[Tuple[Step, RatFunc]],
     """The first member base<s>·tail, over (s, g) pairs in order, where the
     generic position of g is not a member; excluded steps are skipped.
 
-    A generic failure fails at all but finitely many steps, so callers
-    scanning for one pass 16 steps: a short scan cannot miss."""
+    A generic failure fails at all but finitely many steps, so a caller
+    scanning for one may pass endless pairs: the scan ends."""
     for step, g in pairs:
         beta = fiber.allowed_member(step)
         if beta is not None and _position(g, settle(g, beta.steps)[1],
@@ -209,10 +210,7 @@ def _fiber(f: RatFunc, fiber: Fiber, candidates: Set[Fraction],
     expressed = reduce(express_step, (TSYM, *fiber.tail), fiber.base.express(f))
     den_const = expressed.den.xy_constant_part()
     if den_const.is_zero:
-        witness = _failing_member(
-            fiber, ((Fraction(k), f) for k in range(16)), candidates)
-        assert witness is not None, "generic failure without a failing member"
-        return False, witness
+        return False, _failing_member(fiber, ((Fraction(k), f) for k in count()), candidates)
 
     t_suspects: Set[Fraction] = set()
     for factor in _split_locus(den_const, candidates, t_suspects):
@@ -278,15 +276,14 @@ def _mixed_factor(factor: Poly, expressed: RatFunc, fiber: Fiber,
         const = diagonal.den.xy_constant_part()
         if const.is_zero:
             # for all but finitely many a the element fails at the member
-            # step matched to a by this factor; sample the values of a where
+            # step matched to a by this factor; scan a = 0, 1, 2, ... where
             # the step and the element are both defined
             dens = u * f.den
             witness = _failing_member(
                 fiber, ((step.subst_const(A, a0).num.constant_term(),
                          f.subst_const(A, a0))
-                        for a0 in map(Fraction, range(16))
+                        for a0 in map(Fraction, count())
                         if not dens.subst_const(A, a0).is_zero), candidates)
-            assert witness is not None, "generic failure without a failing member"
             flags.append(
                 "failure occurs at the member step matched to each "
                 "parameter value by " + str(factor))

@@ -16,13 +16,19 @@ canonical printing is graded lexicographic with x > y > a > t.
 Everything here is exact: coefficients are `fractions.Fraction`, division
 is either exact polynomial division or rational-function formation, and no
 floating point is used anywhere.
+
+This module holds the one copy of the term-map arithmetic: the sum, product
+and power kernels behind the `Poly` operators, and the reduced-pair
+arithmetic on integer term maps that both the element reader
+(`blowup.expr`) and the `RatFunc` operators run.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import ComputationError
 
@@ -38,6 +44,56 @@ _ZERO_EXP: Exponents = (0, 0, 0, 0)
 
 def _grlex_key(exps: Exponents) -> Tuple[int, Exponents]:
     return (sum(exps), exps)
+
+
+# -- term-map kernels --------------------------------------------------------
+
+# A term map {exponents: coefficient} holds no zero coefficient.  The kernels
+# take any exact coefficients: the `Poly` operators pass Fractions and the
+# reduced-pair arithmetic below passes ints.  They never change a map in
+# place.
+
+
+def _plus(p: Mapping, q: Mapping, sign: int) -> dict:
+    """p + sign*q."""
+    out = dict(p)
+    for exps, c in q.items():
+        c = out.get(exps, 0) + sign * c
+        if c:
+            out[exps] = c
+        else:
+            del out[exps]
+    return out
+
+
+def _times(p: Mapping, q: Mapping) -> dict:
+    """p*q."""
+    out: dict = {}
+    get = out.get
+    for (i, j, k, m), c in p.items():
+        for (i2, j2, k2, m2), d in q.items():
+            exps = (i + i2, j + j2, k + k2, m + m2)
+            out[exps] = get(exps, 0) + c * d
+    return {exps: c for exps, c in out.items() if c}
+
+
+def _raised(p: Mapping, n: int) -> dict:
+    """p^n for n >= 0; p^0 is the constant 1 with an int coefficient."""
+    result: dict = {_ZERO_EXP: 1}
+    while n:
+        if n & 1:
+            result = _times(result, p)
+        n >>= 1
+        if n:
+            p = _times(p, p)
+    return result
+
+
+def _poly(terms: Terms) -> "Poly":
+    """A Poly over a term map with no zero coefficient, taken as it is."""
+    out = Poly.__new__(Poly)
+    out.terms = terms
+    return out
 
 
 class Poly:
@@ -135,65 +191,33 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        terms = dict(self.terms)
-        for exps, coeff in other.terms.items():
-            acc = terms.get(exps, Fraction(0)) + coeff
-            if acc:
-                terms[exps] = acc
-            else:
-                terms.pop(exps, None)
-        out = Poly()
-        out.terms = terms
-        return out
+        return _poly(_plus(self.terms, other.terms, 1))
 
     def __neg__(self) -> "Poly":
-        out = Poly()
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return _poly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return _poly(_plus(self.terms, other.terms, -1))
 
     def __mul__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        if not self.terms or not other.terms:
-            return Poly()
-        terms: Terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                acc = terms.get(exps, Fraction(0)) + c1 * c2
-                if acc:
-                    terms[exps] = acc
-                else:
-                    terms.pop(exps, None)
-        out = Poly()
-        out.terms = terms
-        return out
+        return _poly(_times(self.terms, other.terms))
 
     def scale(self, value) -> "Poly":
         value = Fraction(value)
         if not value:
             return Poly()
-        out = Poly()
-        out.terms = {e: c * value for e, c in self.terms.items()}
-        return out
+        return _poly({e: c * value for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative polynomial power")
         if n == 0:
             return Poly.const(1)
-        result = None
-        base = self
-        while True:
-            if n & 1:
-                result = base if result is None else result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        return _poly(_raised(self.terms, n))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
@@ -243,9 +267,7 @@ class Poly:
                     rem[tgt] = acc
                 else:
                     rem.pop(tgt, None)
-        out = Poly()
-        out.terms = {e: c for e, c in quotient.items() if c}
-        return out
+        return _poly({e: c for e, c in quotient.items() if c})
 
     def shift_down(self, slot: int, power: int) -> "Poly":
         """Divide by variable(slot)**power; every term must allow it."""
@@ -258,9 +280,7 @@ class Poly:
             lst = list(exps)
             lst[slot] -= power
             terms[tuple(lst)] = coeff
-        out = Poly()
-        out.terms = terms
-        return out
+        return _poly(terms)
 
     # -- substitution ------------------------------------------------------
 
@@ -289,9 +309,7 @@ class Poly:
                 terms[key] = acc
             else:
                 terms.pop(key, None)
-        out = Poly()
-        out.terms = terms
-        return out
+        return _poly(terms)
 
     def derivative(self, slot: int) -> "Poly":
         terms: Terms = {}
@@ -302,9 +320,7 @@ class Poly:
                 lst[slot] = e - 1
                 key = tuple(lst)
                 terms[key] = terms.get(key, Fraction(0)) + coeff * e
-        out = Poly()
-        out.terms = {e: c for e, c in terms.items() if c}
-        return out
+        return _poly({e: c for e, c in terms.items() if c})
 
     # -- structure helpers -------------------------------------------------
 
@@ -316,12 +332,7 @@ class Poly:
             lst = list(exps)
             lst[slot] = 0
             out.setdefault(k, {})[tuple(lst)] = coeff
-        result: Dict[int, Poly] = {}
-        for k, terms in out.items():
-            p = Poly()
-            p.terms = terms
-            result[k] = p
-        return result
+        return {k: _poly(terms) for k, terms in out.items()}
 
     def as_univariate(self, slot: int) -> List[Fraction]:
         """Dense coefficient list [c0, c1, ...] when only `slot` occurs."""
@@ -858,10 +869,6 @@ class RatFunc:
         out._set_monic(num, den)
         return out
 
-    @staticmethod
-    def from_const(value) -> "RatFunc":
-        return RatFunc(Poly.const(value))
-
     # -- queries -----------------------------------------------------------
 
     @property
@@ -876,30 +883,29 @@ class RatFunc:
     def __add__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return _sum(self.num, self.den, other.num, other.den)
+        return _ratfunc_sum(self, other, 1)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return _sum(self.num, self.den, -other.num, other.den)
+        return _ratfunc_sum(self, other, -1)
 
     def __neg__(self) -> "RatFunc":
-        out = RatFunc.from_const(0)
-        out.num = -self.num
-        out.den = self.den
-        return out
+        return RatFunc.coprime(-self.num, self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return _product(self.num, self.den, other.num, other.den)
+        return _ratfunc(_pair_product(*_integer_terms(self.num, self.den),
+                                      *_integer_terms(other.num, other.den)))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if not isinstance(other, RatFunc):
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("zero divisor")
-        return _product(self.num, self.den, other.den, other.num)
+        return _ratfunc(_pair_product(*_integer_terms(self.num, self.den),
+                                      *_integer_terms(other.den, other.num)))
 
     def __pow__(self, n: int) -> "RatFunc":
         # a power of a reduced fraction is reduced
@@ -943,64 +949,144 @@ class RatFunc:
         return RatFunc(num * value.den ** kd, den * value.den ** kn)
 
 
-# Arithmetic on reduced operands (Henrici; Knuth, TAOCP vol. 2, 4.5.1): the
-# only common factors a result can have are known in advance, so the gcds
-# run on those alone.  A constant denominator of a reduced operand is 1.
+# -- reduced pairs -----------------------------------------------------------
+
+# A quotient is a pair (num, den) of int term maps with no common factor of
+# positive degree, no common integer factor, and den positive when it is a
+# constant; a polynomial may stand as its own term map, a pair over 1.  The
+# element reader carries every value past a `/` or a negative power this
+# way, and the `RatFunc` operators scale their operands to such pairs.  Sums
+# and products of reduced pairs look only for the factors that can cancel
+# (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  Term maps are never changed in
+# place: a value may be shared by the reader's group memo.
+_IntTerms = Dict[Exponents, int]
+_Quotient = Tuple[_IntTerms, _IntTerms]
+
+_UNIT: _IntTerms = {_ZERO_EXP: 1}
 
 
-def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
-    """(g, b/g, d/g) for g = gcd(b, d) of two monic denominators; g is the
-    constant 1 when b or d is constant and then costs no gcd."""
-    if b.is_constant or d.is_constant:
-        return Poly.const(1), b, d
-    g = poly_gcd(b, d)
-    if g.is_constant:
-        return g, b, d
-    return g, b.divmod_exact(g), d.divmod_exact(g)
+def _pair(value: _IntTerms | _Quotient) -> _Quotient:
+    """value as a pair: an int term map is a polynomial over 1."""
+    return (value, _UNIT) if type(value) is dict else value
 
 
-def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
-    """a/b + c/d for reduced a/b and c/d with monic b and d.
-
-    With g = gcd(b, d), b = g b' and d = g d', the sum is t / (b' d' g)
-    with t = a d' + c b'; t is prime to b' and to d', so gcd(t, g) is the
-    whole common factor.
-    """
-    if d.is_constant:
-        return RatFunc.coprime(a + (c if b.is_constant else c * b), b)
-    if b.is_constant:
-        return RatFunc.coprime(a * d + c, d)
-    g, b1, d1 = _cofactors(b, d)
-    if g.is_constant:
-        return RatFunc.coprime(a * d + c * b, b * d)
-    t = a * d1 + c * b1
-    if t.is_zero:
-        return RatFunc(t)
-    g2 = poly_gcd(t, g)
-    if not g2.is_constant:
-        t = t.divmod_exact(g2)
-        d = d.divmod_exact(g2)
-    return RatFunc.coprime(t, b1 * d)
+def _scaled(p: _IntTerms, k: int) -> _IntTerms:
+    """p/k for an integer k that divides every coefficient of p."""
+    return {exps: c // k for exps, c in p.items()}
 
 
-def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
-    """(a/b)(c/d) for reduced a/b and c/d: only gcd(a, d) and gcd(c, b)
-    can cancel."""
-    if a.is_zero or c.is_zero:
-        return RatFunc(Poly())
+def _gcd(p: _IntTerms, q: _IntTerms) -> _IntTerms:
+    """A gcd of two nonzero int term maps, primitive over Z.  When one is a
+    constant or a monomial it is the monomial their exponents share."""
+    if len(p) == 1 or len(q) == 1:
+        return {tuple(map(min, *p, *q)): 1}
+    if p == q:
+        return _scaled(p, math.gcd(*p.values()))
+    (g,) = _integer_terms(poly_gcd(Poly(p), Poly(q)))
+    return _scaled(g, math.gcd(*g.values()))
+
+
+def _divide(p: _IntTerms, g: _IntTerms) -> _IntTerms:
+    """p/g for int term maps when g divides p, over Z when g is primitive
+    (Gauss's lemma).  The least term of the remainder is always the least
+    term of g times a term of the quotient, so a heap serves them in turn."""
+    if len(g) == 1:
+        ((shift, lc),) = g.items()
+        if lc == 1 and not any(shift):
+            return p
+        return {tuple(i - j for i, j in zip(exps, shift)): c // lc for exps, c in p.items()}
+    trail = min(g, key=_grlex_key)
+    lc = g[trail]
+    rest = [(exps, c) for exps, c in g.items() if exps != trail]
+    rem = dict(p)
+    heap = [(sum(exps), exps) for exps in rem]
+    heapq.heapify(heap)
+    quotient: _IntTerms = {}
+    while heap:
+        exps = heapq.heappop(heap)[1]
+        c = rem.pop(exps)
+        if not c:
+            continue
+        q = c // lc
+        delta = tuple(i - j for i, j in zip(exps, trail))
+        quotient[delta] = q
+        for (i, j, k, m), d in rest:
+            target = (delta[0] + i, delta[1] + j, delta[2] + k, delta[3] + m)
+            if target not in rem:
+                heapq.heappush(heap, (sum(target), target))
+            rem[target] = rem.get(target, 0) - q * d
+    return quotient
+
+
+def _quotient(num: _IntTerms, den: _IntTerms) -> _IntTerms | _Quotient:
+    """num/den for int term maps with no common factor of positive degree:
+    a term map when it is a polynomial, else a reduced pair."""
+    if not num:
+        return {}
+    k = math.gcd(*num.values(), *den.values())
+    if len(den) == 1 and den.get(_ZERO_EXP, 0) < 0:
+        k = -k
+    if k != 1:
+        num, den = _scaled(num, k), _scaled(den, k)
+    return num if den == _UNIT else (num, den)
+
+
+def _cancel(p: _IntTerms, q: _IntTerms) -> _Quotient:
+    """p and q divided by their gcd."""
+    g = _gcd(p, q)
+    return _divide(p, g), _divide(q, g)
+
+
+def _split_gcd(b: _IntTerms, d: _IntTerms) -> Tuple[_IntTerms, _IntTerms, _IntTerms]:
+    """(h, b/h, d/h) for h = gcd(b, d) of two denominators."""
+    h = _gcd(b, d)
+    return h, _divide(b, h), _divide(d, h)
+
+
+def _pair_sum(a: _IntTerms, c: _IntTerms, d: _IntTerms, sign: int,
+              h: _IntTerms, b1: _IntTerms, d1: _IntTerms) -> _IntTerms | _Quotient:
+    """a/b + sign*c/d for reduced pairs (a, b) and (c, d), given
+    (h, b1, d1) = `_split_gcd(b, d)`."""
+    # the sum is t/(b1*d1*h) with t = a*d1 + sign*c*b1; t is prime to b1
+    # and to d1, so gcd(t, h) is the whole common factor
+    t = _plus(_times(a, d1), _times(c, b1), sign)
+    common = _gcd(t, h) if t else _UNIT
+    return _quotient(_divide(t, common), _times(b1, _divide(d, common)))
+
+
+def _pair_product(a: _IntTerms, b: _IntTerms, c: _IntTerms,
+                  d: _IntTerms) -> _IntTerms | _Quotient:
+    """(a/b)(c/d) for reduced pairs (a, b) and (c, d)."""
+    if not (a and c):
+        return {}
+    # only gcd(a, d) and gcd(c, b) can cancel
     a, d = _cancel(a, d)
     c, b = _cancel(c, b)
-    return RatFunc.coprime(a * c, b * d)
+    return _quotient(_times(a, c), _times(b, d))
 
 
-def _cancel(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
-    """num and den divided by their gcd."""
-    if den.is_constant or num.is_constant:
-        return num, den
-    g = poly_gcd(num, den)
-    if g.is_constant:
-        return num, den
-    return num.divmod_exact(g), den.divmod_exact(g)
+def _integer_terms(*polys: Poly) -> Tuple[_IntTerms, ...]:
+    """The term maps of polys times the lcm of all their coefficients'
+    denominators.  Those of a RatFunc's numerator and denominator are a
+    reduced pair, since the denominator is monic."""
+    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    return tuple({exps: c.numerator * (scale // c.denominator) for exps, c in p.terms.items()}
+                 for p in polys)
+
+
+def _ratfunc_sum(f: RatFunc, g: RatFunc, sign: int) -> RatFunc:
+    """f + sign*g."""
+    (a, b), (c, d) = _integer_terms(f.num, f.den), _integer_terms(g.num, g.den)
+    return _ratfunc(_pair_sum(a, c, d, sign, *_split_gcd(b, d)))
+
+
+def _ratfunc(value: _IntTerms | _Quotient) -> RatFunc:
+    """A term map or reduced pair as a RatFunc: one Fraction per
+    coefficient, over the denominator's leading coefficient."""
+    num, den = _pair(value)
+    lc = den[max(den, key=_grlex_key)]
+    return RatFunc.coprime(_poly({exps: Fraction(c, lc) for exps, c in num.items()}),
+                           _poly({exps: Fraction(c, lc) for exps, c in den.items()}))
 
 
 def _subst_slot_frac(p: Poly, slot: int, vn: Poly, vd: Poly, clear: int) -> Poly:

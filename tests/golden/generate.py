@@ -28,7 +28,8 @@ topology commands over the nine family shapes (`closure` also with
 probe points), `irredundant` on two fibers, `semigroup`, `dot`, the
 README's examples with every exit-2 and exit-3 case it names, and
 malformed family and curve inputs: path steps past the bit bound of a
-number and the zero curve under `strict` among them.
+number and the zero curve under `strict` among them, and steps of more
+digits than Python reads into an int.
 
 Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
@@ -36,7 +37,8 @@ monomial and nested divisors, negative powers, quotients in `a`, a large
 coprime quotient, and a sum, a product and a power of quotients over
 their budgets.  `member` over the fiber at the root takes the two
 branches of the parametric fiber analysis for poles that move with a
-along a curve.
+along a curve, and over a fiber that excludes the steps 0-15 it finds
+the failing member past them.
 """
 
 from __future__ import annotations
@@ -202,6 +204,13 @@ MIXED_FACTOR = ("x^2/(y^2 - a*x^2)", "x^2/((y - a*x)*(y - (a + 1)*x))")
 # text and as a JSON integer.
 HUGE_STEP_PATHS = ("[1e5000]", "[1e100000000]")
 HUGE_STEP_BASES = ("1e100000", 10 ** 4200)
+# A fiber that allows no step below 16: a generic failure of either element
+# is found at the step 16, by the same scan that finds it at 0 elsewhere.
+FIBER_EXCLUDING = {"kind": "fiber", "base": [], "excluded": [str(k) for k in range(16)]}
+FIBER_EXCLUDING_ELEMENTS = ("1/x", "x/(y - a*x)")
+# Steps of 4,000 and of 5,000 digits, under and past the digits Python reads
+# into an int: both are past the bit bound.
+LONG_STEP_PATHS = tuple(f"[{'1' * n}]" for n in (4000, 5000))
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -291,6 +300,11 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         files = {"huge-step.json": json.dumps([{"kind": "fiber", "base": [base]}])}
         yield ["member", "--elt", "x", "--family", "huge-step.json"], files
     yield ["strict", "--f", "0", "--point", "[]"], {}
+    files = {"fiber-excluding.json": json.dumps([FIBER_EXCLUDING])}
+    for text in FIBER_EXCLUDING_ELEMENTS:
+        yield ["member", "--elt", text, "--family", "fiber-excluding.json"], files
+    for path in LONG_STEP_PATHS:
+        yield ["prox", "--point", path], {}
 
 
 @contextlib.contextmanager

@@ -24,8 +24,8 @@ from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _co
                          _Tokenizer, is_inf)
 from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
                              family_parts, q1_downset_count)
-from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _cofactors, _pseudo_rem,
-                         poly_gcd, rational_roots, sylvester_resultant)
+from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd,
+                         rational_roots, sylvester_resultant)
 from blowup.position import (ParametricPosition, Position, Resolution, _a_collapse_roots,
                              _candidate_steps, _StepSet, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
@@ -565,6 +565,68 @@ def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
 # -- element reading on RatFuncs at every node -------------------------------
 
 
+# Arithmetic on reduced operands (Henrici; Knuth, TAOCP vol. 2, 4.5.1): the
+# only common factors a result can have are known in advance, so the gcds
+# run on those alone.  A constant denominator of a reduced operand is 1.
+# This is the reference reader's own copy, on Polys of Fractions, so that it
+# does not run the integer pair arithmetic it checks.
+
+
+def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
+    """(g, b/g, d/g) for g = gcd(b, d) of two monic denominators; g is the
+    constant 1 when b or d is constant and then costs no gcd."""
+    if b.is_constant or d.is_constant:
+        return Poly.const(1), b, d
+    g = poly_gcd(b, d)
+    if g.is_constant:
+        return g, b, d
+    return g, b.divmod_exact(g), d.divmod_exact(g)
+
+
+def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """a/b + c/d for reduced a/b and c/d with monic b and d.
+
+    With g = gcd(b, d), b = g b' and d = g d', the sum is t / (b' d' g)
+    with t = a d' + c b'; t is prime to b' and to d', so gcd(t, g) is the
+    whole common factor.
+    """
+    if d.is_constant:
+        return RatFunc.coprime(a + (c if b.is_constant else c * b), b)
+    if b.is_constant:
+        return RatFunc.coprime(a * d + c, d)
+    g, b1, d1 = _cofactors(b, d)
+    if g.is_constant:
+        return RatFunc.coprime(a * d + c * b, b * d)
+    t = a * d1 + c * b1
+    if t.is_zero:
+        return RatFunc(t)
+    g2 = poly_gcd(t, g)
+    if not g2.is_constant:
+        t = t.divmod_exact(g2)
+        d = d.divmod_exact(g2)
+    return RatFunc.coprime(t, b1 * d)
+
+
+def _product(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
+    """(a/b)(c/d) for reduced a/b and c/d: only gcd(a, d) and gcd(c, b)
+    can cancel."""
+    if a.is_zero or c.is_zero:
+        return RatFunc(Poly())
+    a, d = _cancel(a, d)
+    c, b = _cancel(c, b)
+    return RatFunc.coprime(a * c, b * d)
+
+
+def _cancel(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
+    """num and den divided by their gcd."""
+    if den.is_constant or num.is_constant:
+        return num, den
+    g = poly_gcd(num, den)
+    if g.is_constant:
+        return num, den
+    return num.divmod_exact(g), den.divmod_exact(g)
+
+
 def reference_parse_element(text: str) -> RatFunc:
     """`parse_element` as a RatFunc at every node of the expression, with no
     integer term maps and no group memo; the same budgets and messages."""
@@ -591,7 +653,7 @@ def _ref_sum(toks: _Tokenizer) -> RatFunc:
             total = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"sum too large: {total} may have up to {terms} "
                              f"terms, and a sum may have at most {MAX_POWER_TERMS}")
-        value = value + rhs if op == "+" else value - rhs
+        value = _sum(value.num, value.den, rhs.num if op == "+" else -rhs.num, rhs.den)
     return value
 
 
@@ -610,7 +672,7 @@ def _ref_product(toks: _Tokenizer) -> RatFunc:
             product = "".join(text for _, text in toks.tokens[first:toks.index])
             raise InputError(f"product too large: {product} may have up to {terms} "
                              f"terms, and a product may have at most {MAX_POWER_TERMS}")
-        value = value * rhs if op == "*" else value / rhs
+        value = _product(value.num, value.den, num, den)
     return value
 
 
@@ -620,7 +682,7 @@ def _ref_factor(toks: _Tokenizer) -> RatFunc:
         if toks.next()[0] == "-":
             negate = not negate
     value = _ref_power(toks)
-    return -value if negate else value
+    return RatFunc.coprime(-value.num, value.den) if negate else value
 
 
 def _ref_power(toks: _Tokenizer) -> RatFunc:
@@ -653,7 +715,7 @@ _REF_VARIABLES = {"x": X, "y": Y, "a": A}
 def _ref_atom(toks: _Tokenizer) -> RatFunc:
     kind, text = toks.next()
     if kind == "num":
-        return RatFunc.from_const(_int_literal(text))
+        return RatFunc(Poly.const(_int_literal(text)))
     if kind == "name":
         slot = _REF_VARIABLES.get(text)
         if slot is None:

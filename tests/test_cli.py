@@ -1,5 +1,6 @@
 """Command line behavior: dispatch, exit codes, and the print/parse round trips."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -284,6 +285,17 @@ def test_reused_parser_answers_like_a_fresh_process(capsys, family_file):
         assert run(capsys, *argv) == run_fresh(*argv), argv
 
 
+def test_value_flags_are_every_option_that_takes_a_value():
+    # read from argparse internals: an option added to a subcommand but not
+    # to the list would stop taking values that start with "-"
+    subcommands = next(action.choices for action in cli._build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    flags = {flag for parser in subcommands.values() for action in parser._actions
+             if action.nargs != 0 for flag in action.option_strings}
+    assert cli._VALUE_FLAGS == flags
+
+
+
 # -- exit codes and error JSON -----------------------------------------------
 
 
@@ -450,11 +462,15 @@ class TestErrors:
         (("dot", "--steps", "1e-100000000"), None),
         (("member", "--elt", "x", "--family", "FAMILY"), "1e100000"),
         (("member", "--elt", "x", "--family", "FAMILY"), 10 ** 4200),
-    ], ids=["point", "point-exponent", "steps-exponent", "family-text", "family-integer"])
+        (("prox", "--point", "[" + "1" * 4000 + "]"), None),
+        (("prox", "--point", "[" + "1" * 5000 + "]"), None),
+    ], ids=["point", "point-exponent", "steps-exponent", "family-text", "family-integer",
+            "point-digits", "point-digits-past-python"])
     def test_huge_step_exits_2(self, capsys, family_file, argv, base):
         # refused before the power of ten is formed: the second text used
         # to run for minutes, the first and the family's text to end in a
-        # traceback; a JSON integer step is held to the same bound
+        # traceback; a JSON integer step is held to the same bound, and so
+        # is a step of more digits than Python reads into an int
         if base is not None:
             path = family_file([{"kind": "fiber", "base": [base]}])
             argv = [path if arg == "FAMILY" else arg for arg in argv]

@@ -7,7 +7,7 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup import expr, poly
+from blowup import poly
 from blowup.errors import BlowupError, InputError
 from blowup.expr import (
     INF,
@@ -23,9 +23,9 @@ from blowup.expr import (
     parse_path,
     parse_step,
 )
-from blowup.poly import A, Poly, RatFunc, X, Y, _cofactors
+from blowup.poly import A, Poly, RatFunc, X, Y
 
-from helpers import reference_parse_element
+from helpers import _cofactors, reference_parse_element
 
 x = Poly.variable(X)
 y = Poly.variable(Y)
@@ -42,7 +42,7 @@ def test_parse_quotient():
 
 
 def test_parse_rational_constant():
-    assert parse_element("3/4") == RatFunc.from_const(Fraction(3, 4))
+    assert parse_element("3/4") == RatFunc(Poly.const(Fraction(3, 4)))
 
 
 def test_parse_parameter():
@@ -103,13 +103,21 @@ def test_parse_step_values():
 
 
 @pytest.mark.parametrize("text", ["1e3914", "-1e-3914", "1" + "0" * 3914, "1/" + "9" * 3914,
-                                  "7e100000000", "0.001e-100000000", "12345e-100000000"])
+                                  "7e100000000", "0.001e-100000000", "12345e-100000000",
+                                  "1" * 4301, "0." + "1_1" * 2500, "1e" + "1" * 5000])
 def test_parse_step_refuses_past_the_bit_bound(text):
     # 10^3914 has 13,003 bits; the exponent alone refuses the last three
     start = time.perf_counter()
     with pytest.raises(InputError, match="at most 13000 bits"):
         parse_step(text)
     assert time.perf_counter() - start < 1
+
+
+def test_bad_step_is_echoed_short():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse_path("[0, " + "x" * 5000 + "]")
+    assert str(info.value) == ("bad path step '" + "x" * 40 + "'... (5000 characters): "
+                               "expected a rational or inf")
 
 
 def test_path_round_trip():
@@ -221,7 +229,6 @@ def count_gcds(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(poly, "poly_gcd", counting)
-    monkeypatch.setattr(expr, "poly_gcd", counting)
     return calls
 
 

@@ -272,6 +272,14 @@ class TestInFamilyParametric:
         assert answer.verdict == "no"
         assert answer.witness == Point.from_path([1])
 
+    @pytest.mark.parametrize("text", ["1/x", "x/(y-a*x)"])
+    def test_generic_failure_scans_past_every_excluded_step(self, text):
+        # the first step the fiber allows is 16: the scans have no fixed count
+        excluded = frozenset(map(Fraction, range(16)))
+        answer = in_family(e(text), Fiber(D, excluded))
+        assert answer.verdict == "no"
+        assert answer.witness == Point.from_path([16])
+
     def test_sibling_exceptions_without_flags(self):
         answer = in_family(e("x^2/(y - a*x^2)"), Siblings(V0, Fraction(1)))
         assert answer.verdict == "yes_except"

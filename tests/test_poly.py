@@ -316,23 +316,28 @@ def test_denominator_divisible_by_the_image_prime():
     assert poly_gcd(p * (x - a), (x + y) * (x - a)) == x - a
 
 
-xy_polys = polys(max_terms=3, max_exp=2, slots=(X, Y))
-nonzero_xy_polys = xy_polys.filter(lambda p: not p.is_zero)
-
-
 @st.composite
 def fraction_pairs(draw):
-    """Two reduced fractions in x, y whose denominators may share a factor;
-    the reference's remainder sequences stay short at these sizes."""
-    shared = draw(nonzero_xy_polys)
-    f = reduced(draw(xy_polys), draw(nonzero_xy_polys) * shared)
-    g = reduced(draw(xy_polys), draw(nonzero_xy_polys) * shared)
-    return f, g
+    """Two reduced fractions whose denominators may share a factor, in two
+    of the slots x, y, a, t.  Coefficients such as 2/3 make each operand's
+    scaling to an integer pair take the lcm of its denominators; two slots
+    keep the reference's remainder sequences short.  Half of the pairs sum
+    to q/e over the denominator e*shared of both, so the sum must divide
+    the shared factor out."""
+    slots = draw(st.sampled_from([(X, Y), (X, A), (Y, T), (A, T)]))
+    some = polys(max_terms=3, max_exp=2, slots=slots)
+    nonzero = some.filter(lambda p: not p.is_zero)
+    shared = draw(nonzero)
+    num, den = draw(some), draw(nonzero) * shared
+    if draw(st.booleans()):
+        return reduced(num, den), reduced(draw(some) * shared - num, den)
+    return reduced(num, den), reduced(draw(some), draw(nonzero) * shared)
 
 
 @given(fraction_pairs())
 @settings(max_examples=40, deadline=None)
 def test_fraction_arithmetic_matches_cross_multiplication_and_sympy(pair):
+    # the RatFunc operators run the element reader's reduced-pair arithmetic
     f, g = pair
     fn, fd, gn, gd = map(_sympy_poly, (f.num, f.den, g.num, g.den))
     results = {"+": f + g, "-": f - g, "*": f * g}
@@ -582,10 +587,10 @@ def test_ratfunc_addition():
 
 def test_ratfunc_division_and_powers():
     r = RatFunc(x, y)
-    assert r / r == RatFunc.from_const(1)
+    assert r / r == RatFunc(Poly.const(1))
     assert r ** -2 == RatFunc(y ** 2, x ** 2)
     with pytest.raises(ZeroDivisionError):
-        r / RatFunc.from_const(0)
+        r / RatFunc(Poly.const(0))
 
 
 def test_ratfunc_zero_canonical():

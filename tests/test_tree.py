@@ -196,7 +196,7 @@ def test_ord_at_deeper_point():
 
 def test_ord_of_zero_raises():
     with pytest.raises(ValueError):
-        Point.root().ord_at(RatFunc.from_const(0))
+        Point.root().ord_at(RatFunc(Poly.const(0)))
 
 
 def test_residue_values():
