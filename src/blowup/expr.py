@@ -15,9 +15,9 @@ Tree paths are written as bracketed step lists:
 
 Each step is a rational number or `inf`.
 
-This module only parses: the tokenizer, the grammar, the group memo, the
-term budgets and the bit checks.  The arithmetic on what it reads is
-`blowup.poly`'s.
+Besides reading and printing, this module holds only the tokenizer, the
+grammar, the group memo, the term budgets and the bit checks; the
+arithmetic on what it reads is `blowup.poly`'s.
 """
 
 from __future__ import annotations

@@ -295,7 +295,6 @@ def test_value_flags_are_every_option_that_takes_a_value():
     assert cli._VALUE_FLAGS == flags
 
 
-
 # -- exit codes and error JSON -----------------------------------------------
 
 
