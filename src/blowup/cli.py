@@ -20,7 +20,7 @@ from .demos import demo_names, run_demo
 from .dot import DEFAULT_STEPS, export_dot
 from .errors import (BlowupError, CertificateError, ComponentError,
                      DepthCapError, InputError)
-from .expr import format_path, parse_curve, parse_element, parse_path, parse_step
+from .expr import _shown, format_path, parse_curve, parse_element, parse_path, parse_step
 from .jsonio import (family_set_from_json, family_set_to_json, steps_to_json,
                      valuation_to_json)
 from .oracle import in_family, irredundance_certificate, semigroup_member
@@ -273,11 +273,12 @@ def _cmd_irredundant(args) -> Dict:
 def _parse_vector(text: str):
     pieces = text.split(",")
     if len(pieces) != 2:
-        raise InputError(f"bad exponent vector {text!r}: expected \"m,n\"")
+        raise InputError(f"bad exponent vector {_shown(text)}: expected \"m,n\"")
     try:
         return (int(pieces[0]), int(pieces[1]))
     except ValueError:
-        raise InputError(f"bad exponent vector {text!r}: entries must be integers") from None
+        raise InputError(
+            f"bad exponent vector {_shown(text)}: entries must be integers") from None
 
 
 def _cmd_semigroup(args) -> Dict:
@@ -323,33 +324,23 @@ def _cmd_dot(args) -> Dict:
 # -- plumbing ----------------------------------------------------------------
 
 
-def _render_text(data, indent: int = 0, out=None) -> None:
-    out = out or sys.stdout
+def _render_text(data, indent: int = 0) -> None:
     pad = "  " * indent
     if isinstance(data, dict):
-        for key, value in data.items():
-            inline = _inline_ints(value)
-            if inline is not None:
-                print(f"{pad}{key}: {inline}", file=out)
-            elif isinstance(value, (dict, list)) and value:
-                print(f"{pad}{key}:", file=out)
-                _render_text(value, indent + 1, out)
-            else:
-                rendered = _scalar(value)
-                sep = ":" if rendered.startswith("\n") else ": "
-                print(f"{pad}{key}{sep}{rendered}", file=out)
-    elif isinstance(data, list):
-        for value in data:
-            inline = _inline_ints(value)
-            if inline is not None:
-                print(f"{pad}- {inline}", file=out)
-            elif isinstance(value, (dict, list)) and value:
-                print(f"{pad}-", file=out)
-                _render_text(value, indent + 1, out)
-            else:
-                print(f"{pad}- {_scalar(value)}", file=out)
+        entries = [(f"{key}:", value) for key, value in data.items()]
     else:
-        print(f"{pad}{_scalar(data)}", file=out)
+        entries = [("-", value) for value in data]
+    for label, value in entries:
+        inline = _inline_ints(value)
+        if inline is not None:
+            print(f"{pad}{label} {inline}")
+        elif isinstance(value, (dict, list)) and value:
+            print(f"{pad}{label}")
+            _render_text(value, indent + 1)
+        else:
+            rendered = _scalar(value)
+            sep = "" if rendered.startswith("\n") else " "
+            print(f"{pad}{label}{sep}{rendered}")
 
 
 def _inline_ints(value) -> Optional[str]:

@@ -113,10 +113,14 @@ def format_path(steps: Sequence[Step]) -> str:
     return "[" + ", ".join(format_step(s) for s in steps) + "]"
 
 
-def _shown(text: str) -> str:
-    """text quoted for an error message: its first 40 characters and its
-    length when it is longer."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+def _shown(value) -> str:
+    """value quoted for an error message: its first 40 characters and its
+    length when it is longer.  A text shows as its repr; any other value
+    (a JSON array read as a curve, say) is cut from its repr."""
+    text, quote = (value, repr) if isinstance(value, str) else (repr(value), str)
+    if len(text) <= 40:
+        return quote(text)
+    return f"{quote(text[:40])}... ({len(text)} characters)"
 
 
 # -- element expressions ----------------------------------------------------
@@ -309,7 +313,8 @@ class _Tokenizer:
     def expect(self, kind: str) -> Tuple[str, str]:
         tok = self.next()
         if tok[0] != kind:
-            raise ExprSyntaxError(f"expected {kind!r}, found {tok[1]!r} in {self.text!r}")
+            raise ExprSyntaxError(
+                f"expected {kind!r}, found {_shown(tok[1])} in {_shown(self.text)}")
         return tok
 
 
@@ -320,7 +325,8 @@ def parse_element(text: str) -> RatFunc:
     toks = _Tokenizer(text)
     value = _parse_sum(toks)
     if toks.peek()[0] != "end":
-        raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
+        raise ExprSyntaxError(
+            f"trailing input {_shown(toks.peek()[1])} in {_shown(text)}")
     value = _ratfunc(value)
     _check_bits(_number_bits(value))
     return value
@@ -330,10 +336,10 @@ def parse_curve(text) -> Poly:
     """Parse a plane curve: a polynomial in x and y, with no fraction and
     no parameter a."""
     if not isinstance(text, str):
-        raise InputError(f"bad curve {text!r}: expected an expression string")
+        raise InputError(f"bad curve {_shown(text)}: expected an expression string")
     value = parse_element(text)
     if value.den != Poly.const(1) or value.num.has_slot(A):
-        raise InputError(f"bad curve {text!r}: expected a polynomial in x and y")
+        raise InputError(f"bad curve {_shown(text)}: expected a polynomial in x and y")
     return value.num
 
 
@@ -439,7 +445,7 @@ def _parse_atom(toks: _Tokenizer) -> _IntTerms | _Quotient:
     if kind == "name":
         exps = _VARIABLES.get(text)
         if exps is None:
-            raise ExprSyntaxError(f"unknown symbol {text!r}: only x, y, a are allowed")
+            raise ExprSyntaxError(f"unknown symbol {_shown(text)}: only x, y, a are allowed")
         return {exps: 1}
     if kind == "(":
         # a group read before in this element is not read again
@@ -456,4 +462,4 @@ def _parse_atom(toks: _Tokenizer) -> _IntTerms | _Quotient:
         return value
     if kind == "end":
         raise ExprSyntaxError("unexpected end of expression")
-    raise ExprSyntaxError(f"unexpected token {text!r}")
+    raise ExprSyntaxError(f"unexpected token {_shown(text)}")

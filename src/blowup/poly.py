@@ -379,7 +379,7 @@ class _PowerCache:
 # -- printing ---------------------------------------------------------------
 
 
-def format_poly(p: Poly, names: Sequence[str] = VAR_NAMES) -> str:
+def format_poly(p: Poly) -> str:
     """Canonical string form: terms in descending graded lex order."""
     if p.is_zero:
         return "0"
@@ -389,9 +389,9 @@ def format_poly(p: Poly, names: Sequence[str] = VAR_NAMES) -> str:
         factors = []
         for i, e in enumerate(exps):
             if e == 1:
-                factors.append(names[i])
+                factors.append(VAR_NAMES[i])
             elif e > 1:
-                factors.append(f"{names[i]}^{e}")
+                factors.append(f"{VAR_NAMES[i]}^{e}")
         mag = abs(coeff)
         if factors and mag == 1:
             body = "*".join(factors)
@@ -1098,7 +1098,7 @@ def _subst_slot_frac(p: Poly, slot: int, vn: Poly, vd: Poly, clear: int) -> Poly
     return result
 
 
-def format_ratfunc(r: RatFunc, names: Sequence[str] = VAR_NAMES) -> str:
+def format_ratfunc(r: RatFunc) -> str:
     if r.den.is_constant and r.den.constant_term() == 1:
-        return format_poly(r.num, names)
-    return f"({format_poly(r.num, names)})/({format_poly(r.den, names)})"
+        return format_poly(r.num)
+    return f"({format_poly(r.num)})/({format_poly(r.den)})"

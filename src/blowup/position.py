@@ -10,7 +10,10 @@ fraction F/G in the local parameters:
 
 An undetermined position always resolves in the first neighborhood: the
 children where f stays non-unit are cut out by the lowest-degree forms of
-F and G.  A zero, a unit or a pole stays one at every point below, so
+F and G.  `directions` is the one reader of those forms: it lists the
+rational directions in which a lowest form vanishes and flags an
+irrational one, for `resolve`, `locate` and the curve branches of
+`valuations`.  A zero, a unit or a pole stays one at every point below, so
 `settle` reads a path's class at its first decided point.  `resolve`
 chases the undetermined ones to the finite sets of minimal zero and pole
 points, `locate` uses the same descent to find the point presented by a
@@ -28,7 +31,7 @@ from functools import reduce
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .errors import DepthCapError, InputError, LocateError, ResolveError
-from .expr import INF
+from .expr import INF, Step
 from .poly import (
     A,
     Poly,
@@ -102,23 +105,6 @@ def _vanishes(p: Poly) -> bool:
 # -- candidate directions at an undetermined point ---------------------------
 
 
-@dataclass(frozen=True)
-class _StepSet:
-    """Directions (steps) in which an element can stay non-unit.
-
-    `binding` means the set is exhaustive: outside it the element becomes a
-    unit or a pole at the child, so a search may intersect with it.  An
-    element whose numerator order exceeds its denominator order vanishes in
-    every direction; the listed steps are then only the degenerate ones and
-    the set is not binding.
-    """
-
-    steps: Tuple[object, ...]
-    binding: bool
-    order_gap: int
-    irrational: bool
-
-
 def lowest_form(p: Poly) -> List[Fraction]:
     """Coefficients c_0 .. c_d of the lowest form sum c_j x^(d-j) y^j of p.
 
@@ -136,20 +122,27 @@ def lowest_form(p: Poly) -> List[Fraction]:
     return coeffs
 
 
-def _candidate_steps(expressed: RatFunc) -> _StepSet:
-    cf = lowest_form(expressed.num)
-    cg = lowest_form(expressed.den)
-    steps: set = set()
-    irrational = False
-    for coeffs in (cf, cg):
-        roots, rest = root_pass(coeffs, T)
-        steps.update(roots)
-        irrational = irrational or rest
-    ordered = tuple(sorted(steps))
-    if not cf[-1] or not cg[-1]:
-        ordered += (INF,)
-    gap = len(cf) - len(cg)
-    return _StepSet(ordered, binding=gap <= 0, order_gap=gap, irrational=irrational)
+def directions(p: Poly) -> Tuple[Tuple[Step, ...], bool]:
+    """The rational directions in which the lowest form of p vanishes, the
+    finite steps in increasing order and then inf, and whether an
+    irrational direction is left: the children that the strict transform
+    of p passes through (Fulton, *Algebraic Curves*, ch. 7)."""
+    coeffs = lowest_form(p)
+    roots, irrational = root_pass(coeffs, T)
+    return tuple(roots) + (() if coeffs[-1] else (INF,)), irrational
+
+
+def _inf_last(step: Step) -> Tuple[bool, Fraction]:
+    return (True, 0) if step is INF else (False, step)
+
+
+def _candidate_steps(expressed: RatFunc) -> Tuple[Tuple[Step, ...], bool]:
+    """The directions in which F/G can stay non-unit: those of F and of G,
+    in order, and whether an irrational one is left."""
+    num_steps, num_irrational = directions(expressed.num)
+    den_steps, den_irrational = directions(expressed.den)
+    steps = sorted(set(num_steps).union(den_steps), key=_inf_last)
+    return tuple(steps), num_irrational or den_irrational
 
 
 # -- resolve -----------------------------------------------------------------
@@ -200,21 +193,22 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
             continue
         if pos is Position.UNIT:
             continue
-        step_set = _candidate_steps(expressed)
-        if step_set.order_gap != 0:
-            side = "vanishes" if step_set.order_gap > 0 else "has a pole"
+        steps, irrational = _candidate_steps(expressed)
+        gap = expressed.num.xy_order() - expressed.den.xy_order()
+        if gap:
+            side = "vanishes" if gap > 0 else "has a pole"
             raise ResolveError(
                 f"{f} {side} along the exceptional curve of {point}: "
                 "every direction there is affected, so the zeros and poles "
                 "do not form a finite set of points")
-        if step_set.irrational:
+        if irrational:
             diagnostics.append(
                 f"some zero or pole directions at {point} are irrational "
                 "and have no tree point over the rationals")
         if point.level - root.level >= max_depth:
             open_points.append(point)
             continue
-        for s in step_set.steps:
+        for s in steps:
             queue.append((point.child(s), express_step(expressed, s)))
     if open_points:
         raise DepthCapError(
@@ -262,26 +256,21 @@ def locate(f: RatFunc, g: RatFunc) -> Point:
             continue
         if pg is Position.ZERO and eg.num.xy_order() >= 2:
             continue
-        binding: List[_StepSet] = []
-        soft: List[_StepSet] = []
+        binding: List[set] = []
+        soft: List[set] = []
         for pos, expressed in ((pf, ef), (pg, eg)):
             if pos is Position.UNDETERMINED:
-                ss = _candidate_steps(expressed)
-                (binding if ss.binding else soft).append(ss)
-        if binding:
-            steps = set(binding[0].steps)
-            for ss in binding[1:]:
-                steps &= set(ss.steps)
-        else:
-            steps = set()
-            for ss in soft:
-                steps |= set(ss.steps)
+                # an element whose numerator has the higher order vanishes
+                # in every direction, so its listed steps bound nothing
+                bound = expressed.num.xy_order() <= expressed.den.xy_order()
+                (binding if bound else soft).append(set(_candidate_steps(expressed)[0]))
+        steps = set.intersection(*binding) if binding else set().union(*soft)
         if not steps:
             continue
         if point.level >= LOCATE_DEPTH:
             open_points.append(point)
             continue
-        for s in sorted(steps, key=lambda v: (v is INF, v if v is not INF else 0)):
+        for s in sorted(steps, key=_inf_last):
             queue.append((point.child(s), express_step(ef, s), express_step(eg, s)))
     if len(matches) == 1:
         return matches[0]
@@ -297,12 +286,9 @@ def locate(f: RatFunc, g: RatFunc) -> Point:
 
 
 def _is_parameter_pair(ef: RatFunc, eg: RatFunc) -> bool:
-    """Both elements vanish here; do they cut independent tangent lines?"""
-    if ef.num.xy_order() != 1 or eg.num.xy_order() != 1:
-        return False
-    lf = lowest_form(ef.num)
-    lg = lowest_form(eg.num)
-    return lf[0] * lg[1] - lf[1] * lg[0] != 0
+    """Both elements vanish here; do they cut distinct tangent lines?"""
+    return (ef.num.xy_order() == 1 and eg.num.xy_order() == 1
+            and directions(ef.num) != directions(eg.num))
 
 
 # -- parametric position -----------------------------------------------------

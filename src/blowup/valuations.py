@@ -9,7 +9,10 @@ Four flavors appear:
     the rings at or above the point, and the rings of proximate points.
   * minimal valuations: unions of the local rings along an infinite path.
     Two constructors are provided, an eventually periodic step sequence and
-    curve following (step after step along the branch of a curve).
+    curve following (step after step along the branch of a curve).  Each
+    step of a branch is the one direction `position.directions` reads off
+    the lowest form of the strict transform; a second direction, rational
+    or irrational, means several branches and raises `BranchError`.
   * monomial valuations v(x) = a, v(y) = b.  The value of a polynomial is
     the least weight a*i + b*j over the terms x^i y^j of its support, so
     v(N/D) is the least weight of N less that of D, with no chart work.
@@ -43,10 +46,10 @@ from numbers import Rational
 from typing import Iterable, List, Tuple
 
 from .errors import BranchError, ComputationError, DepthCapError, InputError
-from .expr import INF, Step, format_path, is_inf
+from .expr import INF, Step, format_path, format_step
 from .poly import (A, Poly, RatFunc, T, X, Y, _subst_slot_frac, factor_multiplicity,
-                   poly_gcd, root_pass)
-from .position import Position, lowest_form, settle
+                   poly_gcd)
+from .position import Position, directions, settle
 from .proximity import second_kind_contains
 from .tree import Point, normalize_step, strict_step
 
@@ -305,10 +308,11 @@ class MinimalCurveBranch(_MinimalBase):
 
     Each step is the unique direction in which the strict transform keeps
     vanishing.  The constructor walks until the strict transform is smooth,
-    so the curve has one branch at the origin: a split tangent cone or a
-    non-rational direction raises `BranchError`, and a branch singular
-    after `WALK_CAP` steps `DepthCapError`.  Later steps are forced and
-    rational; they are found lazily, and `step_at` never raises.
+    so the curve has one branch at the origin: a tangent cone with more
+    than one direction, rational or not, raises `BranchError`, and a
+    branch singular after `WALK_CAP` steps `DepthCapError`.  Later steps
+    are forced and rational; they are found lazily, and `step_at` never
+    raises.
     """
 
     def __init__(self, h: Poly):
@@ -355,19 +359,17 @@ class MinimalCurveBranch(_MinimalBase):
 
 def branch_step(strict: Poly) -> Step:
     """The unique direction in which a curve germ continues, or an error."""
-    coeffs = lowest_form(strict)
-    if len(coeffs) < 2:
+    if not strict.xy_order():
         raise BranchError("the curve does not pass through this point")
-    candidates: List[Step] = list(root_pass(coeffs, T)[0])
-    if not coeffs[-1]:
-        candidates.append(INF)
-    if len(candidates) == 1:
-        return candidates[0]
-    if not candidates:
+    steps, irrational = directions(strict)
+    if len(steps) == 1 and not irrational:
+        return steps[0]
+    if not steps:
         raise BranchError("the branch continues in a non-rational direction")
     raise BranchError(
         "the curve has several branches here; directions " +
-        ", ".join("inf" if is_inf(c) else str(c) for c in candidates))
+        ", ".join(format_step(s) for s in steps) +
+        (" and irrational ones" if irrational else ""))
 
 
 # The 0 step of every monomial path: one shared object, as steps are immutable.

@@ -29,7 +29,9 @@ probe points), `irredundant` on two fibers, `semigroup`, `dot`, the
 README's examples with every exit-2 and exit-3 case it names, and
 malformed family and curve inputs: path steps past the bit bound of a
 number and the zero curve under `strict` among them, and steps of more
-digits than Python reads into an int.
+digits than Python reads into an int.  A curve with one rational and two
+irrational tangents is refused by `limits` and `member`, and an element
+refused for trailing input is echoed whole when short and cut when long.
 
 Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
@@ -169,6 +171,9 @@ README_RESOLVE = ("(y^2 - 1000000000000000003*x^2)/x^2",
 # Curve descriptors refused when read: a split tangent cone, an irrational
 # direction, and a branch still singular after the walk's cap.
 REFUSED_CURVES = ("y^2 - x^2", "y^2 - 2*x^2", "y^2 - x^131")
+# A curve with the rational tangent 0 beside the irrational +-sqrt(2): three
+# branches, which `limits` and `member` refuse when they read the family.
+MIXED_TANGENTS = "y^3 - 2*x^2*y + x^4"
 
 # Family inputs that the readers refuse or accept at their edges.
 EDGE_FAMILIES = {
@@ -183,6 +188,9 @@ EDGE_FAMILIES = {
     "chain-unknown-kind": {"kind": "chain", "from": 1, "valuation": {"kind": "cusp"}},
 }
 BAD_CURVES = ("y - 1/x", "y - a*x")
+# Elements refused for trailing input: echoed whole when short, and by
+# their first 40 characters and their length when long.
+ECHOED_ELEMENTS = ("x y", "x " + "y " * 100)
 
 # Regular parameter pairs (u, v) of [1, -2, inf, inf], [2, inf, -1, inf] and
 # [1, 2, -1, inf, -2, 1]: after a step b the pair is (u, v/u - b), after inf
@@ -275,6 +283,10 @@ def _readme_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         files = {"branch.json": json.dumps(
             [{"kind": "chain", "from": 1, "valuation": {"kind": "curve", "h": curve}}])}
         yield ["limits", "--family", "branch.json"], files
+    files = {"branch.json": json.dumps(
+        [{"kind": "chain", "from": 1, "valuation": {"kind": "curve", "h": MIXED_TANGENTS}}])}
+    yield ["limits", "--family", "branch.json"], files
+    yield ["member", "--elt", "y/x", "--family", "branch.json"], files
     yield ["limits", "--family", "nested.json"], {"nested.json": "[" * 5000 + "]" * 5000}
 
 
@@ -289,6 +301,8 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield (["irredundant", "--family", "two-fibers.json", "--member", "[2]",
                 "--candidates", curve], files)
     yield ["strict", "--f", "y - x^2", "--g", "x", "--point", "[0]"], {}
+    for text in ECHOED_ELEMENTS:
+        yield ["position", "--point", "[]", "--elt", text], {}
     for text in [e for pair in PARAMETER_PAIRS for e in pair] + list(QUOTIENTS):
         yield ["position", "--point", "[]", "--elt", text], {}
     files = {"fiber.json": json.dumps([{"kind": "fiber", "base": []}])}

@@ -20,14 +20,14 @@ from typing import List, Optional, Tuple
 from blowup import oracle, tree
 from blowup.errors import ComputationError, DepthCapError, InputError, ResolveError
 from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _constant_bits,
-                         _int_literal, _number_bits, _power_terms, _product_terms, _sum_terms,
-                         _Tokenizer, is_inf)
+                         _int_literal, _number_bits, _power_terms, _product_terms, _shown,
+                         _sum_terms, _Tokenizer, is_inf)
 from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
                              family_parts, q1_downset_count)
 from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd,
                          rational_roots, sylvester_resultant)
 from blowup.position import (ParametricPosition, Position, Resolution, _a_collapse_roots,
-                             _candidate_steps, _StepSet, classify_expressed, position)
+                             _candidate_steps, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
 from blowup.valuations import (MinimalCurveBranch, SecondKind, _integer_weights,
                                monomial_path)
@@ -461,7 +461,7 @@ def _lowest_slice(p: Poly) -> Poly:
     return Poly({e: c for e, c in p.terms.items() if e[X] + e[Y] == order})
 
 
-def reference_candidate_steps(expressed: RatFunc) -> _StepSet:
+def reference_candidate_steps(expressed: RatFunc) -> Tuple[tuple, bool]:
     """`_candidate_steps` the slow canonical way: each lowest form becomes a
     polynomial in t by substitution (x -> 1, y -> t), its roots come from
     the Fraction divisor search, and a second search decides whether an
@@ -477,8 +477,7 @@ def reference_candidate_steps(expressed: RatFunc) -> _StepSet:
     ordered = tuple(sorted(steps))
     if any(all(e[X] for e in lowest.terms) for lowest in lowests):
         ordered += (INF,)
-    gap = expressed.num.xy_order() - expressed.den.xy_order()
-    return _StepSet(ordered, binding=gap <= 0, order_gap=gap, irrational=irrational)
+    return ordered, irrational
 
 
 def reference_position_parametric(point: Point, f: RatFunc) -> ParametricPosition:
@@ -540,21 +539,22 @@ def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
             poles.append(point)
         if pos is not Position.UNDETERMINED:
             continue
-        step_set = _candidate_steps(expressed)
-        if step_set.order_gap != 0:
-            side = "vanishes" if step_set.order_gap > 0 else "has a pole"
+        steps, irrational = _candidate_steps(expressed)
+        gap = expressed.num.xy_order() - expressed.den.xy_order()
+        if gap:
+            side = "vanishes" if gap > 0 else "has a pole"
             raise ResolveError(
                 f"{f} {side} along the exceptional curve of {point}: "
                 "every direction there is affected, so the zeros and poles "
                 "do not form a finite set of points")
-        if step_set.irrational:
+        if irrational:
             diagnostics.append(
                 f"some zero or pole directions at {point} are irrational "
                 "and have no tree point over the rationals")
         if point.level >= max_depth:
             open_points.append(point)
             continue
-        queue.extend(point.child(s) for s in step_set.steps)
+        queue.extend(point.child(s) for s in steps)
     if open_points:
         raise DepthCapError(
             f"resolution of {f} still undetermined at depth {max_depth} "
@@ -635,7 +635,8 @@ def reference_parse_element(text: str) -> RatFunc:
     toks = _Tokenizer(text)
     value = _ref_sum(toks)
     if toks.peek()[0] != "end":
-        raise ExprSyntaxError(f"trailing input {toks.peek()[1]!r} in {text!r}")
+        raise ExprSyntaxError(
+            f"trailing input {_shown(toks.peek()[1])} in {_shown(text)}")
     _check_bits(_number_bits(value))
     return value
 
@@ -719,7 +720,7 @@ def _ref_atom(toks: _Tokenizer) -> RatFunc:
     if kind == "name":
         slot = _REF_VARIABLES.get(text)
         if slot is None:
-            raise ExprSyntaxError(f"unknown symbol {text!r}: only x, y, a are allowed")
+            raise ExprSyntaxError(f"unknown symbol {_shown(text)}: only x, y, a are allowed")
         return RatFunc(Poly.variable(slot))
     if kind == "(":
         value = _ref_sum(toks)
@@ -727,7 +728,7 @@ def _ref_atom(toks: _Tokenizer) -> RatFunc:
         return value
     if kind == "end":
         raise ExprSyntaxError("unexpected end of expression")
-    raise ExprSyntaxError(f"unexpected token {text!r}")
+    raise ExprSyntaxError(f"unexpected token {_shown(text)}")
 
 
 # -- seeded enumeration ------------------------------------------------------

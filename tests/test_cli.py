@@ -434,6 +434,16 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "BranchError"
         assert "several branches" in error["message"]
+        # tangents 0 and +-sqrt(2): the irrational two are branches as well
+        path = family_file([{"kind": "chain", "from": 1,
+                             "valuation": {"kind": "curve", "h": "y^3 - 2*x^2*y + x^4"}}])
+        for argv in (["member", "--elt", "y/x"],
+                     ["irredundant", "--member", "[0]", "--candidates", "y"]):
+            code, out, err = run(capsys, *argv, "--family", path)
+            assert code == 3 and not out
+            error = json.loads(err)["error"]
+            assert error["type"] == "BranchError"
+            assert "directions 0 and irrational ones" in error["message"]
 
     def test_irredundant_has_no_depth_flag(self, capsys, family_file):
         path = family_file([{"kind": "fiber", "base": [], "excluded": ["inf"]},
@@ -454,6 +464,26 @@ class TestErrors:
         error = json.loads(err)["error"]
         assert error["type"] == "InputError"
         assert "too large" in error["message"]
+
+    @pytest.mark.parametrize("site, argv", [
+        ("expect", ("position", "--point", "[]", "--elt", "(x " + "y " * 3000)),
+        ("expect, a long token", ("position", "--point", "[]", "--elt", "x^" + "y" * 6000)),
+        ("trailing input", ("position", "--point", "[]", "--elt", "x " + "y " * 3000)),
+        ("trailing input, a long token", ("position", "--point", "[]",
+                                          "--elt", "x " + "y" * 6000)),
+        ("unknown symbol", ("position", "--point", "[]", "--elt", "z" * 6000)),
+        ("unexpected token", ("position", "--point", "[]", "--elt", "x + " + "y + " * 1500 + ")")),
+        ("curve text", ("strict", "--point", "[]", "--f", "y - 1/x" + " + x" * 1500)),
+        ("curve value", ("limits", "--family", None)),
+        ("vector pieces", ("semigroup", "--gens", "1,0", "--target", "1," * 3000)),
+        ("vector entries", ("semigroup", "--gens", "1,0", "--target", "1," + "z" * 6000)),
+    ])
+    def test_long_input_is_echoed_in_short(self, capsys, family_file, site, argv):
+        path = family_file([{"kind": "chain", "from": 1,
+                             "valuation": {"kind": "curve", "h": [1] * 3000}}])
+        code, out, err = run(capsys, *(path if a is None else a for a in argv))
+        assert code == 2 and not out
+        assert len(json.loads(err)["error"]["message"].encode()) < 200, site
 
     @pytest.mark.parametrize("argv, base", [
         (("prox", "--point", "[1e5000]"), None),

@@ -80,6 +80,25 @@ def test_no_unused_private_names():
     assert not found, "private names nothing uses:\n" + "\n".join(found)
 
 
+def _callers(name: str):
+    """(module, top-level definition) of every call of `name` in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Call) and name in (getattr(sub.func, "id", None),
+                                                          getattr(sub.func, "attr", None)):
+                    found.add((path.stem, getattr(node, "name", None)))
+    return found
+
+
+def test_lowest_forms_are_read_in_one_place():
+    # resolve, locate and curve branches all take their directions from
+    # position.directions; a second reader would drift from it
+    assert {module for module, _ in _callers("lowest_form")} == {"position"}
+    assert {c for c in _callers("root_pass") if c[0] != "poly"} == {("position", "directions")}
+
+
 # Public names that nothing in the package references, kept on purpose.
 UNUSED_PUBLIC_ALLOWED = {
     "Poly.subst_xy": "the poly.subst_xy layer of the benchmark tracer, and "

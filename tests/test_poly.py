@@ -637,8 +637,3 @@ def test_format_signs_and_coefficients():
 def test_format_ratfunc_shapes():
     assert format_ratfunc(RatFunc(y ** 2 + x ** 3)) == "x^3 + y^2"
     assert format_ratfunc(RatFunc(y, x + y)) == "(y)/(x + y)"
-
-
-def test_format_custom_names():
-    p = x * y ** 2
-    assert format_poly(p, names=("u", "v", "a", "t")) == "u*v^2"

@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from blowup.errors import (ComputationError, DepthCapError, InputError, LocateError,
-                           ResolveError)
+from blowup.errors import (BranchError, ComputationError, DepthCapError, InputError,
+                           LocateError, ResolveError)
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import (
@@ -15,6 +15,7 @@ from blowup.position import (
     Position,
     _candidate_steps,
     a_candidates,
+    directions,
     locate,
     position,
     position_parametric,
@@ -23,7 +24,7 @@ from blowup.position import (
 )
 from blowup.oracle import in_point
 from blowup.tree import Point
-from blowup.valuations import SecondKind
+from blowup.valuations import SecondKind, branch_step
 
 from helpers import (count_charges, params, reference_candidate_steps,
                      reference_position_parametric, reference_resolve, subst_poly)
@@ -308,6 +309,45 @@ def test_candidate_steps_match_substitution_and_divisor_search(num, den):
     f = RatFunc(num, den)
     assert _steps_outcome(_candidate_steps, f) == \
         _steps_outcome(reference_candidate_steps, f)
+
+
+def sympy_directions(p: Poly):
+    """`directions` from sympy's factors of the lowest form over the
+    rationals: y - r*x gives r, x gives inf, and a factor of degree two or
+    more leaves an irrational direction."""
+    sympy = pytest.importorskip("sympy")
+    sx, sy = sympy.symbols("x y")
+    order = p.xy_order()
+    lowest = sum(sympy.Rational(c.numerator, c.denominator) * sx ** e[X] * sy ** e[Y]
+                 for e, c in p.terms.items() if e[X] + e[Y] == order)
+    steps, irrational = set(), False
+    for factor, _ in sympy.factor_list(lowest)[1]:
+        degree = sympy.Poly(factor, sx, sy).total_degree()
+        if degree >= 2:
+            irrational = True
+        elif factor.coeff(sy) == 0:
+            steps.add(INF)
+        else:
+            r = -factor.coeff(sx) / factor.coeff(sy)
+            steps.add(Fraction(int(r.p), int(r.q)))
+    finite = sorted(s for s in steps if s is not INF)
+    return tuple(finite) + ((INF,) if INF in steps else ()), irrational
+
+
+@given(chart_polys())
+@settings(max_examples=100, deadline=None)
+def test_directions_match_sympy_factors_and_follow_one_branch(p):
+    try:
+        found = directions(p)
+    except ComputationError:
+        return
+    assert found == sympy_directions(p)
+    steps, irrational = found
+    if len(steps) == 1 and not irrational:
+        assert branch_step(p) == steps[0]
+    else:
+        with pytest.raises(BranchError):
+            branch_step(p)
 
 
 @given(branch_elements(), st.integers(0, 5))

@@ -263,6 +263,9 @@ def test_branch_step_errors():
     # tangent cone irreducible over the rationals
     with pytest.raises(BranchError):
         MinimalCurveBranch(y ** 2 - Poly.const(2) * x ** 2 - x ** 3).step_at(0)
+    # a rational tangent beside two irrational ones: three branches, not one
+    with pytest.raises(BranchError, match="directions 0 and irrational ones"):
+        MinimalCurveBranch(y ** 3 - Poly.const(2) * x ** 2 * y + x ** 4)
 
 
 def test_branch_requires_origin():
