@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .errors import InputError
-from .expr import INF, Step, format_step, is_inf
+from .expr import INF, Step, _shown, format_step, is_inf
 from .proximity import is_ray_tail
 from .tree import Point, is_prefix, normalize_step
 from .valuations import WALK_CAP, _MinimalBase
@@ -200,7 +200,7 @@ class Chain:
         level = self.from_level
         if type(level) is not int or not 0 <= level <= WALK_CAP:
             raise InputError(
-                f"bad chain level {level!r}: expected an integer from 0 to {WALK_CAP}")
+                f"bad chain level {_shown(level)}: expected an integer from 0 to {WALK_CAP}")
 
     def member(self, level: int) -> Point:
         if level < self.from_level:
@@ -277,7 +277,7 @@ def family_parts(family) -> FamilySet:
     parts = tuple(family)
     for part in parts:
         if not isinstance(part, (Singleton, Fiber, Chain, Siblings)):
-            raise InputError(f"not a family: {part!r}")
+            raise InputError(f"not a family: {_shown(part)}")
     return parts
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple, Union
 
 from .errors import InputError
-from .expr import Step, format_step, parse_curve
+from .expr import Step, _shown, format_step, parse_curve
 from .families import (Chain, Family, Fiber, MoebiusMap, Siblings, Singleton,
                        family_parts)
 from .tree import Point, normalize_step
@@ -26,7 +26,7 @@ JsonValue = Union[dict, list, str, int]
 
 def steps_from_json(data) -> Tuple[Step, ...]:
     if not isinstance(data, list):
-        raise InputError(f"bad path {data!r}: expected an array of steps")
+        raise InputError(f"bad path {_shown(data)}: expected an array of steps")
     return tuple(map(normalize_step, data))
 
 
@@ -38,7 +38,7 @@ def _expect(data: dict, key: str):
     try:
         return data[key]
     except KeyError:
-        raise InputError(f"missing key {key!r} in {data!r}") from None
+        raise InputError(f"missing key {key!r} in {_shown(data)}") from None
 
 
 # -- valuations --------------------------------------------------------------
@@ -47,7 +47,7 @@ def _expect(data: dict, key: str):
 def valuation_from_json(data) -> _MinimalBase:
     """The valuation a chain or siblings part follows."""
     if not isinstance(data, dict):
-        raise InputError(f"bad valuation {data!r}: expected an object")
+        raise InputError(f"bad valuation {_shown(data)}: expected an object")
     kind = _expect(data, "kind")
     if kind == "minimal":
         return MinimalEventuallyPeriodic(
@@ -72,7 +72,7 @@ def valuation_to_json(v) -> Dict[str, JsonValue]:
                 "period": steps_to_json(v.period)}
     if isinstance(v, MinimalCurveBranch):
         return {"kind": "curve", "h": str(v.h)}
-    raise InputError(f"not a valuation: {v!r}")
+    raise InputError(f"not a valuation: {_shown(v)}")
 
 
 # -- families ----------------------------------------------------------------
@@ -81,13 +81,13 @@ def valuation_to_json(v) -> Dict[str, JsonValue]:
 def _fraction_from_json(value, what: str) -> Fraction:
     step = normalize_step(value)
     if not isinstance(step, Fraction):
-        raise InputError(f"bad {what} {value!r}: expected a finite rational")
+        raise InputError(f"bad {what} {_shown(value)}: expected a finite rational")
     return step
 
 
 def family_from_json(data) -> Family:
     if not isinstance(data, dict):
-        raise InputError(f"bad family {data!r}: expected an object")
+        raise InputError(f"bad family {_shown(data)}: expected an object")
     kind = _expect(data, "kind")
     if kind == "singleton":
         return Singleton(Point.from_path(steps_from_json(_expect(data, "point"))))
@@ -98,7 +98,7 @@ def family_from_json(data) -> Family:
         if "map" in data:
             m = data["map"]
             if not isinstance(m, dict):
-                raise InputError(f"bad map {m!r}: expected an object")
+                raise InputError(f"bad map {_shown(m)}: expected an object")
             coeffs = [_fraction_from_json(_expect(m, k), "map entry")
                       for k in ("a", "b", "c", "d")]
             return Fiber(base, excluded, tail, MoebiusMap(*coeffs))
@@ -109,7 +109,7 @@ def family_from_json(data) -> Family:
     if kind == "siblings":
         return Siblings(valuation_from_json(_expect(data, "valuation")),
                         _fraction_from_json(_expect(data, "offset"), "offset"))
-    raise InputError(f"unknown family kind {kind!r}")
+    raise InputError(f"unknown family kind {_shown(kind)}")
 
 
 def family_to_json(part) -> Dict[str, JsonValue]:
@@ -134,7 +134,7 @@ def family_to_json(part) -> Dict[str, JsonValue]:
         return {"kind": "siblings",
                 "valuation": valuation_to_json(part.valuation),
                 "offset": format_step(part.offset)}
-    raise InputError(f"not a family: {part!r}")
+    raise InputError(f"not a family: {_shown(part)}")
 
 
 def family_set_from_json(data):

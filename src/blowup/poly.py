@@ -20,7 +20,9 @@ floating point is used anywhere.
 This module holds the one copy of the term-map arithmetic: the sum, product
 and power kernels behind the `Poly` operators, and the reduced-pair
 arithmetic on integer term maps that both the element reader
-(`blowup.expr`) and the `RatFunc` operators run.
+(`blowup.expr`) and the `RatFunc` operators run.  Exact division is one
+loop over Z, `_divide`, and fractions are reduced in one place,
+`_split_gcd`, which the `RatFunc` constructor runs too.
 """
 
 from __future__ import annotations
@@ -239,48 +241,18 @@ class Poly:
     def divmod_exact(self, divisor: "Poly") -> Optional["Poly"]:
         """Quotient self/divisor when the division is exact, else None.
 
-        Greedy leading-term division under the fixed monomial order; for an
-        exact division this always succeeds.
+        Both are scaled to integers by one factor and the divisor's integer
+        content k is taken out, so `_divide` runs over Z; the quotient it
+        returns is then divided by k.
         """
         if divisor.is_zero:
             raise ZeroDivisionError("zero divisor")
-        if self.is_zero:
-            return Poly()
-        if divisor.is_constant:
-            return self.scale(Fraction(1) / divisor.constant_term())
-        lead_exp, lead_coeff = divisor.leading()
-        quotient: Terms = {}
-        rem = dict(self.terms)
-        while rem:
-            exps = max(rem, key=_grlex_key)
-            coeff = rem[exps]
-            delta = tuple(exps[i] - lead_exp[i] for i in range(NVARS))
-            if any(d < 0 for d in delta):
-                return None
-            q = coeff / lead_coeff
-            quotient[delta] = quotient.get(delta, Fraction(0)) + q
-            for dexp, dcoeff in divisor.terms.items():
-                tgt = (delta[0] + dexp[0], delta[1] + dexp[1],
-                       delta[2] + dexp[2], delta[3] + dexp[3])
-                acc = rem.get(tgt, Fraction(0)) - q * dcoeff
-                if acc:
-                    rem[tgt] = acc
-                else:
-                    rem.pop(tgt, None)
-        return _poly({e: c for e, c in quotient.items() if c})
-
-    def shift_down(self, slot: int, power: int) -> "Poly":
-        """Divide by variable(slot)**power; every term must allow it."""
-        if power == 0:
-            return self
-        terms: Terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[slot] < power:
-                raise ValueError("monomial division not exact")
-            lst = list(exps)
-            lst[slot] -= power
-            terms[tuple(lst)] = coeff
-        return _poly(terms)
+        p, g = _integer_terms(self, divisor)
+        k = math.gcd(*g.values())
+        quotient = _divide(p, _scaled(g, k))
+        if quotient is None:
+            return None
+        return _poly({exps: Fraction(c, k) for exps, c in quotient.items()})
 
     # -- substitution ------------------------------------------------------
 
@@ -426,13 +398,8 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     mp = p.monomial_content()
     mq = q.monomial_content()
     common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p1 = p
-    q1 = q
-    for slot in range(NVARS):
-        if mp[slot]:
-            p1 = p1.shift_down(slot, mp[slot])
-        if mq[slot]:
-            q1 = q1.shift_down(slot, mq[slot])
+    p1 = p.divmod_exact(Poly.monomial(mp)) if any(mp) else p
+    q1 = q.divmod_exact(Poly.monomial(mq)) if any(mq) else q
     core = _gcd_core(p1, q1)
     result = core * Poly.monomial(common)
     return result.normalized()
@@ -831,14 +798,11 @@ class RatFunc:
         if num.is_zero:
             self.num = Poly()
             self.den = Poly.const(1)
-            return
-        if not den.is_constant:
-            g = poly_gcd(num, den)
-            if not g.is_constant:
-                num = num.divmod_exact(g)
-                den = den.divmod_exact(g)
-                assert num is not None and den is not None
-        self._set_monic(num, den)
+        elif den.is_constant:
+            self._set_monic(num, den)
+        else:
+            reduced = _ratfunc(_split_gcd(*_integer_terms(num, den))[1:])
+            self.num, self.den = reduced.num, reduced.den
 
     def _set_monic(self, num: Poly, den: Poly) -> None:
         """Store num/den with the denominator scaled to leading coefficient 1."""
@@ -986,29 +950,41 @@ def _gcd(p: _IntTerms, q: _IntTerms) -> _IntTerms:
     return _scaled(g, math.gcd(*g.values()))
 
 
-def _divide(p: _IntTerms, g: _IntTerms) -> _IntTerms:
-    """p/g for int term maps when g divides p, over Z when g is primitive
-    (Gauss's lemma).  The least term of the remainder is always the least
-    term of g times a term of the quotient, so a heap serves them in turn."""
+def _divide(p: _IntTerms, g: _IntTerms) -> Optional[_IntTerms]:
+    """p/g for int term maps, over Z when g is primitive (Gauss's lemma), or
+    None when g does not divide p.  The least term of the remainder is
+    always the least term of g times a term of the quotient, so a heap
+    serves them in turn, in nondecreasing total degree.  A quotient term
+    with a negative exponent, a coefficient that g's least term does not
+    divide, or a total degree past deg p - deg g ends an inexact division."""
     if len(g) == 1:
         ((shift, lc),) = g.items()
         if lc == 1 and not any(shift):
             return p
-        return {tuple(i - j for i, j in zip(exps, shift)): c // lc for exps, c in p.items()}
+        s0, s1, s2, s3 = shift
+        quotient: _IntTerms = {}
+        for (i, j, k, m), c in p.items():
+            if i < s0 or j < s1 or k < s2 or m < s3 or c % lc:
+                return None
+            quotient[i - s0, j - s1, k - s2, m - s3] = c // lc
+        return quotient
     trail = min(g, key=_grlex_key)
     lc = g[trail]
     rest = [(exps, c) for exps, c in g.items() if exps != trail]
+    bound = max(map(sum, p), default=0) - max(map(sum, g))
     rem = dict(p)
     heap = [(sum(exps), exps) for exps in rem]
     heapq.heapify(heap)
-    quotient: _IntTerms = {}
+    quotient = {}
     while heap:
         exps = heapq.heappop(heap)[1]
         c = rem.pop(exps)
         if not c:
             continue
-        q = c // lc
         delta = tuple(i - j for i, j in zip(exps, trail))
+        if min(delta) < 0 or sum(delta) > bound or c % lc:
+            return None
+        q = c // lc
         quotient[delta] = q
         for (i, j, k, m), d in rest:
             target = (delta[0] + i, delta[1] + j, delta[2] + k, delta[3] + m)
@@ -1031,16 +1007,11 @@ def _quotient(num: _IntTerms, den: _IntTerms) -> _IntTerms | _Quotient:
     return num if den == _UNIT else (num, den)
 
 
-def _cancel(p: _IntTerms, q: _IntTerms) -> _Quotient:
-    """p and q divided by their gcd."""
+def _split_gcd(p: _IntTerms, q: _IntTerms) -> Tuple[_IntTerms, _IntTerms, _IntTerms]:
+    """(g, p/g, q/g) for g = gcd(p, q), primitive over Z; p/g and q/g share
+    no factor of positive degree."""
     g = _gcd(p, q)
-    return _divide(p, g), _divide(q, g)
-
-
-def _split_gcd(b: _IntTerms, d: _IntTerms) -> Tuple[_IntTerms, _IntTerms, _IntTerms]:
-    """(h, b/h, d/h) for h = gcd(b, d) of two denominators."""
-    h = _gcd(b, d)
-    return h, _divide(b, h), _divide(d, h)
+    return g, _divide(p, g), _divide(q, g)
 
 
 def _pair_sum(a: _IntTerms, c: _IntTerms, d: _IntTerms, sign: int,
@@ -1060,8 +1031,8 @@ def _pair_product(a: _IntTerms, b: _IntTerms, c: _IntTerms,
     if not (a and c):
         return {}
     # only gcd(a, d) and gcd(c, b) can cancel
-    a, d = _cancel(a, d)
-    c, b = _cancel(c, b)
+    _, a, d = _split_gcd(a, d)
+    _, c, b = _split_gcd(c, b)
     return _quotient(_times(a, c), _times(b, d))
 
 

@@ -38,7 +38,7 @@ from operator import itemgetter
 from typing import Iterable, List, Tuple
 
 from .errors import ComputationError, InputError
-from .expr import INF, Step, bounded_step, format_step, is_inf, parse_step
+from .expr import INF, Step, _shown, bounded_step, format_step, is_inf, parse_step
 from .poly import Poly, RatFunc, Terms
 
 
@@ -262,7 +262,7 @@ def normalize_step(step) -> Step:
         return parse_step(step)
     # a bool is no step, and a binary fraction is not the exact step it rounds
     if isinstance(step, bool) or not isinstance(step, Rational):
-        raise InputError(f"bad step {step!r}: expected a rational or inf")
+        raise InputError(f"bad step {_shown(step)}: expected a rational or inf")
     return bounded_step(Fraction(step))
 
 

@@ -29,9 +29,12 @@ contains m_P, f is then in V exactly when it is not a pole at Q.  The
 order valuation ring of P and the union ring along a path are such rings.
 So `position.settle` walks the path only down to the first point where f
 is decided.  A second-kind test compares orders only when f is still
-undetermined at P itself.  A minimal valuation's walk always ends: two
-coprime curves separate after finitely many steps, and the cap is a
-safety net.
+undetermined at P itself.  A minimal valuation's walk always ends in
+theory, since two coprime curves separate after finitely many steps, but
+the walk stops at `WALK_CAP`, and that cap can cut off a finite answer:
+along the path [] + [0], x^64/y is decided as no at P_64, while x^65/y,
+a pole only at P_65, raises `DepthCapError`.  Exact stops (ROADMAP items
+12 and 14) would make the cap a work budget only.
 
 Paths are compared exactly by one test, `on_curve(h)`: whether some branch
 of the curve h follows the path at every level.
@@ -53,9 +56,10 @@ from .position import Position, directions, settle
 from .proximity import second_kind_contains
 from .tree import Point, normalize_step, strict_step
 
-# Cap on walks down a minimal valuation's path; every element settles
-# after finitely many steps, so reaching it means a runaway computation.
-# It also caps the path of a monomial valuation's weights.
+# Cap on walks down a minimal valuation's path.  Every element settles
+# after finitely many steps, but possibly past the cap, so reaching it can
+# cut off a finite answer until the walks get exact stops.  It also caps
+# the path of a monomial valuation's weights.
 WALK_CAP = 64
 
 

@@ -30,8 +30,9 @@ README's examples with every exit-2 and exit-3 case it names, and
 malformed family and curve inputs: path steps past the bit bound of a
 number and the zero curve under `strict` among them, and steps of more
 digits than Python reads into an int.  A curve with one rational and two
-irrational tangents is refused by `limits` and `member`, and an element
-refused for trailing input is echoed whole when short and cut when long.
+irrational tangents is refused by `limits` and `member`, an element
+refused for trailing input is echoed whole when short and cut when long,
+and so are malformed family values of thousands of characters.
 
 Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
@@ -219,6 +220,19 @@ FIBER_EXCLUDING_ELEMENTS = ("1/x", "x/(y - a*x)")
 # Steps of 4,000 and of 5,000 digits, under and past the digits Python reads
 # into an int: both are past the bit bound.
 LONG_STEP_PATHS = tuple(f"[{'1' * n}]" for n in (4000, 5000))
+# Malformed family values of thousands of characters, each refused with a
+# message that quotes only the value's first 40 characters and its length.
+LONG_VALUES = {
+    "long-kind": {"kind": "k" * 5000},
+    "long-family": [1] * 3000,
+    "long-chain-level": {"kind": "chain", "from": [1] * 3000,
+                         "valuation": {"kind": "minimal", "prefix": [], "period": ["0"]}},
+    "long-step": {"kind": "singleton", "point": [[1] * 3000]},
+    "long-missing-base": {"kind": "fiber", "pad": "p" * 4000},
+    "long-path": {"kind": "singleton", "point": "0" * 4000},
+    "long-valuation": {"kind": "chain", "from": 1, "valuation": [1] * 3000},
+    "long-map": {"kind": "fiber", "base": [], "map": [1] * 3000},
+}
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -319,6 +333,8 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield ["member", "--elt", text, "--family", "fiber-excluding.json"], files
     for path in LONG_STEP_PATHS:
         yield ["prox", "--point", path], {}
+    for name, part in LONG_VALUES.items():
+        yield ["limits", "--family", f"{name}.json"], {f"{name}.json": json.dumps([part])}
 
 
 @contextlib.contextmanager

@@ -59,7 +59,7 @@ def residue_of(steps, f: RatFunc) -> Poly:
     den = expressed.den.xy_constant_part()
     if den.is_zero:
         raise ValueError("element is not in the local ring at this point")
-    value = num.divmod_exact(den)
+    value = reference_divmod_exact(num, den)
     if value is None:
         raise ValueError("residue is not polynomial in the symbolic direction")
     return value
@@ -152,7 +152,7 @@ def curve_along(prefix, period, n: int = 0, times_y: bool = False) -> Poly:
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    quotient = b.divmod_exact(poly_gcd(a, b))
+    quotient = reference_divmod_exact(b, poly_gcd(a, b))
     assert quotient is not None
     return a * quotient
 
@@ -229,7 +229,7 @@ def ord_contained(alpha: Point, beta: Point,
     numerators = []
     for key in keys:
         g = monomials[key]
-        factor = common.divmod_exact(g.den)
+        factor = reference_divmod_exact(common, g.den)
         assert factor is not None
         numerators.append(g.num * factor)
     cut = common.xy_order()
@@ -274,13 +274,13 @@ def reference_express(steps, f: RatFunc) -> RatFunc:
 
     The root coordinates x, y are written in that chart by folding
     `transform_step` over the steps, substituted into f, and the quotient
-    is reduced by the gcd in the `RatFunc` constructor.  The steps may
+    is reduced by `poly_gcd` and the reference division.  The steps may
     include the symbolic step `TSYM`.
     """
     down_x, down_y = Poly.variable(X), Poly.variable(Y)
     for step in steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
-    return RatFunc(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y))
+    return reduced(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y), poly_gcd)
 
 
 def reference_monomial_valuation(a, b) -> SecondKind:
@@ -301,6 +301,40 @@ def reference_monomial_valuation(a, b) -> SecondKind:
 # -- gcds and fraction arithmetic without shortcuts -------------------------
 
 
+def reference_divmod_exact(p: Poly, divisor: Poly) -> Optional[Poly]:
+    """p/divisor when the division is exact, else None.
+
+    Greedy leading-term division over Fractions under the fixed monomial
+    order; for an exact division this always succeeds.
+    """
+    if divisor.is_zero:
+        raise ZeroDivisionError("zero divisor")
+    if p.is_zero:
+        return Poly()
+    if divisor.is_constant:
+        return p.scale(Fraction(1) / divisor.constant_term())
+    lead_exp, lead_coeff = divisor.leading()
+    quotient = {}
+    rem = dict(p.terms)
+    while rem:
+        exps = max(rem, key=lambda e: (sum(e), e))
+        coeff = rem[exps]
+        delta = tuple(exps[i] - lead_exp[i] for i in range(4))
+        if any(d < 0 for d in delta):
+            return None
+        q = coeff / lead_coeff
+        quotient[delta] = quotient.get(delta, Fraction(0)) + q
+        for dexp, dcoeff in divisor.terms.items():
+            tgt = (delta[0] + dexp[0], delta[1] + dexp[1],
+                   delta[2] + dexp[2], delta[3] + dexp[3])
+            acc = rem.get(tgt, Fraction(0)) - q * dcoeff
+            if acc:
+                rem[tgt] = acc
+            else:
+                rem.pop(tgt, None)
+    return Poly(quotient)
+
+
 def reference_gcd(p: Poly, q: Poly) -> Poly:
     """gcd(p, q) normalized to leading coefficient 1, with no modular image.
 
@@ -313,15 +347,15 @@ def reference_gcd(p: Poly, q: Poly) -> Poly:
         return (p + q).normalized()
     mp, mq = p.monomial_content(), q.monomial_content()
     common = Poly.monomial(tuple(map(min, mp, mq)))
-    p = p.divmod_exact(Poly.monomial(mp))
-    q = q.divmod_exact(Poly.monomial(mq))
+    p = reference_divmod_exact(p, Poly.monomial(mp))
+    q = reference_divmod_exact(q, Poly.monomial(mq))
     shared = set(p.slots_present()) & set(q.slots_present())
     if not shared:
         return common
     main = min(shared, key=lambda s: p.degree(s) + q.degree(s))
     cont_p = reduce(reference_gcd, p.coeffs_in(main).values())
     cont_q = reduce(reference_gcd, q.coeffs_in(main).values())
-    pp_p, pp_q = p.divmod_exact(cont_p), q.divmod_exact(cont_q)
+    pp_p, pp_q = reference_divmod_exact(p, cont_p), reference_divmod_exact(q, cont_q)
     if pp_p.degree(main) < pp_q.degree(main):
         pp_p, pp_q = pp_q, pp_p
     core = _reference_prs(pp_p, pp_q, main)
@@ -336,27 +370,27 @@ def _reference_prs(f: Poly, g: Poly, slot: int) -> Poly:
         delta = f.degree(slot) - g.degree(slot)
         rem = _pseudo_rem(f, g, slot)
         if rem.is_zero:
-            return g.divmod_exact(reduce(reference_gcd, g.coeffs_in(slot).values()))
+            return reference_divmod_exact(g, reduce(reference_gcd, g.coeffs_in(slot).values()))
         if rem.degree(slot) == 0:
             return Poly.const(1)
-        f, g = g, rem.divmod_exact(beta * _poly_power(psi, delta))
+        f, g = g, reference_divmod_exact(rem, beta * _poly_power(psi, delta))
         beta = f.coeffs_in(slot)[f.degree(slot)]
         if delta == 1:
             psi = beta
         elif delta > 1:
-            psi = _poly_power(beta, delta).divmod_exact(_poly_power(psi, delta - 1))
+            psi = reference_divmod_exact(_poly_power(beta, delta), _poly_power(psi, delta - 1))
 
 
 def _poly_power(p: Poly, n: int) -> Poly:
     return reduce(Poly.__mul__, [p] * n, Poly.const(1))
 
 
-def reduced(num: Poly, den: Poly) -> RatFunc:
-    """num/den divided by `reference_gcd`, with a monic denominator."""
+def reduced(num: Poly, den: Poly, gcd=reference_gcd) -> RatFunc:
+    """num/den divided by `gcd`, with a monic denominator."""
     if num.is_zero:
         return RatFunc(num)
-    g = reference_gcd(num, den)
-    return RatFunc.coprime(num.divmod_exact(g), den.divmod_exact(g))
+    g = gcd(num, den)
+    return RatFunc.coprime(reference_divmod_exact(num, g), reference_divmod_exact(den, g))
 
 
 def reference_arithmetic(op: str, f: RatFunc, g) -> RatFunc:
@@ -580,7 +614,7 @@ def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
     g = poly_gcd(b, d)
     if g.is_constant:
         return g, b, d
-    return g, b.divmod_exact(g), d.divmod_exact(g)
+    return g, reference_divmod_exact(b, g), reference_divmod_exact(d, g)
 
 
 def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
@@ -602,8 +636,8 @@ def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
         return RatFunc(t)
     g2 = poly_gcd(t, g)
     if not g2.is_constant:
-        t = t.divmod_exact(g2)
-        d = d.divmod_exact(g2)
+        t = reference_divmod_exact(t, g2)
+        d = reference_divmod_exact(d, g2)
     return RatFunc.coprime(t, b1 * d)
 
 
@@ -624,7 +658,7 @@ def _cancel(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     g = poly_gcd(num, den)
     if g.is_constant:
         return num, den
-    return num.divmod_exact(g), den.divmod_exact(g)
+    return reference_divmod_exact(num, g), reference_divmod_exact(den, g)
 
 
 def reference_parse_element(text: str) -> RatFunc:

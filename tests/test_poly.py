@@ -17,6 +17,7 @@ from blowup.poly import (
     X,
     Y,
     _content,
+    _divide,
     _image_coprime,
     coefficient_gcd,
     factor_multiplicity,
@@ -29,7 +30,7 @@ from blowup.poly import (
 )
 from blowup.position import lowest_form
 
-from helpers import (reduced, reference_arithmetic, reference_gcd,
+from helpers import (reduced, reference_arithmetic, reference_divmod_exact, reference_gcd,
                      reference_has_irrational_factor, subst_poly)
 
 x = Poly.variable(X)
@@ -160,11 +161,41 @@ def test_divmod_exact_inverts_multiplication(p, q):
     assert r == p
 
 
-def test_shift_down_strips_monomial_factor():
+four_slot_polys = polys(max_terms=4, max_exp=2, slots=(X, Y, A, T))
+four_slot_monomials = polys(max_terms=1, max_exp=3, slots=(X, Y, A, T))
+divisors = st.one_of(
+    four_slot_polys, four_slot_monomials, small_fractions.map(Poly.const),
+).filter(lambda p: not p.is_zero)
+
+
+@given(four_slot_polys, divisors, st.one_of(st.just(Poly()), four_slot_monomials,
+                                            four_slot_polys), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_divmod_exact_matches_the_reference_division(p, q, r, negate):
+    # q runs over general, monomial and constant divisors of either sign;
+    # r = 0 gives an exact division, most other r an inexact one
+    q = -q if negate else q
+    assert (p * q + r).divmod_exact(q) == reference_divmod_exact(p * q + r, q)
+
+
+def test_divide_refuses_every_kind_of_inexact_quotient():
+    one, x1, y1 = (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)
+    # a coefficient the divisor's least coefficient does not divide: 3 + 3x
+    # is 1*(2 + 3x) + 1, and 3x over a non-primitive 2x
+    assert _divide({one: 3, x1: 3}, {one: 2, x1: 3}) is None
+    assert _divide({x1: 3}, {x1: 2}) is None
+    # a negative exponent: y over x + y, and x over y
+    assert _divide({y1: 1}, {x1: 1, y1: 1}) is None
+    assert _divide({x1: 1}, {y1: 1}) is None
+    # a total degree past deg p - deg g: 1/(1 - x) = 1 + x + x^2 + ...
+    assert _divide({one: 1}, {one: 1, x1: -1}) is None
+    assert _divide({one: 3, x1: 6}, {one: 1, x1: 2}) == {one: 3}
+
+
+def test_divmod_exact_strips_monomial_factor():
     p = x ** 2 * y + x ** 3
-    assert p.shift_down(X, 2) == y + x
-    with pytest.raises(ValueError):
-        (x + y).shift_down(X, 1)
+    assert p.divmod_exact(Poly.monomial((2, 0, 0, 0))) == y + x
+    assert (x + y).divmod_exact(x) is None
 
 
 # -- substitution -----------------------------------------------------------
@@ -174,7 +205,7 @@ def test_subst_xy_blowup_chart():
     p = y ** 2 + x ** 3
     q = p.subst_xy(x, x * y)
     assert q == x ** 2 * y ** 2 + x ** 3
-    assert q.shift_down(X, 2) == y ** 2 + x
+    assert q.divmod_exact(x ** 2) == y ** 2 + x
 
 
 def test_subst_const_in_parameter_slot():
@@ -605,6 +636,8 @@ def test_ratfunc_reduction_is_sound(p, q, h):
     lhs = RatFunc(p * h, q * h)
     rhs = RatFunc(p, q)
     assert lhs == rhs
+    # the reference reduction of p/q, which p*h/(q*h) must equal
+    assert lhs == reduced(p, q)
 
 
 def test_ratfunc_subst_ratfunc():
