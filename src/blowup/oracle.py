@@ -50,7 +50,8 @@ from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots
-from .position import Position, _a_collapse_roots, a_candidates, classify_expressed, settle
+from .position import (FirstNeighborhood, Position, _a_collapse_roots, a_candidates,
+                       classify_expressed, settle)
 from .tree import TSYM, Point, charge, express_step, strict_step
 from .valuations import WALK_CAP, FirstKind
 
@@ -103,9 +104,10 @@ def in_family(f: RatFunc, family) -> MembershipAnswer:
         step a level.  Once f is a zero or a unit at some P_L, every later
         member contains it; once f is a pole at P_L, member max(L, 1)
         dominates P_L and is the witness; while f is undetermined at P_L,
-        member L is classified one step off its chart.  f settles on every
-        path (the union is a valuation ring); the walk stops with
-        `DepthCapError` at P_64 (`WALK_CAP`), its open point, all the same;
+        member L is classified off the lowest forms of its chart, or one
+        step off it for f with a.  f settles on every path (the union is a
+        valuation ring); the walk stops with `DepthCapError` at P_64
+        (`WALK_CAP`), its open point, all the same;
       * fibers are decided symbolically for every member at once.
 
     For f carrying a, the same rules decide the generic value, and here
@@ -169,6 +171,7 @@ def _position(f: RatFunc, chart: RatFunc, candidates: Set[Fraction]) -> Position
 def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
                   ) -> Tuple[bool, Optional[Point]]:
     path, chart = part.valuation, f
+    concrete = not f.has_slot(A)
     for level in range(WALK_CAP + 1):
         if level:
             chart = express_step(chart, path.step_at(level - 1))
@@ -177,9 +180,17 @@ def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
             return True, None
         if pos is Position.POLE:
             return False, part.member(max(level, 1))
-        # member L is one more step off P_L, where f is still undetermined
-        if level and _position(f, express_step(chart, part.sibling_step(level)),
-                               candidates) not in _MEMBER:
+        if not level:
+            continue
+        # member L is one more step off P_L, where f is still undetermined:
+        # a concrete f's class there is read off the lowest forms, while the
+        # forms of an f with a have coefficients in a and take the step
+        step = part.sibling_step(level)
+        if concrete:
+            pos = FirstNeighborhood(chart).child(step)
+        else:
+            pos = _position(f, express_step(chart, step), candidates)
+        if pos not in _MEMBER:
             return False, part.member(level)
     raise DepthCapError(
         f"position of {f} along the path of {part.describe()} did not "

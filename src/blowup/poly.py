@@ -398,11 +398,19 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     mp = p.monomial_content()
     mq = q.monomial_content()
     common = tuple(min(a, b) for a, b in zip(mp, mq))
-    p1 = p.divmod_exact(Poly.monomial(mp)) if any(mp) else p
-    q1 = q.divmod_exact(Poly.monomial(mq)) if any(mq) else q
-    core = _gcd_core(p1, q1)
+    core = _gcd_core(_shifted(p, mp), _shifted(q, mq))
     result = core * Poly.monomial(common)
     return result.normalized()
+
+
+def _shifted(p: Poly, m: Exponents) -> Poly:
+    """p over the monomial of exponents m, which divides it: every
+    exponent moves down and no coefficient changes."""
+    if not any(m):
+        return p
+    i0, j0, k0, l0 = m
+    return _poly({(i - i0, j - j0, k - k0, l - l0): c
+                  for (i, j, k, l), c in p.terms.items()})
 
 
 def _gcd_core(p: Poly, q: Poly) -> Poly:

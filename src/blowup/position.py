@@ -10,19 +10,23 @@ fraction F/G in the local parameters:
 
 An undetermined position always resolves in the first neighborhood: the
 children where f stays non-unit are cut out by the lowest-degree forms of
-F and G.  `directions` is the one reader of those forms: it lists the
-rational directions in which a lowest form vanishes and flags an
-irrational one, for `resolve`, `locate` and the curve branches of
-`valuations`.  A zero, a unit or a pole stays one at every point below, so
-`settle` reads a path's class at its first decided point.  `resolve`
-chases the undetermined ones to the finite sets of minimal zero and pole
-points, `locate` uses the same descent to find the point presented by a
-candidate parameter pair, and `position_parametric` classifies elements
-carrying the scalar parameter a for every value at once.
+F and G.  `directions` lists the rational directions in which a lowest
+form vanishes and flags an irrational one, for `resolve`, `locate` and
+the curve branches of `valuations`; `FirstNeighborhood` evaluates the
+forms of a concrete F/G in one direction, which gives the class of the
+child there with no chart step.  A zero, a unit or a pole stays one at
+every point below, so `settle` reads a path's class at its first decided
+point.  `resolve` chases the undetermined ones to the finite sets of
+minimal zero and pole points, `locate` uses the same descent to find the
+point presented by a candidate parameter pair, and both take a chart
+step only to a child where the search goes on.  `position_parametric`
+classifies elements carrying the scalar parameter a for every value at
+once.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -112,13 +116,32 @@ def lowest_form(p: Poly) -> List[Fraction]:
     polynomial sum c_j t^j, whose roots are the finite steps where it
     vanishes; it vanishes in the direction inf exactly when c_d = 0.
     """
-    order = p.xy_order()
-    coeffs: List[Fraction] = [0] * (order + 1)
+    return _dense(*_lowest(p))
+
+
+def _lowest(p: Poly) -> Tuple[Dict[int, Fraction], int]:
+    """The nonzero c_j of the lowest form of p and its order d, read in one
+    pass over the terms."""
+    form: Dict[int, Fraction] = {}
+    order, symbolic = -1, False
     for (i, j, a, t), c in p.terms.items():
-        if i + j == order:
-            if a or t:
-                raise ValueError("the lowest form carries the symbols a or t")
-            coeffs[j] = c
+        d = i + j
+        if d < order or order < 0:
+            form, order, symbolic = {j: c}, d, bool(a or t)
+        elif d == order:
+            form[j] = c
+            symbolic = symbolic or bool(a or t)
+    if order < 0:
+        raise ValueError("order of zero undefined")
+    if symbolic:
+        raise ValueError("the lowest form carries the symbols a or t")
+    return form, order
+
+
+def _dense(form: Dict[int, Fraction], order: int) -> List[Fraction]:
+    coeffs: List[Fraction] = [0] * (order + 1)
+    for j, c in form.items():
+        coeffs[j] = c
     return coeffs
 
 
@@ -127,22 +150,78 @@ def directions(p: Poly) -> Tuple[Tuple[Step, ...], bool]:
     finite steps in increasing order and then inf, and whether an
     irrational direction is left: the children that the strict transform
     of p passes through (Fulton, *Algebraic Curves*, ch. 7)."""
-    coeffs = lowest_form(p)
+    return _form_directions(lowest_form(p))
+
+
+def _form_directions(coeffs: List[Fraction]) -> Tuple[Tuple[Step, ...], bool]:
     roots, irrational = root_pass(coeffs, T)
     return tuple(roots) + (() if coeffs[-1] else (INF,)), irrational
 
 
+class FirstNeighborhood:
+    """The first neighborhood of a point as a concrete chart N/D there sees
+    it: the orders d and e and the lowest forms N_d and D_e, read once for
+    the candidate steps, the order gap and the class of every child.
+
+    One step s down, the images of N and D share the factor x^min(d, e)
+    and no other (`express_step`).  What is left of N has the constant term
+    N_d(1, s), or for inf the coefficient of y^d (`transform_step`).  So N
+    keeps vanishing at the child iff d > min(d, e) or N_d vanishes at s,
+    and D likewise (Fulton, *Algebraic Curves*, ch. 3 and 7).  `child`
+    looks s up among the forms' rational roots once `steps` has listed
+    them, and otherwise evaluates the forms at s: no chart step, and no
+    root search that `steps` has not run.
+    """
+
+    __slots__ = ("num_order", "den_order", "_num_form", "_den_form", "_roots")
+
+    def __init__(self, chart: RatFunc):
+        self._num_form, self.num_order = _lowest(chart.num)
+        self._den_form, self.den_order = _lowest(chart.den)
+        self._roots: Optional[Tuple[set, set]] = None
+
+    def steps(self) -> Tuple[Tuple[Step, ...], bool]:
+        """The directions in which N/D can stay non-unit: those of N and of
+        D, in order, and whether an irrational one is left."""
+        num_steps, num_irrational = _form_directions(_dense(self._num_form, self.num_order))
+        den_steps, den_irrational = _form_directions(_dense(self._den_form, self.den_order))
+        self._roots = set(num_steps), set(den_steps)
+        steps = sorted(self._roots[0].union(den_steps), key=_inf_last)
+        return tuple(steps), num_irrational or den_irrational
+
+    def child(self, step: Step) -> Position:
+        """The class of the chart at the child reached by `step`."""
+        drop = min(self.num_order, self.den_order)
+        if self._roots:
+            num_roots, den_roots = self._roots
+            num = self.num_order > drop or step in num_roots
+            den = self.den_order > drop or step in den_roots
+        else:
+            num = self.num_order > drop or _form_vanishes(self._num_form, drop, step)
+            den = self.den_order > drop or _form_vanishes(self._den_form, drop, step)
+        if den:
+            return Position.UNDETERMINED if num else Position.POLE
+        return Position.ZERO if num else Position.UNIT
+
+
+def _form_vanishes(form: Dict[int, Fraction], order: int, step: Step) -> bool:
+    """Whether sum c_j x^(order-j) y^j vanishes in the direction `step`."""
+    if step is INF:
+        return order not in form
+    if not step:
+        return 0 not in form
+    # a monomial form vanishes at 0 and inf only
+    if len(form) == 1:
+        return False
+    # for step = r/q the value times q^order, over the integers
+    r, q = step.numerator, step.denominator
+    scale = math.lcm(*[c.denominator for c in form.values()])
+    return not sum(c.numerator * (scale // c.denominator) * r ** j * q ** (order - j)
+                   for j, c in form.items())
+
+
 def _inf_last(step: Step) -> Tuple[bool, Fraction]:
     return (True, 0) if step is INF else (False, step)
-
-
-def _candidate_steps(expressed: RatFunc) -> Tuple[Tuple[Step, ...], bool]:
-    """The directions in which F/G can stay non-unit: those of F and of G,
-    in order, and whether an irrational one is left."""
-    num_steps, num_irrational = directions(expressed.num)
-    den_steps, den_irrational = directions(expressed.den)
-    steps = sorted(set(num_steps).union(den_steps), key=_inf_last)
-    return tuple(steps), num_irrational or den_irrational
 
 
 # -- resolve -----------------------------------------------------------------
@@ -178,13 +257,13 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
     diagnostics: List[str] = []
     open_points: List[Point] = []
     depth_used = root.level
-    # each child's chart is one step from its parent's, so the queue
-    # carries the expressed form down instead of re-folding the path
-    queue = deque([(root, root.express(f))])
+    # each child's class is read off its parent's lowest forms, and only an
+    # undetermined child's chart is taken, one step from its parent's
+    expressed = root.express(f)
+    queue = deque([(root, classify_expressed(expressed), expressed)])
     while queue:
-        point, expressed = queue.popleft()
+        point, pos, expressed = queue.popleft()
         depth_used = max(depth_used, point.level)
-        pos = classify_expressed(expressed)
         if pos is Position.ZERO:
             zeros.append(point)
             continue
@@ -193,8 +272,9 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
             continue
         if pos is Position.UNIT:
             continue
-        steps, irrational = _candidate_steps(expressed)
-        gap = expressed.num.xy_order() - expressed.den.xy_order()
+        near = FirstNeighborhood(expressed)
+        steps, irrational = near.steps()
+        gap = near.num_order - near.den_order
         if gap:
             side = "vanishes" if gap > 0 else "has a pole"
             raise ResolveError(
@@ -209,7 +289,9 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
             open_points.append(point)
             continue
         for s in steps:
-            queue.append((point.child(s), express_step(expressed, s)))
+            pos = near.child(s)
+            queue.append((point.child(s), pos, express_step(expressed, s)
+                          if pos is Position.UNDETERMINED else None))
     if open_points:
         raise DepthCapError(
             f"resolution of {f} still undetermined at depth {max_depth} "
@@ -221,6 +303,9 @@ def resolve(f: RatFunc, max_depth: int = 16, start: Optional[Point] = None) -> R
 
 # Deepest level `locate` searches before it reports its open points.
 LOCATE_DEPTH = 24
+
+# A branch of the search dies where either element is a unit or a pole.
+_DEAD = (Position.UNIT, Position.POLE)
 
 
 def locate(f: RatFunc, g: RatFunc) -> Point:
@@ -239,31 +324,31 @@ def locate(f: RatFunc, g: RatFunc) -> Point:
             raise InputError("the zero element is never a parameter")
     matches: List[Point] = []
     open_points: List[Point] = []
-    queue = deque([(Point.root(), f, g)])
+    # each child's classes are read off its parent's lowest forms, and only
+    # a child where neither element is dead takes its chart step
+    queue = deque([(Point.root(), f, g, classify_expressed(f), classify_expressed(g))])
     while queue:
-        point, ef, eg = queue.popleft()
-        pf = classify_expressed(ef)
-        pg = classify_expressed(eg)
-        if pf in (Position.UNIT, Position.POLE) or pg in (Position.UNIT, Position.POLE):
+        point, ef, eg, pf, pg = queue.popleft()
+        if pf in _DEAD or pg in _DEAD:
             continue
         if pf is Position.ZERO and pg is Position.ZERO:
             if _is_parameter_pair(ef, eg):
                 matches.append(point)
             continue
+        near_f, near_g = FirstNeighborhood(ef), FirstNeighborhood(eg)
         # an element already vanishing to order two or more never recovers:
         # its order can only grow down the tree
-        if pf is Position.ZERO and ef.num.xy_order() >= 2:
-            continue
-        if pg is Position.ZERO and eg.num.xy_order() >= 2:
+        if (pf is Position.ZERO and near_f.num_order >= 2
+                or pg is Position.ZERO and near_g.num_order >= 2):
             continue
         binding: List[set] = []
         soft: List[set] = []
-        for pos, expressed in ((pf, ef), (pg, eg)):
+        for pos, near in ((pf, near_f), (pg, near_g)):
             if pos is Position.UNDETERMINED:
                 # an element whose numerator has the higher order vanishes
                 # in every direction, so its listed steps bound nothing
-                bound = expressed.num.xy_order() <= expressed.den.xy_order()
-                (binding if bound else soft).append(set(_candidate_steps(expressed)[0]))
+                bound = near.num_order <= near.den_order
+                (binding if bound else soft).append(set(near.steps()[0]))
         steps = set.intersection(*binding) if binding else set().union(*soft)
         if not steps:
             continue
@@ -271,7 +356,9 @@ def locate(f: RatFunc, g: RatFunc) -> Point:
             open_points.append(point)
             continue
         for s in sorted(steps, key=_inf_last):
-            queue.append((point.child(s), express_step(ef, s), express_step(eg, s)))
+            cf, cg = near_f.child(s), near_g.child(s)
+            if cf not in _DEAD and cg not in _DEAD:
+                queue.append((point.child(s), express_step(ef, s), express_step(eg, s), cf, cg))
     if len(matches) == 1:
         return matches[0]
     if len(matches) > 1:

@@ -369,7 +369,8 @@ def branch_step(strict: Poly) -> Step:
     if len(steps) == 1 and not irrational:
         return steps[0]
     if not steps:
-        raise BranchError("the branch continues in a non-rational direction")
+        # an irrational tangent comes with its conjugates over Q
+        raise BranchError("the curve has several branches here, all in irrational directions")
     raise BranchError(
         "the curve has several branches here; directions " +
         ", ".join(format_step(s) for s in steps) +

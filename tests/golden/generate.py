@@ -32,7 +32,9 @@ number and the zero curve under `strict` among them, and steps of more
 digits than Python reads into an int.  A curve with one rational and two
 irrational tangents is refused by `limits` and `member`, an element
 refused for trailing input is echoed whole when short and cut when long,
-and so are malformed family values of thousands of characters.
+and so are malformed family values of thousands of characters.  A
+sibling member where a monomial of degree 3,524,578 is a pole is found
+without the chart step to it, which would pass the budget.
 
 Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
@@ -233,6 +235,10 @@ LONG_VALUES = {
     "long-valuation": {"kind": "chain", "from": 1, "valuation": [1] * 3000},
     "long-map": {"kind": "fiber", "base": [], "map": [1] * 3000},
 }
+# A monomial seen across a unit direction: along [] + [0] the member at
+# level 1 is a pole of it, read off the lowest forms, where a chart step to
+# the member would form 1,346,271 products, over the chart budget.
+SIBLING_MONOMIAL = "x^2178309/y^1346269"
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -335,6 +341,8 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield ["prox", "--point", path], {}
     for name, part in LONG_VALUES.items():
         yield ["limits", "--family", f"{name}.json"], {f"{name}.json": json.dumps([part])}
+    yield (["member", "--elt", SIBLING_MONOMIAL, "--family", "deep-siblings.json"],
+           {"deep-siblings.json": json.dumps([DEEP_SIBLINGS])})
 
 
 @contextlib.contextmanager

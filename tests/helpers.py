@@ -17,6 +17,8 @@ from fractions import Fraction
 from functools import reduce
 from typing import List, Optional, Tuple
 
+import pytest
+
 from blowup import oracle, tree
 from blowup.errors import ComputationError, DepthCapError, InputError, ResolveError
 from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _constant_bits,
@@ -26,8 +28,8 @@ from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
                              family_parts, q1_downset_count)
 from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd,
                          rational_roots, sylvester_resultant)
-from blowup.position import (ParametricPosition, Position, Resolution, _a_collapse_roots,
-                             _candidate_steps, classify_expressed, position)
+from blowup.position import (FirstNeighborhood, ParametricPosition, Position, Resolution,
+                             _a_collapse_roots, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
 from blowup.valuations import (MinimalCurveBranch, SecondKind, _integer_weights,
                                monomial_path)
@@ -274,13 +276,29 @@ def reference_express(steps, f: RatFunc) -> RatFunc:
 
     The root coordinates x, y are written in that chart by folding
     `transform_step` over the steps, substituted into f, and the quotient
-    is reduced by `poly_gcd` and the reference division.  The steps may
+    is reduced by `sympy_gcd` and the reference division.  The steps may
     include the symbolic step `TSYM`.
     """
     down_x, down_y = Poly.variable(X), Poly.variable(Y)
     for step in steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
-    return reduced(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y), poly_gcd)
+    return reduced(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y), sympy_gcd)
+
+
+def sympy_gcd(p: Poly, q: Poly) -> Poly:
+    """A gcd of two nonzero Polys by sympy over Q: a route that shares no
+    code with `poly_gcd`, and settles the coprime pairs of x, y, a and t
+    that the subresultant sequence takes seconds over in milliseconds."""
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols("x y a t")
+
+    def to_sympy(r: Poly):
+        return sympy.Poly.from_dict(
+            {e: sympy.Rational(c.numerator, c.denominator) for e, c in r.terms.items()},
+            *gens, domain=sympy.QQ)
+
+    g = sympy.gcd(to_sympy(p), to_sympy(q))
+    return Poly({e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
 
 
 def reference_monomial_valuation(a, b) -> SecondKind:
@@ -496,10 +514,10 @@ def _lowest_slice(p: Poly) -> Poly:
 
 
 def reference_candidate_steps(expressed: RatFunc) -> Tuple[tuple, bool]:
-    """`_candidate_steps` the slow canonical way: each lowest form becomes a
-    polynomial in t by substitution (x -> 1, y -> t), its roots come from
-    the Fraction divisor search, and a second search decides whether an
-    irrational factor remains."""
+    """`FirstNeighborhood.steps` the slow canonical way: each lowest form
+    becomes a polynomial in t by substitution (x -> 1, y -> t), its roots
+    come from the Fraction divisor search, and a second search decides
+    whether an irrational factor remains."""
     steps: set = set()
     irrational = False
     lowests = (_lowest_slice(expressed.num), _lowest_slice(expressed.den))
@@ -573,7 +591,7 @@ def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
             poles.append(point)
         if pos is not Position.UNDETERMINED:
             continue
-        steps, irrational = _candidate_steps(expressed)
+        steps, irrational = FirstNeighborhood(expressed).steps()
         gap = expressed.num.xy_order() - expressed.den.xy_order()
         if gap:
             side = "vanishes" if gap > 0 else "has a pole"

@@ -93,10 +93,12 @@ def _callers(name: str):
 
 
 def test_lowest_forms_are_read_in_one_place():
-    # resolve, locate and curve branches all take their directions from
-    # position.directions; a second reader would drift from it
+    # resolve, locate and curve branches all take their directions from one
+    # root pass over a lowest form, `position.directions` or a chart's
+    # `FirstNeighborhood.steps`; a second reader would drift from it
     assert {module for module, _ in _callers("lowest_form")} == {"position"}
-    assert {c for c in _callers("root_pass") if c[0] != "poly"} == {("position", "directions")}
+    assert {c for c in _callers("root_pass") if c[0] != "poly"} == \
+        {("position", "_form_directions")}
 
 
 # Public names that nothing in the package references, kept on purpose.

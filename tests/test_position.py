@@ -11,10 +11,11 @@ from blowup.errors import (BranchError, ComputationError, DepthCapError, InputEr
 from blowup.expr import INF, parse_element, parse_path
 from blowup.poly import Poly, RatFunc, X, Y
 from blowup.position import (
+    FirstNeighborhood,
     ParametricPosition,
     Position,
-    _candidate_steps,
     a_candidates,
+    classify_expressed,
     directions,
     locate,
     position,
@@ -23,7 +24,7 @@ from blowup.position import (
     settle,
 )
 from blowup.oracle import in_point
-from blowup.tree import Point
+from blowup.tree import Point, express_step
 from blowup.valuations import SecondKind, branch_step
 
 from helpers import (count_charges, params, reference_candidate_steps,
@@ -307,7 +308,7 @@ def _steps_outcome(candidate_steps, f):
 @settings(max_examples=100, deadline=None)
 def test_candidate_steps_match_substitution_and_divisor_search(num, den):
     f = RatFunc(num, den)
-    assert _steps_outcome(_candidate_steps, f) == \
+    assert _steps_outcome(lambda g: FirstNeighborhood(g).steps(), f) == \
         _steps_outcome(reference_candidate_steps, f)
 
 
@@ -386,6 +387,45 @@ def test_locate_order_insensitive():
 def test_locate_finds_the_point_of_its_parameters(steps):
     point = Point.from_path(steps)
     assert locate(*params(point)) == point
+
+
+def test_searches_take_chart_steps_only_where_they_go_on(monkeypatch):
+    # the parameters of a point of depth 11, as the deep-charts workload
+    # builds them: one step per element a level, 44 when the children
+    # where an element is a unit or a pole took their steps too
+    point = P("[1, -1, 2, -2, 1, 2, -1, -2, 1, -1, 2]")
+    pair = params(point)
+    calls = count_charges(monkeypatch)
+    assert locate(*pair) == point
+    assert len(calls) == 22
+    # a curve y = p(x) and one leaving it at order 10: one step per
+    # undetermined point below the root, 11 when the zero and the pole
+    # took theirs
+    p = "x - x^2 + 2*x^3 - 2*x^4 + 3*x^5 + x^6 - x^7 + 2*x^8 - 2*x^9"
+    calls.clear()
+    found = resolve(E(f"(y - ({p}))/(y - ({p}) - 3*x^10)"))
+    assert paths(found.zeros) == {P("[1, -1, 2, -2, 3, 1, -1, 2, -2, 0]").steps}
+    assert paths(found.poles) == {P("[1, -1, 2, -2, 3, 1, -1, 2, -2, 3]").steps}
+    assert found.depth_used == 10
+    assert len(calls) == 9
+
+
+@given(chart_polys(), chart_polys(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_first_neighborhood_matches_the_chart_step(num, den, data):
+    chart = RatFunc(num, den)
+    tangents = [s for p in (chart.num, chart.den) for s in sympy_directions(p)[0]]
+    step = data.draw(st.one_of(st.sampled_from([Fraction(0), INF, *tangents]),
+                               small_rationals), label="step")
+    near = FirstNeighborhood(chart)
+    # the class is looked up among the listed roots once `steps` has run,
+    # and read off the forms' values before
+    if data.draw(st.booleans(), label="steps listed"):
+        try:
+            near.steps()
+        except ComputationError:
+            pass
+    assert near.child(step) is classify_expressed(express_step(chart, step))
 
 
 def test_locate_rejects_non_pairs():
