@@ -11,17 +11,17 @@ fraction F/G in the local parameters:
 An undetermined position always resolves in the first neighborhood: the
 children where f stays non-unit are cut out by the lowest-degree forms of
 F and G.  `directions` lists the rational directions in which a lowest
-form vanishes and flags an irrational one, for `resolve`, `locate` and
-the curve branches of `valuations`; `FirstNeighborhood` evaluates the
-forms of a concrete F/G in one direction, which gives the class of the
-child there with no chart step.  A zero, a unit or a pole stays one at
-every point below, so `settle` reads a path's class at its first decided
-point.  `resolve` chases the undetermined ones to the finite sets of
-minimal zero and pole points, `locate` uses the same descent to find the
-point presented by a candidate parameter pair, and both take a chart
-step only to a child where the search goes on.  `position_parametric`
-classifies elements carrying the scalar parameter a for every value at
-once.
+form vanishes and flags an irrational one, for the curve branches of
+`valuations`.  `FirstNeighborhood` reads both forms of a concrete F/G
+once: it lists their directions the same way for `resolve` and
+`locate`, and gives the class of the child in any direction with no
+chart step.  A zero, a unit or a pole stays one at every point below, so
+`settle` reads a path's class at its first decided point.  `resolve`
+chases the undetermined ones to the finite sets of minimal zero and pole
+points, `locate` uses the same descent to find the point presented by a
+candidate parameter pair, and both take a chart step only to a child
+where the search goes on.  `position_parametric` classifies elements
+carrying the scalar parameter a for every value at once.
 """
 
 from __future__ import annotations
