@@ -666,9 +666,10 @@ def rational_roots(p: Poly, slot: int) -> List[Fraction]:
 
 
 def root_pass(coeffs: Sequence[Fraction], slot: int) -> Tuple[List[Fraction], bool]:
-    """Rational roots of sum coeffs[k] s^k (s the variable of `slot`), sorted
-    without repeats, and whether a factor of positive degree is left once
-    every rational root is divided out with its multiplicity.
+    """Rational roots of sum coeffs[k] s^k (s the variable of `slot`, the
+    coefficients fractions or integers), sorted without repeats, and
+    whether a factor of positive degree is left once every rational root is
+    divided out with its multiplicity.
 
     A polynomial that is linear after the root 0 is split off is solved in
     closed form.  Otherwise the search runs on the primitive integer
@@ -691,7 +692,7 @@ def root_pass(coeffs: Sequence[Fraction], slot: int) -> Tuple[List[Fraction], bo
     if high - low == 1:
         return roots, False
     if high - low == 2:
-        roots.append(-coeffs[low] / coeffs[low + 1])
+        roots.append(Fraction(-coeffs[low], coeffs[low + 1]))
         return sorted(roots), False
     window = coeffs[low:high]
     scale = math.lcm(*(c.denominator for c in window))

@@ -43,6 +43,7 @@ from .poly import (
     T,
     X,
     Y,
+    _homogeneous_value,
     poly_gcd,
     rational_roots,
     root_pass,
@@ -168,56 +169,49 @@ class FirstNeighborhood:
     N_d(1, s), or for inf the coefficient of y^d (`transform_step`).  So N
     keeps vanishing at the child iff d > min(d, e) or N_d vanishes at s,
     and D likewise (Fulton, *Algebraic Curves*, ch. 3 and 7).  `child`
-    looks s up among the forms' rational roots once `steps` has listed
-    them, and otherwise evaluates the forms at s: no chart step, and no
-    root search that `steps` has not run.
+    evaluates the forms at s over the integers: no chart step, and no root
+    search.
     """
 
-    __slots__ = ("num_order", "den_order", "_num_form", "_den_form", "_roots")
+    __slots__ = ("num_order", "den_order", "_num_form", "_den_form")
 
     def __init__(self, chart: RatFunc):
-        self._num_form, self.num_order = _lowest(chart.num)
-        self._den_form, self.den_order = _lowest(chart.den)
-        self._roots: Optional[Tuple[set, set]] = None
+        self._num_form, self.num_order = _integer_form(chart.num)
+        self._den_form, self.den_order = _integer_form(chart.den)
 
     def steps(self) -> Tuple[Tuple[Step, ...], bool]:
         """The directions in which N/D can stay non-unit: those of N and of
         D, in order, and whether an irrational one is left."""
-        num_steps, num_irrational = _form_directions(_dense(self._num_form, self.num_order))
-        den_steps, den_irrational = _form_directions(_dense(self._den_form, self.den_order))
-        self._roots = set(num_steps), set(den_steps)
-        steps = sorted(self._roots[0].union(den_steps), key=_inf_last)
+        num_steps, num_irrational = _form_directions(self._num_form)
+        den_steps, den_irrational = _form_directions(self._den_form)
+        steps = sorted(set(num_steps).union(den_steps), key=_inf_last)
         return tuple(steps), num_irrational or den_irrational
 
     def child(self, step: Step) -> Position:
         """The class of the chart at the child reached by `step`."""
         drop = min(self.num_order, self.den_order)
-        if self._roots:
-            num_roots, den_roots = self._roots
-            num = self.num_order > drop or step in num_roots
-            den = self.den_order > drop or step in den_roots
-        else:
-            num = self.num_order > drop or _form_vanishes(self._num_form, drop, step)
-            den = self.den_order > drop or _form_vanishes(self._den_form, drop, step)
+        num = self.num_order > drop or _form_vanishes(self._num_form, step)
+        den = self.den_order > drop or _form_vanishes(self._den_form, step)
         if den:
             return Position.UNDETERMINED if num else Position.POLE
         return Position.ZERO if num else Position.UNIT
 
 
-def _form_vanishes(form: Dict[int, Fraction], order: int, step: Step) -> bool:
-    """Whether sum c_j x^(order-j) y^j vanishes in the direction `step`."""
-    if step is INF:
-        return order not in form
-    if not step:
-        return 0 not in form
-    # a monomial form vanishes at 0 and inf only
-    if len(form) == 1:
-        return False
-    # for step = r/q the value times q^order, over the integers
-    r, q = step.numerator, step.denominator
+def _integer_form(p: Poly) -> Tuple[List[int], int]:
+    """The lowest form of p times the lcm of its denominators, and its order."""
+    form, order = _lowest(p)
     scale = math.lcm(*[c.denominator for c in form.values()])
-    return not sum(c.numerator * (scale // c.denominator) * r ** j * q ** (order - j)
-                   for j, c in form.items())
+    coeffs = [0] * (order + 1)
+    for j, c in form.items():
+        coeffs[j] = c.numerator * (scale // c.denominator)
+    return coeffs, order
+
+
+def _form_vanishes(coeffs: List[int], step: Step) -> bool:
+    """Whether sum c_j x^(d-j) y^j vanishes in the direction `step`."""
+    if step is INF:
+        return not coeffs[-1]
+    return not _homogeneous_value(coeffs, step.numerator, step.denominator)
 
 
 def _inf_last(step: Step) -> Tuple[bool, Fraction]:
