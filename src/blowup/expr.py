@@ -26,12 +26,12 @@ import re
 from fractions import Fraction
 from itertools import chain
 from math import comb, gcd
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import InputError
 from .poly import (NVARS, _ZERO_EXP, A, Poly, RatFunc, X, Y, _grlex_key, _IntTerms, _pair,
                    _pair_product, _pair_sum, _plus, _Quotient, _quotient, _raised, _ratfunc,
-                   _split_gcd, _times)
+                   _slots, _split_gcd, _times)
 
 
 class ExprSyntaxError(InputError):
@@ -171,11 +171,6 @@ def _number_bits(f: RatFunc) -> int:
 # takes half a minute.  Powers, products and sums whose numerator or
 # denominator may exceed this many terms are refused unexpanded.
 MAX_POWER_TERMS = 500
-
-
-def _slots(terms: Mapping) -> Set[int]:
-    """The slots that occur in a term map."""
-    return {i for i, column in enumerate(zip(*terms)) if any(column)}
 
 
 def _degree(terms: Mapping) -> int:

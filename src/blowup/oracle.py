@@ -438,7 +438,7 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
                     return str(beta)
     raise DepthCapError(
         f"the strict transform of {h} is still on the path of "
-        f"{part.describe()} after {WALK_CAP} steps")
+        f"{part.describe()} after {WALK_CAP} steps", open_points=[path.point_at(WALK_CAP)])
 
 
 def _fiber_competitor(valuation: FirstKind, fiber: Fiber,

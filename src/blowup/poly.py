@@ -22,7 +22,9 @@ and power kernels behind the `Poly` operators, and the reduced-pair
 arithmetic on integer term maps that both the element reader
 (`blowup.expr`) and the `RatFunc` operators run.  Exact division is one
 loop over Z, `_divide`, and fractions are reduced in one place,
-`_split_gcd`, which the `RatFunc` constructor runs too.
+`_split_gcd`, which the `RatFunc` constructor runs too.  The gcd, `_gcd`,
+runs on integer term maps as well, with every exact division by
+`_divide`; `poly_gcd` scales two `Poly`s to such maps and back.
 """
 
 from __future__ import annotations
@@ -30,18 +32,20 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ComputationError
 
 Exponents = Tuple[int, int, int, int]
 Terms = Dict[Exponents, Fraction]
+_IntTerms = Dict[Exponents, int]
 
 NVARS = 4
 X, Y, A, T = 0, 1, 2, 3
 VAR_NAMES = ("x", "y", "a", "t")
 
 _ZERO_EXP: Exponents = (0, 0, 0, 0)
+_UNIT: _IntTerms = {_ZERO_EXP: 1}
 
 
 def _grlex_key(exps: Exponents) -> Tuple[int, Exponents]:
@@ -127,12 +131,6 @@ class Poly:
         return Poly({_ZERO_EXP: value}) if value else Poly()
 
     @staticmethod
-    def variable(slot: int) -> "Poly":
-        exps = [0, 0, 0, 0]
-        exps[slot] = 1
-        return Poly({tuple(exps): Fraction(1)})
-
-    @staticmethod
     def monomial(exps: Exponents, coeff=1) -> "Poly":
         return Poly({tuple(exps): Fraction(coeff)})
 
@@ -152,14 +150,6 @@ class Poly:
 
     def has_slot(self, slot: int) -> bool:
         return any(e[slot] for e in self.terms)
-
-    def slots_present(self) -> Tuple[int, ...]:
-        present = [False] * NVARS
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e:
-                    present[i] = True
-        return tuple(i for i in range(NVARS) if present[i])
 
     def degree(self, slot: int) -> int:
         """Largest exponent of the given slot; -1 for the zero polynomial."""
@@ -380,67 +370,74 @@ def format_poly(p: Poly) -> str:
 
 # -- gcd --------------------------------------------------------------------
 
+# The gcd runs on int term maps, like the reduced-pair arithmetic below, and
+# its results are primitive over Z.  A pseudo-remainder sequence over Z has
+# every division exact (Brown and Traub, 1971; Knuth, TAOCP vol. 2, 4.6.1),
+# so `_divide` does each one and no fraction is formed.
+
 
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Greatest common divisor, normalized to leading coefficient 1.
-
-    Monomial content is stripped first.  The remaining core picks a main
-    variable; one modular image settles most coprime pairs there, and the
-    rest runs recursive content / primitive-part reduction with a
-    subresultant polynomial remainder sequence.
-    """
+    """Greatest common divisor, normalized to leading coefficient 1: `_gcd`
+    of p and q scaled to integers."""
     if p.is_zero and q.is_zero:
         raise ValueError("gcd of two zero polynomials undefined")
     if p.is_zero:
         return q.normalized()
     if q.is_zero:
         return p.normalized()
-    mp = p.monomial_content()
-    mq = q.monomial_content()
-    common = tuple(min(a, b) for a, b in zip(mp, mq))
-    core = _gcd_core(_shifted(p, mp), _shifted(q, mq))
-    result = core * Poly.monomial(common)
-    return result.normalized()
+    g = _gcd(*_integer_terms(p, q))
+    return _poly({exps: Fraction(c) for exps, c in g.items()}).normalized()
 
 
-def _shifted(p: Poly, m: Exponents) -> Poly:
-    """p over the monomial of exponents m, which divides it: every
-    exponent moves down and no coefficient changes."""
-    if not any(m):
-        return p
-    i0, j0, k0, l0 = m
-    return _poly({(i - i0, j - j0, k - k0, l - l0): c
-                  for (i, j, k, l), c in p.terms.items()})
+def coefficient_gcd(polys: Iterable[Poly]) -> Poly:
+    """The gcd of nonempty polys, stopping at the first constant."""
+    acc: Optional[Poly] = None
+    for p in polys:
+        acc = p if acc is None else poly_gcd(acc, p)
+        if acc.is_constant:
+            break
+    assert acc is not None
+    return acc
 
 
-def _gcd_core(p: Poly, q: Poly) -> Poly:
-    if p.is_constant or q.is_constant:
-        return Poly.const(1)
-    if p == q:
-        return p.normalized()
-    slots_p = set(p.slots_present())
-    slots_q = set(q.slots_present())
-    shared = slots_p & slots_q
+def _gcd(p: _IntTerms, q: _IntTerms) -> _IntTerms:
+    """A gcd of two nonzero int term maps, primitive over Z.
+
+    When one is a constant or a monomial it is the monomial their exponents
+    share.  Otherwise each loses its monomial content, and unless what is
+    left is equal, `_gcd_core` runs on it."""
+    if len(p) == 1 or len(q) == 1:
+        return {tuple(map(min, *p, *q)): 1}
+    mp, mq = tuple(map(min, *p)), tuple(map(min, *q))
+    p, q = _divide(p, {mp: 1}), _divide(q, {mq: 1})
+    core = _scaled(p, math.gcd(*p.values())) if p == q else _gcd_core(p, q)
+    return _times(core, {tuple(map(min, mp, mq)): 1})
+
+
+def _gcd_core(p: _IntTerms, q: _IntTerms) -> _IntTerms:
+    """The gcd of two unequal int term maps that no monomial divides.
+
+    It picks a main slot; one modular image settles most coprime pairs
+    there, and the rest runs recursive content / primitive-part reduction
+    with a subresultant remainder sequence."""
+    shared = _slots(p) & _slots(q)
     if not shared:
-        return Poly.const(1)
+        return _UNIT
     # Main variable: a shared slot of smallest combined degree keeps the
     # remainder sequences short.
-    main = min(shared, key=lambda s: p.degree(s) + q.degree(s))
+    main = min(shared, key=lambda s: _slot_degree(p, s) + _slot_degree(q, s))
+    cont_p = _content(p, main)
     if _image_coprime(p, q, main):
         # the gcd has degree 0 in the main slot, so it divides both contents
-        cont_p = _content(p, main)
-        if cont_p.is_constant:
-            return cont_p
+        if cont_p == _UNIT:
+            return _UNIT
         cont_q = _content(q, main)
-        return cont_q if cont_q.is_constant else poly_gcd(cont_p, cont_q)
-    cont_p, pp_p = _content_pp(p, main)
-    cont_q, pp_q = _content_pp(q, main)
-    cont = poly_gcd(cont_p, cont_q) if not (cont_p.is_constant and cont_q.is_constant) \
-        else Poly.const(1)
-    if pp_p.degree(main) < pp_q.degree(main):
+        return _UNIT if cont_q == _UNIT else _gcd(cont_p, cont_q)
+    cont_q = _content(q, main)
+    pp_p, pp_q = _divide(p, cont_p), _divide(q, cont_q)
+    if _slot_degree(pp_p, main) < _slot_degree(pp_q, main):
         pp_p, pp_q = pp_q, pp_p
-    core = _subresultant_gcd(pp_p, pp_q, main)
-    return (cont * core).normalized()
+    return _times(_gcd(cont_p, cont_q), _subresultant_gcd(pp_p, pp_q, main))
 
 
 # The image that proves two polynomials coprime in their main slot: the
@@ -450,22 +447,20 @@ _IMAGE_PRIME = 2 ** 31 - 1
 _IMAGE_POINTS = (3, 5, 7, 11)
 
 
-def _image_coprime(p: Poly, q: Poly, main: int) -> bool:
+def _image_coprime(p: _IntTerms, q: _IntTerms, main: int) -> bool:
     """Whether one modular image proves deg_main gcd(p, q) = 0.
 
-    Scaled to primitive integer polynomials, a common factor G of p and q
-    maps to a common factor of their images.  When the image keeps p's or
-    q's leading coefficient in the main slot, it keeps G's, so a unit image
-    gcd leaves G no degree in that slot (Brown, 1971).  An unlucky image
-    (a lost leading coefficient, a denominator the prime divides, or a
-    spurious common factor) proves nothing, and the caller runs the
-    remainder sequence.
+    A common factor G of the int term maps p and q, primitive over Z,
+    divides both over Z and maps to a common factor of their images.  When
+    the image keeps p's or q's leading coefficient in the main slot, it
+    keeps G's, so a unit image gcd leaves G no degree in that slot (Brown,
+    1971).  An unlucky image (a lost leading coefficient or a spurious
+    common factor) proves nothing, and the caller runs the remainder
+    sequence.
     """
     fp = _image(p, main)
     fq = _image(q, main)
-    if fp is None or fq is None:
-        return False
-    if len(fp) <= p.degree(main) and len(fq) <= q.degree(main):
+    if len(fp) <= _slot_degree(p, main) and len(fq) <= _slot_degree(q, main):
         return False
     while fq:
         # fp <- fp mod fq, over the integers modulo the prime
@@ -482,17 +477,11 @@ def _image_coprime(p: Poly, q: Poly, main: int) -> bool:
     return len(fp) == 1
 
 
-def _image(p: Poly, main: int) -> Optional[List[int]]:
+def _image(p: _IntTerms, main: int) -> List[int]:
     """p modulo `_IMAGE_PRIME` as dense coefficients in the main slot, the
-    other slots at `_IMAGE_POINTS`, without leading zeros; None when the
-    prime divides a coefficient's denominator."""
-    coeffs = [0] * (p.degree(main) + 1)
-    for exps, coeff in p.terms.items():
-        value = coeff.numerator
-        if coeff.denominator != 1:
-            if not coeff.denominator % _IMAGE_PRIME:
-                return None
-            value *= pow(coeff.denominator, -1, _IMAGE_PRIME)
+    other slots at `_IMAGE_POINTS`, without leading zeros."""
+    coeffs = [0] * (_slot_degree(p, main) + 1)
+    for exps, value in p.items():
         for slot, e in enumerate(exps):
             if e and slot != main:
                 value *= pow(_IMAGE_POINTS[slot], e, _IMAGE_PRIME)
@@ -503,77 +492,72 @@ def _image(p: Poly, main: int) -> Optional[List[int]]:
     return coeffs
 
 
-def coefficient_gcd(polys: Iterable[Poly]) -> Poly:
-    """The gcd of nonempty polys, stopping at the first constant."""
-    acc: Optional[Poly] = None
-    for p in polys:
-        acc = p if acc is None else poly_gcd(acc, p)
-        if acc.is_constant:
-            break
-    assert acc is not None
+def _slots(terms: Mapping) -> Set[int]:
+    """The slots that occur in a term map."""
+    return {i for i, column in enumerate(zip(*terms)) if any(column)}
+
+
+def _slot_degree(p: _IntTerms, slot: int) -> int:
+    """The largest exponent of one slot in a nonzero term map."""
+    return max(exps[slot] for exps in p)
+
+
+def _slot_part(p: _IntTerms, slot: int, k: int, lift: int = 0) -> _IntTerms:
+    """The terms of p of degree k in one slot, with that degree set to lift:
+    p's coefficient of slot^k times slot^lift."""
+    return {exps[:slot] + (lift,) + exps[slot + 1:]: c
+            for exps, c in p.items() if exps[slot] == k}
+
+
+def _content(p: _IntTerms, slot: int) -> _IntTerms:
+    """The gcd of p's coefficients in one slot, `_UNIT` when it is a
+    constant.  The gcds run from the coefficient of fewest terms up and
+    stop at the first constant."""
+    parts: Dict[int, _IntTerms] = {}
+    for exps, c in p.items():
+        parts.setdefault(exps[slot], {})[exps[:slot] + (0,) + exps[slot + 1:]] = c
+    acc: Optional[_IntTerms] = None
+    for part in sorted(parts.values(), key=len):
+        acc = part if acc is None else _gcd(acc, part)
+        if len(acc) == 1 and _ZERO_EXP in acc:
+            return _UNIT
     return acc
 
 
-def _content(p: Poly, slot: int) -> Poly:
-    """Gcd of the coefficients of p in one slot, or 1 when it is constant."""
-    cont = coefficient_gcd(sorted(p.coeffs_in(slot).values(), key=lambda c: len(c.terms)))
-    return Poly.const(1) if cont.is_constant else cont
-
-
-def _content_pp(p: Poly, slot: int) -> Tuple[Poly, Poly]:
-    """Content (gcd of slot-coefficients) and primitive part."""
-    cont = _content(p, slot)
-    if cont.is_constant:
-        return cont, p
-    pp = p.divmod_exact(cont)
-    assert pp is not None
-    return cont, pp
-
-
-def _pseudo_rem(f: Poly, g: Poly, slot: int) -> Poly:
-    """Pseudo-remainder of f by g with respect to one slot."""
-    dg = g.degree(slot)
-    lc_g = g.coeffs_in(slot)[dg]
+def _pseudo_rem(f: _IntTerms, g: _IntTerms, slot: int) -> _IntTerms:
+    """The pseudo-remainder of f by g in one slot: lc(g)^(deg f - deg g + 1)
+    times f, modulo g."""
+    dg = _slot_degree(g, slot)
+    lc_g = _slot_part(g, slot, dg)
     rem = f
-    df = rem.degree(slot)
-    steps = df - dg + 1
-    while not rem.is_zero and rem.degree(slot) >= dg:
-        dr = rem.degree(slot)
-        lc_r = rem.coeffs_in(slot)[dr]
-        shift = Poly.variable(slot) ** (dr - dg)
-        rem = rem * lc_g - g * lc_r * shift
+    steps = _slot_degree(f, slot) - dg + 1
+    while rem and _slot_degree(rem, slot) >= dg:
+        dr = _slot_degree(rem, slot)
+        rem = _plus(_times(rem, lc_g), _times(g, _slot_part(rem, slot, dr, dr - dg)), -1)
         steps -= 1
     if steps > 0:
-        rem = rem * lc_g ** steps
+        rem = _times(rem, _raised(lc_g, steps))
     return rem
 
 
-def _subresultant_gcd(a: Poly, b: Poly, slot: int) -> Poly:
-    """Primitive gcd of two slot-primitive polynomials, deg a >= deg b >= 1."""
-    g = Poly.const(1)
-    h = Poly.const(1)
+def _subresultant_gcd(a: _IntTerms, b: _IntTerms, slot: int) -> _IntTerms:
+    """The gcd of two slot-primitive int term maps, deg a >= deg b >= 1,
+    primitive over Z."""
+    g = h = _UNIT
     while True:
-        delta = a.degree(slot) - b.degree(slot)
+        delta = _slot_degree(a, slot) - _slot_degree(b, slot)
         rem = _pseudo_rem(a, b, slot)
-        if rem.is_zero:
-            _, pp = _content_pp(b, slot)
-            return pp.normalized()
-        if rem.degree(slot) == 0:
-            return Poly.const(1)
-        divisor = g * h ** delta
-        nxt = rem.divmod_exact(divisor)
-        assert nxt is not None, "subresultant divisor failed to divide"
-        a, b = b, nxt
-        g = a.coeffs_in(slot)[a.degree(slot)]
-        if delta == 0:
-            pass
-        elif delta == 1:
+        if not rem:
+            pp = _divide(b, _content(b, slot))
+            return _scaled(pp, math.gcd(*pp.values()))
+        if _slot_degree(rem, slot) == 0:
+            return _UNIT
+        a, b = b, _divide(rem, _times(g, _raised(h, delta)))
+        g = _slot_part(a, slot, _slot_degree(a, slot))
+        if delta == 1:
             h = g
-        else:
-            num = g ** delta
-            den = h ** (delta - 1)
-            h = num.divmod_exact(den)
-            assert h is not None
+        elif delta > 1:
+            h = _divide(_raised(g, delta), _raised(h, delta - 1))
 
 
 def factor_multiplicity(p: Poly, h: Poly) -> int:
@@ -932,10 +916,7 @@ class RatFunc:
 # and products of reduced pairs look only for the factors that can cancel
 # (Henrici; Knuth, TAOCP vol. 2, 4.5.1).  Term maps are never changed in
 # place: a value may be shared by the reader's group memo.
-_IntTerms = Dict[Exponents, int]
 _Quotient = Tuple[_IntTerms, _IntTerms]
-
-_UNIT: _IntTerms = {_ZERO_EXP: 1}
 
 
 def _pair(value: _IntTerms | _Quotient) -> _Quotient:
@@ -946,17 +927,6 @@ def _pair(value: _IntTerms | _Quotient) -> _Quotient:
 def _scaled(p: _IntTerms, k: int) -> _IntTerms:
     """p/k for an integer k that divides every coefficient of p."""
     return {exps: c // k for exps, c in p.items()}
-
-
-def _gcd(p: _IntTerms, q: _IntTerms) -> _IntTerms:
-    """A gcd of two nonzero int term maps, primitive over Z.  When one is a
-    constant or a monomial it is the monomial their exponents share."""
-    if len(p) == 1 or len(q) == 1:
-        return {tuple(map(min, *p, *q)): 1}
-    if p == q:
-        return _scaled(p, math.gcd(*p.values()))
-    (g,) = _integer_terms(poly_gcd(Poly(p), Poly(q)))
-    return _scaled(g, math.gcd(*g.values()))
 
 
 def _divide(p: _IntTerms, g: _IntTerms) -> Optional[_IntTerms]:

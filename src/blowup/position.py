@@ -110,16 +110,6 @@ def _vanishes(p: Poly) -> bool:
 # -- candidate directions at an undetermined point ---------------------------
 
 
-def lowest_form(p: Poly) -> List[Fraction]:
-    """Coefficients c_0 .. c_d of the lowest form sum c_j x^(d-j) y^j of p.
-
-    On the exceptional line (x = 1, y = t) the form becomes the direction
-    polynomial sum c_j t^j, whose roots are the finite steps where it
-    vanishes; it vanishes in the direction inf exactly when c_d = 0.
-    """
-    return _dense(*_lowest(p))
-
-
 def _lowest(p: Poly) -> Tuple[Dict[int, Fraction], int]:
     """The nonzero c_j of the lowest form of p and its order d, read in one
     pass over the terms."""
@@ -139,22 +129,15 @@ def _lowest(p: Poly) -> Tuple[Dict[int, Fraction], int]:
     return form, order
 
 
-def _dense(form: Dict[int, Fraction], order: int) -> List[Fraction]:
-    coeffs: List[Fraction] = [0] * (order + 1)
-    for j, c in form.items():
-        coeffs[j] = c
-    return coeffs
-
-
 def directions(p: Poly) -> Tuple[Tuple[Step, ...], bool]:
     """The rational directions in which the lowest form of p vanishes, the
     finite steps in increasing order and then inf, and whether an
     irrational direction is left: the children that the strict transform
     of p passes through (Fulton, *Algebraic Curves*, ch. 7)."""
-    return _form_directions(lowest_form(p))
+    return _form_directions(_integer_form(p)[0])
 
 
-def _form_directions(coeffs: List[Fraction]) -> Tuple[Tuple[Step, ...], bool]:
+def _form_directions(coeffs: List[int]) -> Tuple[Tuple[Step, ...], bool]:
     roots, irrational = root_pass(coeffs, T)
     return tuple(roots) + (() if coeffs[-1] else (INF,)), irrational
 
@@ -198,7 +181,13 @@ class FirstNeighborhood:
 
 
 def _integer_form(p: Poly) -> Tuple[List[int], int]:
-    """The lowest form of p times the lcm of its denominators, and its order."""
+    """Coefficients c_0 .. c_d of the lowest form sum c_j x^(d-j) y^j of p,
+    times the lcm of their denominators, and its order d.
+
+    On the exceptional line (x = 1, y = t) the form becomes the direction
+    polynomial sum c_j t^j, whose roots are the finite steps where it
+    vanishes; it vanishes in the direction inf exactly when c_d = 0.
+    """
     form, order = _lowest(p)
     scale = math.lcm(*[c.denominator for c in form.values()])
     coeffs = [0] * (order + 1)

@@ -326,7 +326,8 @@ class MinimalCurveBranch(_MinimalBase):
         while self._strict.xy_order() > 1:
             if len(self._steps) >= WALK_CAP:
                 raise DepthCapError(
-                    f"the branch of {self.h} is not smooth within {WALK_CAP} steps")
+                    f"the branch of {self.h} is not smooth within {WALK_CAP} steps",
+                    open_points=[Point(tuple(self._steps))])
             self._extend_to(len(self._steps) + 1)
 
     def _extend_to(self, level: int) -> None:

@@ -34,7 +34,9 @@ irrational tangents is refused by `limits` and `member`, an element
 refused for trailing input is echoed whole when short and cut when long,
 and so are malformed family values of thousands of characters.  A
 sibling member where a monomial of degree 3,524,578 is a pole is found
-without the chart step to it, which would pass the budget.
+without the chart step to it, which would pass the budget, and a
+certificate over those siblings whose candidate stays on their path past
+the walk's cap names the point it reached.
 
 Last, `position` at the root reads quotients: regular parameter pairs of
 points with inf steps, as the deep-charts benchmark builds them, constant,
@@ -239,6 +241,9 @@ LONG_VALUES = {
 # level 1 is a pole of it, read off the lowest forms, where a chart step to
 # the member would form 1,346,271 products, over the chart budget.
 SIBLING_MONOMIAL = "x^2178309/y^1346269"
+# A candidate whose strict transform stays on [] + [0] past the walk's cap:
+# the sibling walk names the point it reached as open.
+SIBLING_CURVE = "(y - x^2)*(y^2 - x^131)"
 QUOTIENTS = (
     "x - x/2", "3/4", "(2*x+2)/(4*y+4)", "-x/(-y)", "(x/y)^-2",
     "((x+y)/(x-y))^3/((x+y)^2/(x*y))", "1/(x+a*y) - 1/(x-a*y)",
@@ -343,6 +348,8 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
         yield ["limits", "--family", f"{name}.json"], {f"{name}.json": json.dumps([part])}
     yield (["member", "--elt", SIBLING_MONOMIAL, "--family", "deep-siblings.json"],
            {"deep-siblings.json": json.dumps([DEEP_SIBLINGS])})
+    yield (["irredundant", "--family", "deep-siblings.json", "--member", "[0, 1]",
+            "--candidates", SIBLING_CURVE], {"deep-siblings.json": json.dumps([DEEP_SIBLINGS])})
 
 
 @contextlib.contextmanager

@@ -26,8 +26,8 @@ from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _co
                          _sum_terms, _Tokenizer, is_inf)
 from blowup.families import (INFINITE, Chain, Fiber, Siblings, Singleton,
                              family_parts, q1_downset_count)
-from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, _pseudo_rem, poly_gcd,
-                         rational_roots, sylvester_resultant)
+from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, rational_roots,
+                         sylvester_resultant)
 from blowup.position import (FirstNeighborhood, ParametricPosition, Position, Resolution,
                              _a_collapse_roots, classify_expressed, position)
 from blowup.tree import Point, express_step, strict_step, transform_step
@@ -35,12 +35,19 @@ from blowup.valuations import (MinimalCurveBranch, SecondKind, _integer_weights,
                                monomial_path)
 
 
+def variable(slot: int) -> Poly:
+    """The polynomial of one slot's variable: x, y, a or t."""
+    exps = [0, 0, 0, 0]
+    exps[slot] = 1
+    return Poly({tuple(exps): 1})
+
+
 # -- chart data that only the tests read -------------------------------------
 
 
 def params(point: Point) -> Tuple[RatFunc, RatFunc]:
     """The local parameters at `point`, as fractions in x, y."""
-    px, py = RatFunc(Poly.variable(X)), RatFunc(Poly.variable(Y))
+    px, py = RatFunc(variable(X)), RatFunc(variable(Y))
     for step in point.steps:
         if is_inf(step):
             px, py = py, px / py
@@ -154,7 +161,7 @@ def curve_along(prefix, period, n: int = 0, times_y: bool = False) -> Poly:
 
 
 def _poly_lcm(a: Poly, b: Poly) -> Poly:
-    quotient = reference_divmod_exact(b, poly_gcd(a, b))
+    quotient = reference_divmod_exact(b, sympy_gcd(a, b))
     assert quotient is not None
     return a * quotient
 
@@ -279,7 +286,7 @@ def reference_express(steps, f: RatFunc) -> RatFunc:
     is reduced by `sympy_gcd` and the reference division.  The steps may
     include the symbolic step `TSYM`.
     """
-    down_x, down_y = Poly.variable(X), Poly.variable(Y)
+    down_x, down_y = variable(X), variable(Y)
     for step in steps:
         down_x, down_y = transform_step(down_x, step), transform_step(down_y, step)
     return reduced(f.num.subst_xy(down_x, down_y), f.den.subst_xy(down_x, down_y), sympy_gcd)
@@ -367,7 +374,7 @@ def reference_gcd(p: Poly, q: Poly) -> Poly:
     common = Poly.monomial(tuple(map(min, mp, mq)))
     p = reference_divmod_exact(p, Poly.monomial(mp))
     q = reference_divmod_exact(q, Poly.monomial(mq))
-    shared = set(p.slots_present()) & set(q.slots_present())
+    shared = [s for s in (X, Y, A, T) if p.has_slot(s) and q.has_slot(s)]
     if not shared:
         return common
     main = min(shared, key=lambda s: p.degree(s) + q.degree(s))
@@ -386,7 +393,7 @@ def _reference_prs(f: Poly, g: Poly, slot: int) -> Poly:
     beta = psi = Poly.const(1)
     while True:
         delta = f.degree(slot) - g.degree(slot)
-        rem = _pseudo_rem(f, g, slot)
+        rem = _reference_pseudo_rem(f, g, slot)
         if rem.is_zero:
             return reference_divmod_exact(g, reduce(reference_gcd, g.coeffs_in(slot).values()))
         if rem.degree(slot) == 0:
@@ -397,6 +404,18 @@ def _reference_prs(f: Poly, g: Poly, slot: int) -> Poly:
             psi = beta
         elif delta > 1:
             psi = reference_divmod_exact(_poly_power(beta, delta), _poly_power(psi, delta - 1))
+
+
+def _reference_pseudo_rem(f: Poly, g: Poly, slot: int) -> Poly:
+    """lc(g)^(deg f - deg g + 1) times f, modulo g in one slot."""
+    dg = g.degree(slot)
+    lc_g = g.coeffs_in(slot)[dg]
+    rem, steps = f, f.degree(slot) - dg + 1
+    while not rem.is_zero and rem.degree(slot) >= dg:
+        dr = rem.degree(slot)
+        rem = rem * lc_g - g * rem.coeffs_in(slot)[dr] * variable(slot) ** (dr - dg)
+        steps -= 1
+    return rem * _poly_power(lc_g, steps)
 
 
 def _poly_power(p: Poly, n: int) -> Poly:
@@ -522,7 +541,7 @@ def reference_candidate_steps(expressed: RatFunc) -> Tuple[tuple, bool]:
     irrational = False
     lowests = (_lowest_slice(expressed.num), _lowest_slice(expressed.den))
     for lowest in lowests:
-        phi = subst_poly(lowest.subst_const(X, 1), Y, Poly.variable(T))
+        phi = subst_poly(lowest.subst_const(X, 1), Y, variable(T))
         if not phi.is_constant:
             steps.update(reference_rational_roots(phi, T))
         irrational = irrational or reference_has_irrational_factor(phi, T)
@@ -620,8 +639,9 @@ def reference_resolve(f: RatFunc, max_depth: int = 16) -> Resolution:
 # Arithmetic on reduced operands (Henrici; Knuth, TAOCP vol. 2, 4.5.1): the
 # only common factors a result can have are known in advance, so the gcds
 # run on those alone.  A constant denominator of a reduced operand is 1.
-# This is the reference reader's own copy, on Polys of Fractions, so that it
-# does not run the integer pair arithmetic it checks.
+# This is the reference reader's own copy, on Polys of Fractions and reduced
+# by `sympy_gcd`, so that it runs neither the integer pair arithmetic nor the
+# gcd it checks.
 
 
 def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
@@ -629,7 +649,7 @@ def _cofactors(b: Poly, d: Poly) -> Tuple[Poly, Poly, Poly]:
     constant 1 when b or d is constant and then costs no gcd."""
     if b.is_constant or d.is_constant:
         return Poly.const(1), b, d
-    g = poly_gcd(b, d)
+    g = sympy_gcd(b, d)
     if g.is_constant:
         return g, b, d
     return g, reference_divmod_exact(b, g), reference_divmod_exact(d, g)
@@ -652,7 +672,7 @@ def _sum(a: Poly, b: Poly, c: Poly, d: Poly) -> RatFunc:
     t = a * d1 + c * b1
     if t.is_zero:
         return RatFunc(t)
-    g2 = poly_gcd(t, g)
+    g2 = sympy_gcd(t, g)
     if not g2.is_constant:
         t = reference_divmod_exact(t, g2)
         d = reference_divmod_exact(d, g2)
@@ -673,7 +693,7 @@ def _cancel(num: Poly, den: Poly) -> Tuple[Poly, Poly]:
     """num and den divided by their gcd."""
     if den.is_constant or num.is_constant:
         return num, den
-    g = poly_gcd(num, den)
+    g = sympy_gcd(num, den)
     if g.is_constant:
         return num, den
     return reference_divmod_exact(num, g), reference_divmod_exact(den, g)
@@ -773,7 +793,7 @@ def _ref_atom(toks: _Tokenizer) -> RatFunc:
         slot = _REF_VARIABLES.get(text)
         if slot is None:
             raise ExprSyntaxError(f"unknown symbol {_shown(text)}: only x, y, a are allowed")
-        return RatFunc(Poly.variable(slot))
+        return RatFunc(variable(slot))
     if kind == "(":
         value = _ref_sum(toks)
         toks.expect(")")

@@ -334,6 +334,15 @@ class TestErrors:
         assert error["type"] == "DepthCapError"
         assert error["open_points"] == ["[" + ", ".join(["0"] * 64) + "]"]
 
+    def test_sibling_competitor_cap_names_its_open_point(self, capsys, family_file):
+        # the strict transform of y^2 - x^131 stays on [] + [0] past the cap
+        code, out, err = run(capsys, "irredundant", "--family", family_file(SIBLINGS),
+                             "--member", "[0, 1]", "--candidates", "(y - x^2)*(y^2 - x^131)")
+        assert code == 3 and not out
+        error = json.loads(err)["error"]
+        assert error["type"] == "DepthCapError"
+        assert error["open_points"] == ["[" + ", ".join(["0"] * 64) + "]"]
+
     def test_syntax_error(self, capsys):
         code, _, err = run(capsys, "position", "--elt", "x+", "--point", "[0]")
         assert code == 2

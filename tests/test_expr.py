@@ -25,11 +25,11 @@ from blowup.expr import (
 )
 from blowup.poly import A, Poly, RatFunc, X, Y
 
-from helpers import _cofactors, reference_parse_element
+from helpers import _cofactors, reference_parse_element, variable
 
-x = Poly.variable(X)
-y = Poly.variable(Y)
-a = Poly.variable(A)
+x = variable(X)
+y = variable(Y)
+a = variable(A)
 
 
 def test_parse_simple_polynomial():
@@ -220,15 +220,16 @@ def test_sum_over_a_shared_denominator_is_bounded_on_its_cofactors():
 
 
 def count_gcds(monkeypatch):
-    """A list that grows by the arguments of each `poly_gcd` call from now
-    on, the element reader's own calls included."""
-    calls, real = [], poly.poly_gcd
+    """A list that grows by the arguments of each `poly._gcd_core` call from
+    now on: every gcd, the element reader's included, that is not read off
+    the exponents."""
+    calls, real = [], poly._gcd_core
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(poly, "poly_gcd", counting)
+    monkeypatch.setattr(poly, "_gcd_core", counting)
     return calls
 
 
@@ -238,10 +239,11 @@ def test_sum_reads_the_denominators_gcd_once(monkeypatch):
     calls.clear()
     # the bound and the sum share one gcd of the denominators; the other
     # gcd of the sum is of the new numerator and that common factor.  The
-    # reader holds the denominators on integers, so they match f.den and
+    # gcd holds the denominators as int term maps, so they match f.den and
     # g.den up to a constant factor
     value = parse_element("x/(1+x+y)^3 + y/((1+x+y)^2*(1-y))")
-    dens = [(p, q) for p, q in calls if {p.normalized(), q.normalized()} == {f.den, g.den}]
+    dens = [(p, q) for p, q in calls
+            if {Poly(p).normalized(), Poly(q).normalized()} == {f.den, g.den}]
     assert len(dens) == 1
     assert value == f + g
 

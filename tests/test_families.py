@@ -16,7 +16,7 @@ from blowup.proximity import is_proximate
 from blowup.tree import TSYM, Point, express_step, is_prefix
 from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
-from helpers import first_members, reference_comparable
+from helpers import first_members, reference_comparable, variable
 
 
 D = Point.root()
@@ -239,7 +239,7 @@ class TestIncomparability:
             (Siblings(V0, Fraction(1)), Siblings(V0, Fraction(2))))
 
     def test_siblings_of_paths_that_agree_for_69_steps_nest(self):
-        curve = MinimalCurveBranch(Poly.variable(Y) - Poly.variable(X) ** 70)
+        curve = MinimalCurveBranch(variable(Y) - variable(X) ** 70)
         near, straight = Siblings(curve, Fraction(1)), Siblings(V0, Fraction(1))
         # member 69 of the straight part turns onto the curve's path
         assert is_prefix(straight.member(69), near.member(70))

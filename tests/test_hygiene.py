@@ -96,9 +96,16 @@ def test_lowest_forms_are_read_in_one_place():
     # resolve, locate and curve branches all take their directions from one
     # root pass over a lowest form, `position.directions` or a chart's
     # `FirstNeighborhood.steps`; a second reader would drift from it
-    assert {module for module, _ in _callers("lowest_form")} == {"position"}
+    assert _callers("_lowest") == {("position", "_integer_form")}
     assert {c for c in _callers("root_pass") if c[0] != "poly"} == \
         {("position", "_form_directions")}
+
+
+def test_the_gcd_runs_on_int_term_maps():
+    # inside `poly` only `coefficient_gcd` calls the Poly wrapper; the gcd
+    # and the reduced-pair arithmetic call `_gcd` on int term maps, so no
+    # Fraction round trip creeps back between them
+    assert {c for c in _callers("poly_gcd") if c[0] == "poly"} == {("poly", "coefficient_gcd")}
 
 
 # Public names that nothing in the package references, kept on purpose.

@@ -17,7 +17,7 @@ from blowup.poly import A, Poly, RatFunc, T
 from blowup.tree import Point
 from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
 
-from helpers import count_charges, first_members
+from helpers import count_charges, first_members, variable
 
 e = parse_element
 D = Point.root()
@@ -101,9 +101,9 @@ class TestInFamilyConcrete:
 
     def test_reserved_symbol_rejected(self):
         with pytest.raises(InputError):
-            in_family(RatFunc(Poly.variable(T)), c_family())
+            in_family(RatFunc(variable(T)), c_family())
         with pytest.raises(InputError):
-            in_point(RatFunc(Poly.variable(T)), D)
+            in_point(RatFunc(variable(T)), D)
 
 
 class TestInFamilyWalks:

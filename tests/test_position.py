@@ -28,7 +28,8 @@ from blowup.tree import Point, express_step
 from blowup.valuations import SecondKind, branch_step
 
 from helpers import (count_charges, params, reference_candidate_steps,
-                     reference_position_parametric, reference_resolve, subst_poly)
+                     reference_position_parametric, reference_resolve, subst_poly,
+                     variable)
 
 
 def P(literal):
@@ -217,8 +218,8 @@ def test_resolve_rejects_parametric_and_zero():
         resolve(E("0"))
 
 
-_px = Poly.variable(X)
-_py = Poly.variable(Y)
+_px = variable(X)
+_py = variable(Y)
 small_rationals = st.sampled_from(
     (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 2)))
 

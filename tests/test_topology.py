@@ -20,12 +20,12 @@ from blowup.valuations import (MinimalCurveBranch, MinimalEventuallyPeriodic,
                                SecondKind)
 
 from helpers import (curve_along, first_members, params, reference_patch_limit_points,
-                     reference_same_path)
+                     reference_same_path, variable)
 
 
 D = Point.root()
 V0 = MinimalEventuallyPeriodic([], [0])
-CUSP = (Poly.variable(X) ** 2 - Poly.variable(Y) ** 3)
+CUSP = (variable(X) ** 2 - variable(Y) ** 3)
 
 
 def first_neighborhood_with_root():
@@ -69,7 +69,7 @@ class TestPatchLimits:
             (Chain(V0, 1), Siblings(V0, Fraction(1)))) == (V0,)
 
     def test_paths_that_agree_for_69_steps_stay_apart(self):
-        curve = MinimalCurveBranch(Poly.variable(Y) - Poly.variable(X) ** 70)
+        curve = MinimalCurveBranch(variable(Y) - variable(X) ** 70)
         assert curve.agreement(map(V0.step_at, range(100))) == 69
         assert patch_limit_points((Chain(curve, 1), Chain(V0, 1))) == (curve, V0)
 
@@ -81,7 +81,7 @@ paths = st.lists(st.sampled_from(STEPS), max_size=3)
 minimal_valuations = st.one_of(
     st.builds(MinimalEventuallyPeriodic, paths,
               st.lists(st.sampled_from(STEPS), min_size=1, max_size=2)),
-    st.sampled_from([MinimalCurveBranch(Poly.variable(X) ** i - Poly.variable(Y) ** j)
+    st.sampled_from([MinimalCurveBranch(variable(X) ** i - variable(Y) ** j)
                      for i, j in ((2, 3), (3, 2), (1, 2), (2, 1), (3, 5))]))
 family_parts = st.one_of(
     st.builds(Singleton, paths.map(Point.from_path)),
@@ -239,7 +239,7 @@ class TestComponents:
 
     def test_curve_that_leaves_the_ray_keeps_its_component(self):
         # the branch climbs the ray of the root for 70 steps, then leaves it
-        curve = MinimalCurveBranch(Poly.variable(X) ** 71 - Poly.variable(Y) ** 70)
+        curve = MinimalCurveBranch(variable(X) ** 71 - variable(Y) ** 70)
         ray = MinimalEventuallyPeriodic([0, INF], [0])
         assert curve.agreement(map(ray.step_at, range(100))) == 70
         parts = (Fiber(D, frozenset(), (INF,)), Chain(curve, 1))

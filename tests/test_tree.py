@@ -16,10 +16,10 @@ from blowup.tree import (Point, TSYM, express_step, is_prefix, strict_step,
                          transform_step)
 from blowup.valuations import MinimalEventuallyPeriodic
 
-from helpers import params, reference_express, residue_of
+from helpers import params, reference_express, residue_of, variable
 
-x = Poly.variable(X)
-y = Poly.variable(Y)
+x = variable(X)
+y = variable(Y)
 
 
 def P(literal):
@@ -207,7 +207,7 @@ def test_residue_values():
 
 
 def test_residue_at_symbolic_point():
-    t = Poly.variable(T)
+    t = variable(T)
     # y/x takes the value t at the generic first-neighborhood point
     assert residue_of((TSYM,), E("y/x")) == t
 

@@ -22,10 +22,11 @@ from blowup.valuations import (
     monomial_valuation,
 )
 
-from helpers import curve_along, reference_monomial_valuation, reference_same_path
+from helpers import (curve_along, reference_monomial_valuation, reference_same_path,
+                     variable)
 
-x = Poly.variable(X)
-y = Poly.variable(Y)
+x = variable(X)
+y = variable(Y)
 
 
 def P(literal):
@@ -76,7 +77,7 @@ def test_first_kind_rejects_bad_curves():
     with pytest.raises(InputError):
         FirstKind((x + y) ** 2)
     with pytest.raises(InputError):
-        FirstKind(x + Poly.variable(2))  # parameter slot
+        FirstKind(x + variable(2))  # parameter slot
 
 
 # -- second kind -------------------------------------------------------------
@@ -414,8 +415,10 @@ def test_curve_branch_checks_its_branch_when_built():
         MinimalCurveBranch(y ** 2 - x ** 2 - x ** 3)
     with pytest.raises(BranchError):
         MinimalCurveBranch(y ** 2 - x ** 4)
-    with pytest.raises(DepthCapError):
+    with pytest.raises(DepthCapError) as caught:
         MinimalCurveBranch(y ** 2 - x ** 131)
+    # the walk is still singular at the point it reached
+    assert caught.value.open_points == (Point((Fraction(0),) * WALK_CAP),)
     v = MinimalCurveBranch(y ** 2 - x ** 129)
     assert v.point_at(64).strict_transform(v.h).xy_order() == 1
     assert v.step_at(200) == Fraction(0)
