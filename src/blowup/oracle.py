@@ -49,10 +49,10 @@ from .expr import INF, Step
 from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
-from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots
+from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots, xy_order
 from .position import (FirstNeighborhood, Position, _a_collapse_roots, a_candidates,
                        classify_expressed, settle)
-from .tree import TSYM, Point, charge, express_step, strict_step
+from .tree import TSYM, Point, charge, express_step, strict_step, strict_walk
 from .valuations import WALK_CAP, FirstKind
 
 _MEMBER = (Position.ZERO, Position.UNIT)
@@ -414,15 +414,13 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
     transform leaves the path no later sibling lies on h; once it is
     smooth, one branch is left, and if that branch follows the path for
     good (`on_curve`) it meets no sibling either.  The transform can grow
-    at every level, so each step is charged to the chart budget."""
+    at every level, so each step is charged to the chart budget, the path
+    steps by `strict_walk` and the sibling steps here."""
     path, h = part.valuation, valuation.h
-    strict, smooth = h, False
-    for level in range(WALK_CAP + 1):
-        if level:
-            step = path.step_at(level - 1)
-            charge(step, strict)
-            strict = strict_step(strict, step)
-        order = strict.xy_order()
+    smooth = False
+    transforms = strict_walk(h, map(path.step_at, range(WALK_CAP)))
+    for level, (strict, _) in enumerate(transforms):
+        order = xy_order(strict)
         if order < 1:
             return None
         if order == 1 and not smooth:
@@ -434,7 +432,7 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
             if beta != delta:
                 step = part.sibling_step(level)
                 charge(step, strict)
-                if strict_step(strict, step).xy_order() >= 1:
+                if xy_order(strict_step(strict, step)[0]) >= 1:
                     return str(beta)
     raise DepthCapError(
         f"the strict transform of {h} is still on the path of "
@@ -443,9 +441,10 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
 
 def _fiber_competitor(valuation: FirstKind, fiber: Fiber,
                       delta: Point) -> Optional[str]:
-    transform = reduce(strict_step, (TSYM, *fiber.tail),
-                       fiber.base.strict_transform(valuation.h))
-    condition = transform.xy_constant_part()
+    # every member at once, on a transform charged step by step
+    for transform, _ in strict_walk(valuation.h, (*fiber.base.steps, TSYM, *fiber.tail)):
+        pass
+    condition = Poly(transform).xy_constant_part()
     if condition.is_zero:
         for beta in fiber.sample_members(3):
             if beta != delta and valuation.ring_contains(beta):

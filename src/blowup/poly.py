@@ -102,6 +102,21 @@ def _poly(terms: Terms) -> "Poly":
     return out
 
 
+def _over(terms: _IntTerms, den: int = 1) -> "Poly":
+    """An int term map divided by a nonzero integer, as a Poly: one
+    Fraction per coefficient."""
+    return _poly({exps: Fraction(c, den) for exps, c in terms.items()})
+
+
+def xy_order(terms: Mapping) -> int:
+    """Order of vanishing at the origin of the (x, y) plane of a nonzero
+    term map: the least x plus y exponent.  The symbols a and t are
+    unit-valued scalars, so only x and y exponents count."""
+    if not terms:
+        raise ValueError("order of zero undefined")
+    return min(e[X] + e[Y] for e in terms)
+
+
 class Poly:
     """A sparse polynomial in x, y, a, t with Fraction coefficients.
 
@@ -242,7 +257,7 @@ class Poly:
         quotient = _divide(p, _scaled(g, k))
         if quotient is None:
             return None
-        return _poly({exps: Fraction(c, k) for exps, c in quotient.items()})
+        return _over(quotient, k)
 
     # -- substitution ------------------------------------------------------
 
@@ -385,8 +400,7 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
         return q.normalized()
     if q.is_zero:
         return p.normalized()
-    g = _gcd(*_integer_terms(p, q))
-    return _poly({exps: Fraction(c) for exps, c in g.items()}).normalized()
+    return _over(_gcd(*_integer_terms(p, q))).normalized()
 
 
 def coefficient_gcd(polys: Iterable[Poly]) -> Poly:
@@ -1015,11 +1029,16 @@ def _pair_product(a: _IntTerms, b: _IntTerms, c: _IntTerms,
     return _quotient(_times(a, c), _times(b, d))
 
 
+def _integer_scale(*polys: Poly) -> int:
+    """The lcm of the denominators of all the polys' coefficients."""
+    return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+
+
 def _integer_terms(*polys: Poly) -> Tuple[_IntTerms, ...]:
-    """The term maps of polys times the lcm of all their coefficients'
-    denominators.  Those of a RatFunc's numerator and denominator are a
-    reduced pair, since the denominator is monic."""
-    scale = math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
+    """The term maps of polys times `_integer_scale` of them.  Those of a
+    RatFunc's numerator and denominator are a reduced pair, since the
+    denominator is monic."""
+    scale = _integer_scale(*polys)
     return tuple({exps: c.numerator * (scale // c.denominator) for exps, c in p.terms.items()}
                  for p in polys)
 
@@ -1035,8 +1054,7 @@ def _ratfunc(value: _IntTerms | _Quotient) -> RatFunc:
     coefficient, over the denominator's leading coefficient."""
     num, den = _pair(value)
     lc = den[max(den, key=_grlex_key)]
-    return RatFunc.coprime(_poly({exps: Fraction(c, lc) for exps, c in num.items()}),
-                           _poly({exps: Fraction(c, lc) for exps, c in den.items()}))
+    return RatFunc.coprime(_over(num, lc), _over(den, lc))
 
 
 def _subst_slot_frac(p: Poly, slot: int, vn: Poly, vd: Poly, clear: int) -> Poly:

@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
-from typing import Dict, Iterable, List, Optional, Tuple
+from numbers import Rational
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .errors import DepthCapError, InputError, LocateError, ResolveError
 from .expr import INF, Step
@@ -110,12 +111,12 @@ def _vanishes(p: Poly) -> bool:
 # -- candidate directions at an undetermined point ---------------------------
 
 
-def _lowest(p: Poly) -> Tuple[Dict[int, Fraction], int]:
-    """The nonzero c_j of the lowest form of p and its order d, read in one
-    pass over the terms."""
-    form: Dict[int, Fraction] = {}
+def _lowest(terms: Mapping) -> Tuple[Dict[int, Rational], int]:
+    """The nonzero c_j of the lowest form of a term map and its order d,
+    read in one pass over the terms."""
+    form: Dict[int, Rational] = {}
     order, symbolic = -1, False
-    for (i, j, a, t), c in p.terms.items():
+    for (i, j, a, t), c in terms.items():
         d = i + j
         if d < order or order < 0:
             form, order, symbolic = {j: c}, d, bool(a or t)
@@ -129,12 +130,13 @@ def _lowest(p: Poly) -> Tuple[Dict[int, Fraction], int]:
     return form, order
 
 
-def directions(p: Poly) -> Tuple[Tuple[Step, ...], bool]:
-    """The rational directions in which the lowest form of p vanishes, the
-    finite steps in increasing order and then inf, and whether an
-    irrational direction is left: the children that the strict transform
-    of p passes through (Fulton, *Algebraic Curves*, ch. 7)."""
-    return _form_directions(_integer_form(p)[0])
+def directions(terms: Mapping) -> Tuple[Tuple[Step, ...], bool]:
+    """The rational directions in which the lowest form of a term map p,
+    with `Fraction` or `int` coefficients, vanishes: the finite steps in
+    increasing order and then inf, and whether an irrational direction is
+    left.  They are the children that the strict transform of p passes
+    through (Fulton, *Algebraic Curves*, ch. 7)."""
+    return _form_directions(_integer_form(terms)[0])
 
 
 def _form_directions(coeffs: List[int]) -> Tuple[Tuple[Step, ...], bool]:
@@ -159,8 +161,8 @@ class FirstNeighborhood:
     __slots__ = ("num_order", "den_order", "_num_form", "_den_form")
 
     def __init__(self, chart: RatFunc):
-        self._num_form, self.num_order = _integer_form(chart.num)
-        self._den_form, self.den_order = _integer_form(chart.den)
+        self._num_form, self.num_order = _integer_form(chart.num.terms)
+        self._den_form, self.den_order = _integer_form(chart.den.terms)
 
     def steps(self) -> Tuple[Tuple[Step, ...], bool]:
         """The directions in which N/D can stay non-unit: those of N and of
@@ -180,15 +182,15 @@ class FirstNeighborhood:
         return Position.ZERO if num else Position.UNIT
 
 
-def _integer_form(p: Poly) -> Tuple[List[int], int]:
-    """Coefficients c_0 .. c_d of the lowest form sum c_j x^(d-j) y^j of p,
-    times the lcm of their denominators, and its order d.
+def _integer_form(terms: Mapping) -> Tuple[List[int], int]:
+    """Coefficients c_0 .. c_d of the lowest form sum c_j x^(d-j) y^j of a
+    term map, times the lcm of their denominators, and its order d.
 
     On the exceptional line (x = 1, y = t) the form becomes the direction
     polynomial sum c_j t^j, whose roots are the finite steps where it
     vanishes; it vanishes in the direction inf exactly when c_d = 0.
     """
-    form, order = _lowest(p)
+    form, order = _lowest(terms)
     scale = math.lcm(*[c.denominator for c in form.values()])
     coeffs = [0] * (order + 1)
     for j, c in form.items():
@@ -358,7 +360,7 @@ def locate(f: RatFunc, g: RatFunc) -> Point:
 def _is_parameter_pair(ef: RatFunc, eg: RatFunc) -> bool:
     """Both elements vanish here; do they cut distinct tangent lines?"""
     return (ef.num.xy_order() == 1 and eg.num.xy_order() == 1
-            and directions(ef.num) != directions(eg.num))
+            and directions(ef.num.terms) != directions(eg.num.terms))
 
 
 # -- parametric position -----------------------------------------------------

@@ -12,21 +12,28 @@ of the step.  A path therefore determines a chain of quadratic transforms,
 and the ring at the end is again two-dimensional regular local.
 
 A point stores only its path; chart data is derived when it is needed.
-`transform_step` is the one place that rewrites a polynomial across a step:
+`_step_terms` is the one place that rewrites a polynomial across a step:
 it maps each term by its exponents, x^i y^j to x^(i+j) times y^i, y^j or
 (y + b)^j.  For b = r/s in lowest terms, (y + b)^j is s^(-j) times the
-integer row C(j, m) r^(j-m) s^m of y^m, so the kernel divides each
-coefficient by s^j once and multiplies it by integers only.  The image of
-h is divisible by x^d exactly, where d is the order of h, and the step
-kernel divides that power out in the same pass.  `express` pushes any
-element of the fraction field into the local chart one step at a time,
-and all order, membership and position questions reduce to looking at it
-there.
+integer row C(j, m) r^(j-m) s^m of y^m.  The kernel scales each row by
+s^(top-j), top the largest y exponent of the polynomial, so every weight
+is an integer and the image comes out times s^top; it returns that factor
+with the image.  The image of h is divisible by x^d exactly, where d is
+the order of h, and the kernel divides that power out in the same pass.
+`transform_step` and `express_step` are a thin `Fraction` wrapper over
+the kernel, dividing by s^top once per term.  `express` pushes any element
+of the fraction field into the local chart one step at a time, and all
+order, membership and position questions reduce to looking at it there.
+
+A strict transform walks on integers: `strict_walk` carries an `int` term
+map and one running denominator down a path, through `strict_step`, and a
+caller builds a `Poly` only where it needs one.  Each of its steps is
+charged to the chart budget (`charge`).
 
 Every step of a point is concrete: a rational or inf.  The step kernel
-(`transform_step`, `express_step`, `strict_step`) also accepts `TSYM`, a
-generic direction kept as the symbol t; folding it over a chart computes
-for a whole fiber of points at once without making it a point.
+also accepts `TSYM`, a generic direction kept as the symbol t; folding it
+over a chart computes for a whole fiber of points at once without making
+it a point.
 """
 
 from __future__ import annotations
@@ -35,17 +42,18 @@ from fractions import Fraction
 from math import comb
 from numbers import Rational
 from operator import itemgetter
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import ComputationError, InputError
 from .expr import INF, Step, _shown, bounded_step, format_step, is_inf, parse_step
-from .poly import Poly, RatFunc, Terms
+from .poly import (Poly, RatFunc, _integer_scale, _integer_terms, _IntTerms, _over, _poly,
+                   xy_order)
 
 
 # Most products one finite nonzero step may form across a fraction's
-# numerator and denominator, or across a strict transform carried down a
-# walk.  The tests stay below 3,000, the demos and the benchmark workloads
-# below 500; a chart past the budget takes seconds a step.
+# numerator and denominator, or on a strict transform carried down a walk.
+# The tests stay below 3,000, the demos and the benchmark workloads below
+# 500; a chart past the budget takes seconds a step.
 CHART_BUDGET = 10_000
 
 
@@ -135,70 +143,84 @@ class Point:
         """Strict transform of a plane curve germ h in this point's chart.
 
         Per step the curve is rewritten in the new chart and the exceptional
-        factor (the full power of the first parameter) is stripped.
+        factor (the full power of the first parameter) is stripped.  The
+        walk runs on integers (`strict_walk`), charging each step to the
+        chart budget, and divides by its denominator once at the end.
         """
-        if h.is_zero:
-            raise ValueError("strict transform of zero undefined")
-        for step in self.steps:
-            h = strict_step(h, step)
-        return h
+        for terms, den in strict_walk(h, self.steps):
+            pass
+        return _over(terms, den)
 
 
 # -- steps -----------------------------------------------------------------
 
 
-def transform_step(h: Poly, step: AnyStep, drop: int = 0) -> Poly:
-    """Rewrite h in the chart of the child reached by one step, divided by
-    x^drop.
+def _step_terms(terms: Mapping, step: AnyStep, drop: int = 0) -> Tuple[dict, int]:
+    """The step kernel: the image of a term map in the chart of the child
+    reached by one step, divided by x^drop and multiplied by s^top, with
+    that factor s^top.
 
     A finite step b (the symbol t for `TSYM`) substitutes (x, x(y + b));
     the step inf substitutes (xy, x).  A term x^i y^j therefore goes to
     x^(i+j) y^i for inf, to x^(i+j) y^j for 0, and otherwise to
-    x^(i+j) (y + b)^j.  For b = r/s in lowest terms that power is
-    s^(-j) times the integer row of `_binomial_row`, so each coefficient
-    is divided by s^j once and then multiplied by integer weights only;
-    for `TSYM` the row carries the powers of t instead.  The lowest power
-    of x in the image is the order of h: the terms of h of that order go
-    to x^d times the image of a nonzero polynomial in y under y -> y + b,
-    so they cannot cancel.  `drop` may be at most that order.
+    x^(i+j) (y + b)^j.  For b = r/s in lowest terms, s^top (y + b)^j is
+    the integer row of `_binomial_row`, top the largest y exponent of the
+    map, so each coefficient is multiplied by integer weights only: an
+    `int` map goes to an `int` map.  For `TSYM` the row carries the powers
+    of t instead, and the factor is 1, as it is for inf and 0.  The lowest
+    power of x in the image is the order of the map: its terms of that
+    order go to x^d times the image of a nonzero polynomial in y under
+    y -> y + b, so they cannot cancel.  `drop` may be at most that order.
     """
-    terms: Terms = {}
+    out: dict = {}
+    scale = 1
     if is_inf(step):
-        for (i, j, a, t), c in h.terms.items():
-            terms[(i + j - drop, i, a, t)] = c
+        for (i, j, a, t), c in terms.items():
+            out[(i + j - drop, i, a, t)] = c
     elif step == 0:
-        for (i, j, a, t), c in h.terms.items():
-            terms[(i + j - drop, j, a, t)] = c
+        for (i, j, a, t), c in terms.items():
+            out[(i + j - drop, j, a, t)] = c
     else:
-        s = 1 if step is TSYM else step.denominator
+        top = 0
+        if step is not TSYM and step.denominator != 1:
+            top = max(map(_Y_EXPONENT, terms), default=0)
+            scale = step.denominator ** top
         rows = {}
-        for (i, j, a, t), c in h.terms.items():
+        for (i, j, a, t), c in terms.items():
             row = rows.get(j)
             if row is None:
-                row = rows[j] = _binomial_row(j, step)
-            if s != 1:
-                c /= s ** j
+                row = rows[j] = _binomial_row(j, step, top)
             d = i + j - drop
             for m, (dt, w) in enumerate(row):
                 key = (d, m, a, t + dt)
-                acc = terms.get(key, 0) + c * w
+                acc = out.get(key, 0) + c * w
                 if acc:
-                    terms[key] = acc
+                    out[key] = acc
                 else:
-                    terms.pop(key, None)
-    out = Poly()
-    out.terms = terms
-    return out
+                    out.pop(key, None)
+    return out, scale
 
 
-def _binomial_row(j: int, step: AnyStep) -> List[Tuple[int, int]]:
+def _binomial_row(j: int, step: AnyStep, top: int) -> List[Tuple[int, int]]:
     """(t exponent, integer weight) of y^m, m = 0 .. j: the terms of
-    (y + t)^j for `TSYM`, and of s^j (y + r/s)^j = (sy + r)^j, that is
-    C(j, m) r^(j-m) s^m, for a step r/s in lowest terms."""
+    (y + t)^j for `TSYM`, and of s^top (y + r/s)^j = s^(top-j) (sy + r)^j,
+    that is C(j, m) r^(j-m) s^(top-j+m), for a step r/s in lowest terms;
+    for s = 1 it is (y + r)^j, and top is not read."""
     if step is TSYM:
         return [(j - m, comb(j, m)) for m in range(j + 1)]
     r, s = step.numerator, step.denominator
-    return [(0, comb(j, m) * r ** (j - m) * s ** m) for m in range(j + 1)]
+    if s == 1:
+        return [(0, comb(j, m) * r ** (j - m)) for m in range(j + 1)]
+    return [(0, comb(j, m) * r ** (j - m) * s ** (top - j + m)) for m in range(j + 1)]
+
+
+def transform_step(h: Poly, step: AnyStep, drop: int = 0) -> Poly:
+    """Rewrite h in the chart of the child reached by one step, divided by
+    x^drop: the kernel's image (`_step_terms`), divided by its factor."""
+    terms, scale = _step_terms(h.terms, step, drop)
+    if scale != 1:
+        terms = {exps: c / scale for exps, c in terms.items()}
+    return _poly(terms)
 
 
 def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
@@ -212,7 +234,7 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
 
     The step is charged to the chart budget (`charge`).
     """
-    charge(step, f.num, f.den)
+    charge(step, f.num.terms, f.den.terms)
     if f.is_zero:
         return f
     drop = min(f.num.xy_order(), f.den.xy_order())
@@ -223,33 +245,53 @@ def express_step(f: RatFunc, step: AnyStep) -> RatFunc:
 _Y_EXPONENT = itemgetter(1)
 
 
-def charge(step: AnyStep, *polys: Poly) -> None:
+def charge(step: AnyStep, *maps: Mapping) -> None:
     """Refuse a step past `CHART_BUDGET` products with `ComputationError`
     rather than leave it to run for minutes.
 
     A finite nonzero step forms one product per term of (y + b)^j for every
-    term x^i y^j of each polynomial, j + 1 in all; inf and 0 only move
+    term x^i y^j of each term map, j + 1 in all; inf and 0 only move
     exponents and cost nothing here.
     """
     # every step but inf and 0, TSYM too, is truthy
     if step is INF or not step:
         return
-    work = sum(len(h.terms) + sum(map(_Y_EXPONENT, h.terms)) for h in polys)
+    work = sum(len(terms) + sum(map(_Y_EXPONENT, terms)) for terms in maps)
     if work > CHART_BUDGET:
         raise ComputationError(
             f"the step {format_step(step)} would form {work} "
             f"products, over the chart budget of {CHART_BUDGET}")
 
 
-def strict_step(h: Poly, step: AnyStep) -> Poly:
-    """One step of the strict transform: strip the exceptional factor x^m.
+def strict_step(terms: _IntTerms, step: AnyStep) -> Tuple[_IntTerms, int]:
+    """One step of a strict transform on an `int` term map: the kernel's
+    image with the exceptional factor x^m, m the order of the map,
+    stripped, and the factor s^top the image carries (`_step_terms`).
 
-    The step is not charged: a single strict transform of a large curve,
-    as `MinimalEventuallyPeriodic.on_curve` forms one, may pass the budget
-    and still take only a second.  A walk that carries a transform level
-    after level charges each step itself.
+    The step is not charged here.  `strict_walk` and the sibling walk of
+    `oracle` charge each step they take: once the curve has left the path
+    its degree grows with every finite step, like the Fibonacci numbers.
+    A curve branch walk follows the curve's own branch and is not charged.
     """
-    return transform_step(h, step, h.xy_order())
+    return _step_terms(terms, step, xy_order(terms))
+
+
+def strict_walk(h: Poly, steps: Iterable[AnyStep]) -> Iterator[Tuple[_IntTerms, int]]:
+    """The strict transform of a nonzero h at each point down `steps`, h's
+    own first: an `int` term map and the positive denominator it is over.
+
+    Each step is charged to the chart budget (`charge`) before it is
+    taken.  `steps` may be lazy: it is read one step per transform asked.
+    """
+    if h.is_zero:
+        raise ValueError("strict transform of zero undefined")
+    (terms,), den = _integer_terms(h), _integer_scale(h)
+    yield terms, den
+    for step in steps:
+        charge(step, terms)
+        terms, scale = strict_step(terms, step)
+        den *= scale
+        yield terms, den
 
 
 def normalize_step(step) -> Step:

@@ -46,15 +46,15 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Mapping, Tuple
 
 from .errors import BranchError, ComputationError, DepthCapError, InputError
 from .expr import INF, Step, format_path, format_step
-from .poly import (A, Poly, RatFunc, T, X, Y, _subst_slot_frac, factor_multiplicity,
-                   poly_gcd)
+from .poly import (A, Poly, RatFunc, T, X, Y, _integer_terms, _subst_slot_frac,
+                   factor_multiplicity, poly_gcd, xy_order)
 from .position import Position, directions, settle
 from .proximity import second_kind_contains
-from .tree import Point, normalize_step, strict_step
+from .tree import Point, normalize_step, strict_step, strict_walk
 
 # Cap on walks down a minimal valuation's path.  Every element settles
 # after finitely many steps, but possibly past the cap, so reaching it can
@@ -107,9 +107,12 @@ class FirstKind:
         return f.is_zero or self.value(f) >= 0
 
     def ring_contains(self, beta: Point) -> bool:
+        """Whether the strict transform of h passes through beta.  The walk
+        stops at the first point where it has order 0: a unit there stays
+        a unit at every point below."""
         if self.h.constant_term() != 0:
             return False
-        return beta.strict_transform(self.h).xy_order() >= 1
+        return all(xy_order(terms) for terms, _ in strict_walk(self.h, beta.steps))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FirstKind) and self.h == other.h
@@ -287,10 +290,15 @@ class MinimalEventuallyPeriodic(_MinimalBase):
         so a period holding inf is on no curve.  Past the prefix a finite
         period b_1 .. b_p is the branch y = B(x) / (1 - x^p) with
         B = b_1 x + ... + b_p x^p: h is on it when the numerator of its
-        strict transform there at y = B / (1 - x^p) is zero."""
+        strict transform there at y = B / (1 - x^p) is zero.  The prefix
+        walk stops at the first point where the transform has order 0: h
+        has left the path there."""
         if INF in self.period:
             return False
-        strict = self.point_at(len(self.prefix)).strict_transform(h)
+        for terms, _ in strict_walk(h, self.prefix):
+            if not xy_order(terms):
+                return False
+        strict = Poly(terms)
         branch = Poly({(i, 0, 0, 0): b for i, b in enumerate(self.period, 1)})
         clear = Poly({(0, 0, 0, 0): 1, (len(self.period), 0, 0, 0): -1})
         return _subst_slot_frac(strict, Y, branch, clear, strict.degree(Y)).is_zero
@@ -322,8 +330,9 @@ class MinimalCurveBranch(_MinimalBase):
     def __init__(self, h: Poly):
         self.h = _check_curve(h, through_origin=True).normalized()
         self._steps: List[Step] = []
-        self._strict = self.h  # the strict transform after the last step
-        while self._strict.xy_order() > 1:
+        # the strict transform after the last step, times a positive integer
+        (self._strict,) = _integer_terms(self.h)
+        while xy_order(self._strict) > 1:
             if len(self._steps) >= WALK_CAP:
                 raise DepthCapError(
                     f"the branch of {self.h} is not smooth within {WALK_CAP} steps",
@@ -332,8 +341,8 @@ class MinimalCurveBranch(_MinimalBase):
 
     def _extend_to(self, level: int) -> None:
         while len(self._steps) < level:
-            step = branch_step(self._strict)
-            self._strict = strict_step(self._strict, step)
+            step = _branch_step(self._strict)
+            self._strict = strict_step(self._strict, step)[0]
             self._steps.append(step)
 
     def step_at(self, index: int) -> Step:
@@ -364,7 +373,13 @@ class MinimalCurveBranch(_MinimalBase):
 
 def branch_step(strict: Poly) -> Step:
     """The unique direction in which a curve germ continues, or an error."""
-    if not strict.xy_order():
+    return _branch_step(strict.terms)
+
+
+def _branch_step(strict: Mapping) -> Step:
+    """`branch_step` on the term map of a curve germ, any exact
+    coefficients."""
+    if not xy_order(strict):
         raise BranchError("the curve does not pass through this point")
     steps, irrational = directions(strict)
     if len(steps) == 1 and not irrational:

@@ -30,7 +30,7 @@ from blowup.poly import (ROOT_SEARCH_LIMIT, A, Poly, RatFunc, T, X, Y, rational_
                          sylvester_resultant)
 from blowup.position import (FirstNeighborhood, ParametricPosition, Position, Resolution,
                              _a_collapse_roots, classify_expressed, position)
-from blowup.tree import Point, express_step, strict_step, transform_step
+from blowup.tree import TSYM, Point, express_step, transform_step
 from blowup.valuations import (MinimalCurveBranch, SecondKind, _integer_weights,
                                monomial_path)
 
@@ -137,7 +137,7 @@ def reference_same_path(v, other, levels: int = REFERENCE_LEVELS) -> bool:
     for level in range(levels):
         if strict.xy_order() < 1:
             return False
-        strict = strict_step(strict, v.step_at(level))
+        strict = transform_step(strict, v.step_at(level), strict.xy_order())
     return strict.xy_order() >= 1
 
 
@@ -306,6 +306,27 @@ def sympy_gcd(p: Poly, q: Poly) -> Poly:
 
     g = sympy.gcd(to_sympy(p), to_sympy(q))
     return Poly({e: Fraction(int(c.p), int(c.q)) for e, c in g.terms()})
+
+
+def reference_strict_transform(steps, h: Poly) -> Poly:
+    """The strict transform of a nonzero h at the end of `steps`, by
+    sympy's polynomial ring over Q: each step composes with (x, x(y + b)),
+    or (xy, x) for inf, and divides out the largest power of x that divides
+    the image.  The steps may include the symbolic step `TSYM`, the symbol
+    t.  It shares no code with the package's step kernel or its integer
+    walks."""
+    sympy = pytest.importorskip("sympy")
+    ring, sx, sy, _, st = sympy.ring("x y a t", sympy.QQ)
+    curve = ring({e: sympy.Rational(c.numerator, c.denominator) for e, c in h.terms.items()})
+    for step in steps:
+        if is_inf(step):
+            curve = curve.compose([(sx, sx * sy), (sy, sx)])
+        else:
+            shift = st if step is TSYM else sympy.Rational(step.numerator, step.denominator)
+            curve = curve.compose(sy, sx * (sy + shift))
+        power = min(e[0] for e in curve.keys())
+        curve = ring({(i - power, *rest): c for (i, *rest), c in curve.items()})
+    return Poly({e: Fraction(int(c.numerator), int(c.denominator)) for e, c in curve.items()})
 
 
 def reference_monomial_valuation(a, b) -> SecondKind:

@@ -129,9 +129,9 @@ def test_xy_order_counts_only_plane_variables():
 def test_lowest_xy_form_picks_minimal_degree_slice():
     # coefficients c_j of x^(d-j) y^j in the lowest form
     p = y ** 2 + x ** 3 + x * y ** 3
-    assert _integer_form(p) == ([0, 0, 1], 2)
+    assert _integer_form(p.terms) == ([0, 0, 1], 2)
     q = x * y + y ** 2 + x ** 3
-    assert _integer_form(q) == ([0, 1, 1], 2)
+    assert _integer_form(q.terms) == ([0, 1, 1], 2)
 
 
 def test_xy_constant_part():

@@ -12,11 +12,11 @@ from blowup.expr import INF, parse_element, parse_path
 from blowup.oracle import in_point
 from blowup.poly import Poly, RatFunc, T, X, Y, format_poly
 from blowup.families import Fiber
-from blowup.tree import (Point, TSYM, express_step, is_prefix, strict_step,
-                         transform_step)
+from blowup.tree import Point, TSYM, express_step, is_prefix, strict_walk, transform_step
 from blowup.valuations import MinimalEventuallyPeriodic
 
-from helpers import params, reference_express, residue_of, variable
+from helpers import (params, reference_express, reference_strict_transform, residue_of,
+                     variable)
 
 x = variable(X)
 y = variable(Y)
@@ -280,7 +280,7 @@ def test_one_step_matches_sympy_substitution(h, step):
     assert sympy.expand(to_sympy(transform_step(h, step)) - expected) == 0
     power = min(m[0] for m in sympy.Poly(expected, sx, sy, sa, sym_t).monoms())
     stripped = sympy.expand(expected / sx ** power)
-    assert sympy.expand(to_sympy(strict_step(h, step)) - stripped) == 0
+    assert sympy.expand(to_sympy(transform_step(h, step, h.xy_order())) - stripped) == 0
 
 
 @st.composite
@@ -325,10 +325,34 @@ def test_reference_express_with_a_is_quick():
     assert Point.from_path(steps).express(f) == expected
 
 
+ORACLE_STEPS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(-2),
+                Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3), Fraction(-2, 3), INF)
+
+plane_curves = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0), st.just(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+    min_size=1, max_size=5).map(Poly)
+
+
+@given(plane_curves, st.lists(st.sampled_from(ORACLE_STEPS), max_size=6),
+       st.integers(0, 5))
+@settings(max_examples=60, deadline=None)
+def test_integer_strict_walks_match_sympy_substitution(h, steps, split):
+    # the walk carries an int term map and one denominator: a step r/s
+    # scales the map by s^top, which the denominator must take up exactly
+    assert Point.from_path(steps).strict_transform(h) == reference_strict_transform(steps, h)
+    # the fold a fiber's competitor search runs: the symbolic step t, then
+    # the tail
+    folded = (*steps[:split], TSYM, *steps[split:])[:6]
+    for terms, den in strict_walk(h, folded):
+        pass
+    assert Poly(terms).scale(Fraction(1, den)) == reference_strict_transform(folded, h)
+
+
 def test_multiplicity_at_symbolic_point():
     h = y ** 2 - x ** 3
     # a generic direction is not on the cusp
-    assert strict_step(h, TSYM).xy_order() == 0
+    assert transform_step(h, TSYM, h.xy_order()).xy_order() == 0
 
 
 # -- path comparison --------------------------------------------------------

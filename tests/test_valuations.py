@@ -274,13 +274,21 @@ def test_branch_requires_origin():
         MinimalCurveBranch(x + Poly.const(1))
 
 
+def _positive_multiple(terms, p):
+    """Whether an int term map is p times a positive rational: the branch
+    walk keeps its strict transform on integers, without a denominator."""
+    exps, c = next(iter(terms.items()))
+    ratio = Fraction(c) / p.terms.get(exps, 1)
+    return ratio > 0 and Poly(terms) == p.scale(ratio)
+
+
 def test_branch_coherence_cusp():
     # the strict transform vanishes at the origin of every expanded level
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     for level in range(11):
         assert v.point_at(level).strict_transform(v.h).xy_order() >= 1
     # the one strict transform the branch keeps is the one after its last step
-    assert v._strict == v.point_at(len(v._steps)).strict_transform(v.h)
+    assert _positive_multiple(v._strict, v.point_at(len(v._steps)).strict_transform(v.h))
 
 
 def test_branch_coherence_tacnode():
@@ -290,7 +298,7 @@ def test_branch_coherence_tacnode():
     # the double point survives one blow-up, then the branch is smooth
     assert orders[:3] == [2, 2, 1]
     assert v.step_at(0) == Fraction(1)
-    assert v._strict == v.point_at(len(v._steps)).strict_transform(v.h)
+    assert _positive_multiple(v._strict, v.point_at(len(v._steps)).strict_transform(v.h))
 
 
 def test_monomial_value_is_min_term_weight():
@@ -379,8 +387,9 @@ def _branch(h):
 
 @given(paths_and_curves(), st.sampled_from(BRANCH_CURVES))
 @settings(max_examples=150, deadline=None)
-# a strict transform past the chart budget (10,443 products at the second
-# step 1): a single transform is formed, not refused
+# the curve leaves this path at its first step, inf; carried on down the
+# prefix, its strict transform would pass the chart budget (10,443 products
+# at the second step 1), so the walk must stop where the order is 0
 @example((MinimalEventuallyPeriodic([INF, 1, 1], [0]),
           curve_along([Fraction(0), Fraction(1), INF], [Fraction(0)], 21)), x ** 2 - y ** 3)
 def test_exact_path_identity_matches_the_strict_transform_walk(drawn, other):
