@@ -180,14 +180,9 @@ class Poly:
         return exps, self.terms[exps]
 
     def xy_order(self) -> int:
-        """Order of vanishing at the origin of the (x, y) plane.
-
-        The symbols a and t are unit-valued scalars, so only x and y
-        exponents count.  Undefined (raises) for the zero polynomial.
-        """
-        if not self.terms:
-            raise ValueError("order of zero undefined")
-        return min(e[X] + e[Y] for e in self.terms)
+        """Order of vanishing at the origin of the (x, y) plane: `xy_order`
+        of the term map.  Undefined (raises) for the zero polynomial."""
+        return xy_order(self.terms)
 
     def xy_constant_part(self) -> "Poly":
         """Terms free of x and y: a polynomial in a and t alone."""
@@ -1034,11 +1029,12 @@ def _integer_scale(*polys: Poly) -> int:
     return math.lcm(*(c.denominator for p in polys for c in p.terms.values()))
 
 
-def _integer_terms(*polys: Poly) -> Tuple[_IntTerms, ...]:
-    """The term maps of polys times `_integer_scale` of them.  Those of a
-    RatFunc's numerator and denominator are a reduced pair, since the
+def _integer_terms(*polys: Poly, scale: int = 0) -> Tuple[_IntTerms, ...]:
+    """The term maps of polys times `scale`, a common multiple of their
+    coefficients' denominators, by default `_integer_scale` of them.  Those
+    of a RatFunc's numerator and denominator are a reduced pair, since the
     denominator is monic."""
-    scale = _integer_scale(*polys)
+    scale = scale or _integer_scale(*polys)
     return tuple({exps: c.numerator * (scale // c.denominator) for exps, c in p.terms.items()}
                  for p in polys)
 

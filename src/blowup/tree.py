@@ -285,7 +285,8 @@ def strict_walk(h: Poly, steps: Iterable[AnyStep]) -> Iterator[Tuple[_IntTerms, 
     """
     if h.is_zero:
         raise ValueError("strict transform of zero undefined")
-    (terms,), den = _integer_terms(h), _integer_scale(h)
+    den = _integer_scale(h)
+    (terms,) = _integer_terms(h, scale=den)
     yield terms, den
     for step in steps:
         charge(step, terms)

@@ -50,8 +50,8 @@ from typing import Iterable, List, Mapping, Tuple
 
 from .errors import BranchError, ComputationError, DepthCapError, InputError
 from .expr import INF, Step, format_path, format_step
-from .poly import (A, Poly, RatFunc, T, X, Y, _integer_terms, _subst_slot_frac,
-                   factor_multiplicity, poly_gcd, xy_order)
+from .poly import (A, Poly, RatFunc, T, X, Y, _integer_scale, _integer_terms,
+                   _subst_slot_frac, factor_multiplicity, poly_gcd, xy_order)
 from .position import Position, directions, settle
 from .proximity import second_kind_contains
 from .tree import Point, normalize_step, strict_step, strict_walk
@@ -330,8 +330,10 @@ class MinimalCurveBranch(_MinimalBase):
     def __init__(self, h: Poly):
         self.h = _check_curve(h, through_origin=True).normalized()
         self._steps: List[Step] = []
-        # the strict transform after the last step, times a positive integer
-        (self._strict,) = _integer_terms(self.h)
+        # the strict transform after the last step: an int term map over
+        # the positive denominator self._den
+        self._den = _integer_scale(self.h)
+        (self._strict,) = _integer_terms(self.h, scale=self._den)
         while xy_order(self._strict) > 1:
             if len(self._steps) >= WALK_CAP:
                 raise DepthCapError(
@@ -342,7 +344,8 @@ class MinimalCurveBranch(_MinimalBase):
     def _extend_to(self, level: int) -> None:
         while len(self._steps) < level:
             step = _branch_step(self._strict)
-            self._strict = strict_step(self._strict, step)[0]
+            self._strict, scale = strict_step(self._strict, step)
+            self._den *= scale
             self._steps.append(step)
 
     def step_at(self, index: int) -> Step:

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from blowup.errors import BranchError, ComputationError, DepthCapError, InputError
 from blowup.expr import INF, parse_element, parse_path
-from blowup.poly import Poly, RatFunc, X, Y
+from blowup.poly import Poly, RatFunc, X, Y, _over
 from blowup.position import Position, classify_expressed
 from blowup.tree import Point
 from blowup.valuations import (
@@ -274,21 +274,13 @@ def test_branch_requires_origin():
         MinimalCurveBranch(x + Poly.const(1))
 
 
-def _positive_multiple(terms, p):
-    """Whether an int term map is p times a positive rational: the branch
-    walk keeps its strict transform on integers, without a denominator."""
-    exps, c = next(iter(terms.items()))
-    ratio = Fraction(c) / p.terms.get(exps, 1)
-    return ratio > 0 and Poly(terms) == p.scale(ratio)
-
-
 def test_branch_coherence_cusp():
     # the strict transform vanishes at the origin of every expanded level
     v = MinimalCurveBranch(x ** 2 - y ** 3)
     for level in range(11):
         assert v.point_at(level).strict_transform(v.h).xy_order() >= 1
     # the one strict transform the branch keeps is the one after its last step
-    assert _positive_multiple(v._strict, v.point_at(len(v._steps)).strict_transform(v.h))
+    assert _over(v._strict, v._den) == v.point_at(len(v._steps)).strict_transform(v.h)
 
 
 def test_branch_coherence_tacnode():
@@ -298,7 +290,7 @@ def test_branch_coherence_tacnode():
     # the double point survives one blow-up, then the branch is smooth
     assert orders[:3] == [2, 2, 1]
     assert v.step_at(0) == Fraction(1)
-    assert _positive_multiple(v._strict, v.point_at(len(v._steps)).strict_transform(v.h))
+    assert _over(v._strict, v._den) == v.point_at(len(v._steps)).strict_transform(v.h)
 
 
 def test_monomial_value_is_min_term_weight():
