@@ -80,8 +80,6 @@ class Singleton:
 
     point: Point
 
-    kind = "singleton"
-
     def is_member(self, beta: Point) -> bool:
         return beta == self.point
 
@@ -107,8 +105,6 @@ class Fiber:
     excluded: FrozenSet[Step] = frozenset()
     tail: Tuple[Step, ...] = ()
     param_map: MoebiusMap = field(default_factory=MoebiusMap.identity)
-
-    kind = "fiber"
 
     def __post_init__(self):
         object.__setattr__(
@@ -192,8 +188,6 @@ class Chain:
     valuation: _MinimalBase
     from_level: int = 1
 
-    kind = "chain"
-
     def __post_init__(self):
         if not isinstance(self.valuation, _MinimalBase):
             raise InputError("chains follow a minimal valuation's path")
@@ -232,8 +226,6 @@ class Siblings:
 
     valuation: _MinimalBase
     offset: Fraction = Fraction(1)
-
-    kind = "siblings"
 
     def __post_init__(self):
         if not isinstance(self.valuation, _MinimalBase):

@@ -44,16 +44,16 @@ from itertools import count
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .errors import CertificateError, DepthCapError, InputError
+from .errors import CertificateError, InputError
 from .expr import INF, Step
 from .families import (Chain, Family, Fiber, Siblings, Singleton,
                        family_parts)
 from .families import member as family_member
 from .poly import A, Poly, RatFunc, T, coefficient_gcd, poly_gcd, rational_roots, xy_order
-from .position import (FirstNeighborhood, Position, _a_collapse_roots, a_candidates,
-                       classify_expressed, settle)
-from .tree import TSYM, Point, charge, express_step, strict_step, strict_walk
-from .valuations import WALK_CAP, FirstKind
+from .position import (FirstNeighborhood, Position, _a_collapse_roots, _form_vanishes,
+                       _integer_form, a_candidates, classify_expressed, settle)
+from .tree import TSYM, Point, express_step, strict_walk
+from .valuations import FirstKind
 
 _MEMBER = (Position.ZERO, Position.UNIT)
 
@@ -170,11 +170,12 @@ def _position(f: RatFunc, chart: RatFunc, candidates: Set[Fraction]) -> Position
 
 def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
                   ) -> Tuple[bool, Optional[Point]]:
-    path, chart = part.valuation, f
-    concrete = not f.has_slot(A)
-    for level in range(WALK_CAP + 1):
+    chart, concrete = f, not f.has_slot(A)
+    steps = part.valuation.walk(
+        f"position of {f} along the path of {part.describe()} did not settle")
+    for level in count():
         if level:
-            chart = express_step(chart, path.step_at(level - 1))
+            chart = express_step(chart, next(steps))
         pos = _position(f, chart, candidates)
         if pos in _MEMBER:
             return True, None
@@ -192,9 +193,6 @@ def _sibling_walk(f: RatFunc, part: Siblings, candidates: Set[Fraction],
             pos = _position(f, express_step(chart, step), candidates)
         if pos not in _MEMBER:
             return False, part.member(level)
-    raise DepthCapError(
-        f"position of {f} along the path of {part.describe()} did not "
-        f"settle within {WALK_CAP} steps", open_points=[path.point_at(WALK_CAP)])
 
 
 # -- fibers ------------------------------------------------------------------
@@ -414,11 +412,14 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
     transform leaves the path no later sibling lies on h; once it is
     smooth, one branch is left, and if that branch follows the path for
     good (`on_curve`) it meets no sibling either.  The transform can grow
-    at every level, so each step is charged to the chart budget, the path
-    steps by `strict_walk` and the sibling steps here."""
+    at every level, so `strict_walk` charges each path step to the chart
+    budget.  Member L lies on h when the lowest form of the transform at
+    P_L vanishes in its direction, as in `FirstNeighborhood.child`: no
+    step is taken to a sibling."""
     path, h = part.valuation, valuation.h
     smooth = False
-    transforms = strict_walk(h, map(path.step_at, range(WALK_CAP)))
+    transforms = strict_walk(h, path.walk(
+        f"the strict transform of {h} did not leave the path of {part.describe()}"))
     for level, (strict, _) in enumerate(transforms):
         order = xy_order(strict)
         if order < 1:
@@ -427,16 +428,9 @@ def _sibling_competitor(valuation: FirstKind, part: Siblings,
             smooth = True
             if path.on_curve(h):
                 return None
-        if level:
-            beta = part.member(level)
-            if beta != delta:
-                step = part.sibling_step(level)
-                charge(step, strict)
-                if xy_order(strict_step(strict, step)[0]) >= 1:
-                    return str(beta)
-    raise DepthCapError(
-        f"the strict transform of {h} is still on the path of "
-        f"{part.describe()} after {WALK_CAP} steps", open_points=[path.point_at(WALK_CAP)])
+        if level and part.member(level) != delta:
+            if _form_vanishes(_integer_form(strict)[0], part.sibling_step(level)):
+                return str(part.member(level))
 
 
 def _fiber_competitor(valuation: FirstKind, fiber: Fiber,

@@ -24,7 +24,10 @@ arithmetic on integer term maps that both the element reader
 loop over Z, `_divide`, and fractions are reduced in one place,
 `_split_gcd`, which the `RatFunc` constructor runs too.  The gcd, `_gcd`,
 runs on integer term maps as well, with every exact division by
-`_divide`; `poly_gcd` scales two `Poly`s to such maps and back.
+`_divide`; `poly_gcd` scales two `Poly`s to such maps and back.  The one
+elimination loop is the subresultant remainder sequence, `_subresultants`:
+the gcd reads its last nonzero member and the resultant, `_resultant`,
+its last member of degree 0.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import heapq
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .errors import ComputationError
 
@@ -549,19 +552,20 @@ def _pseudo_rem(f: _IntTerms, g: _IntTerms, slot: int) -> _IntTerms:
     return rem
 
 
-def _subresultant_gcd(a: _IntTerms, b: _IntTerms, slot: int) -> _IntTerms:
-    """The gcd of two slot-primitive int term maps, deg a >= deg b >= 1,
-    primitive over Z."""
+def _subresultants(a: _IntTerms, b: _IntTerms, slot: int,
+                   ) -> Iterator[Tuple[_IntTerms, _IntTerms, _IntTerms]]:
+    """The subresultant remainder sequence of two int term maps, deg a >=
+    deg b >= 1 in one slot: each pair of neighbours (a, b) with the h that
+    comes with it, from the pair given down to one whose b is zero or has
+    degree 0.  Every division in it is exact over Z (Collins, 1967; Brown
+    and Traub, 1971)."""
     g = h = _UNIT
     while True:
+        yield a, b, h
+        if not b or not _slot_degree(b, slot):
+            return
         delta = _slot_degree(a, slot) - _slot_degree(b, slot)
-        rem = _pseudo_rem(a, b, slot)
-        if not rem:
-            pp = _divide(b, _content(b, slot))
-            return _scaled(pp, math.gcd(*pp.values()))
-        if _slot_degree(rem, slot) == 0:
-            return _UNIT
-        a, b = b, _divide(rem, _times(g, _raised(h, delta)))
+        a, b = b, _divide(_pseudo_rem(a, b, slot), _times(g, _raised(h, delta)))
         g = _slot_part(a, slot, _slot_degree(a, slot))
         if delta == 1:
             h = g
@@ -569,76 +573,50 @@ def _subresultant_gcd(a: _IntTerms, b: _IntTerms, slot: int) -> _IntTerms:
             h = _divide(_raised(g, delta), _raised(h, delta - 1))
 
 
-def factor_multiplicity(p: Poly, h: Poly) -> int:
-    """Largest k with h**k dividing p."""
-    if h.is_zero:
-        raise ZeroDivisionError("zero divisor")
-    if h.is_constant:
-        raise ValueError("multiplicity of a unit factor undefined")
-    if p.is_zero:
-        raise ValueError("multiplicity in zero undefined")
-    count = 0
-    current = p
-    while True:
-        nxt = current.divmod_exact(h)
-        if nxt is None:
-            return count
-        count += 1
-        current = nxt
+def _subresultant_gcd(a: _IntTerms, b: _IntTerms, slot: int) -> _IntTerms:
+    """The gcd of two slot-primitive int term maps, deg a >= deg b >= 1,
+    primitive over Z: their last nonzero remainder made primitive."""
+    for a, b, _ in _subresultants(a, b, slot):
+        pass
+    if b:
+        return _UNIT
+    pp = _divide(a, _content(a, slot))
+    return _scaled(pp, math.gcd(*pp.values()))
 
 
-# -- resultant --------------------------------------------------------------
+def _resultant(p: _IntTerms, q: _IntTerms, slot: int) -> _IntTerms:
+    """The resultant of two int term maps of positive degree in one slot:
+    cont(p)^deg q cont(q)^deg p times that of their primitive parts, which
+    ends the remainder sequence, with a sign from each pair of odd degrees
+    (Cohen, A Course in Computational Algebraic Number Theory, 3.3.7).  It
+    is 0 when the sequence ends on a member of positive degree."""
+    dp, dq = _slot_degree(p, slot), _slot_degree(q, slot)
+    cont_p, cont_q = _content(p, slot), _content(q, slot)
+    a, b = _divide(p, cont_p), _divide(q, cont_q)
+    sign = -1 if dp & dq & 1 and dp < dq else 1
+    if dp < dq:
+        a, b = b, a
+    for a, b, h in _subresultants(a, b, slot):
+        if not b:
+            return {}
+        if _slot_degree(a, slot) & _slot_degree(b, slot) & 1:
+            sign = -sign
+    # b has degree 0 and a degree d >= 1: the primitive parts give b^d / h^(d - 1)
+    d = _slot_degree(a, slot)
+    last = _divide(_raised(b, d), _raised(h, d - 1))
+    return _times(_times(_raised(cont_p, dq), _raised(cont_q, dp)), _scaled(last, sign))
 
 
 def sylvester_resultant(f: Poly, g: Poly, slot: int) -> Poly:
-    """Resultant with respect to one slot, by fraction-free elimination."""
+    """Resultant with respect to one slot, the determinant of the Sylvester
+    matrix of f and g: `_resultant` of f and g scaled to integers by one s,
+    divided by s^(deg f + deg g)."""
     df = f.degree(slot)
     dg = g.degree(slot)
     if df <= 0 or dg <= 0:
         raise ValueError("resultant needs positive degree in the chosen symbol")
-    fc = f.coeffs_in(slot)
-    gc = g.coeffs_in(slot)
-    size = df + dg
-    rows: List[List[Poly]] = []
-    for i in range(dg):
-        row = [Poly() for _ in range(size)]
-        for k, c in fc.items():
-            row[i + df - k] = c
-        rows.append(row)
-    for i in range(df):
-        row = [Poly() for _ in range(size)]
-        for k, c in gc.items():
-            row[i + dg - k] = c
-        rows.append(row)
-    return _bareiss_det(rows)
-
-
-def _bareiss_det(matrix: List[List[Poly]]) -> Poly:
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    prev = Poly.const(1)
-    sign = 1
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                return Poly()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q = num.divmod_exact(prev)
-                assert q is not None, "Bareiss step not exact"
-                m[i][j] = q
-            m[i][k] = Poly()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+    scale = _integer_scale(f, g)
+    return _over(_resultant(*_integer_terms(f, g, scale=scale), slot), scale ** (df + dg))
 
 
 # -- univariate helpers -----------------------------------------------------

@@ -4,7 +4,8 @@ Four flavors appear:
 
   * first kind: the h-adic valuation of an irreducible curve h through the
     origin.  Its ring contains a tree point's ring exactly when the strict
-    transform of h still vanishes at that point.
+    transform of h still vanishes at that point, and an element exactly
+    when h does not divide its reduced denominator.
   * second kind: the order valuation of a tree point.  Its ring contains
     the rings at or above the point, and the rings of proximate points.
   * minimal valuations: unions of the local rings along an infinite path.
@@ -33,8 +34,10 @@ undetermined at P itself.  A minimal valuation's walk always ends in
 theory, since two coprime curves separate after finitely many steps, but
 the walk stops at `WALK_CAP`, and that cap can cut off a finite answer:
 along the path [] + [0], x^64/y is decided as no at P_64, while x^65/y,
-a pole only at P_65, raises `DepthCapError`.  Exact stops (ROADMAP items
-12 and 14) would make the cap a work budget only.
+a pole only at P_65, raises `DepthCapError`.  Every walk down a path, here
+and in `oracle`, takes its steps from one walker, `_MinimalBase.walk`,
+which raises that error; exact stops (ROADMAP items 12 and 14) and a
+trace of the walk (item 5) plug in there.
 
 Paths are compared exactly by one test, `on_curve(h)`: whether some branch
 of the curve h follows the path at every level.
@@ -46,12 +49,12 @@ import math
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
-from typing import Iterable, List, Mapping, Tuple
+from typing import Iterable, Iterator, List, Mapping, Tuple
 
 from .errors import BranchError, ComputationError, DepthCapError, InputError
 from .expr import INF, Step, format_path, format_step
 from .poly import (A, Poly, RatFunc, T, X, Y, _integer_scale, _integer_terms,
-                   _subst_slot_frac, factor_multiplicity, poly_gcd, xy_order)
+                   _subst_slot_frac, poly_gcd, xy_order)
 from .position import Position, directions, settle
 from .proximity import second_kind_contains
 from .tree import Point, normalize_step, strict_step, strict_walk
@@ -93,18 +96,14 @@ def _check_curve(h: Poly, through_origin: bool) -> Poly:
 class FirstKind:
     """The h-adic valuation of an irreducible curve h."""
 
-    kind = "first"
-
     def __init__(self, h: Poly):
         self.h = _check_curve(h, through_origin=False).normalized()
 
-    def value(self, f: RatFunc) -> int:
-        if f.is_zero:
-            raise ValueError("value of zero undefined")
-        return factor_multiplicity(f.num, self.h) - factor_multiplicity(f.den, self.h)
-
     def contains_element(self, f: RatFunc) -> bool:
-        return f.is_zero or self.value(f) >= 0
+        """Whether v_h(f) >= 0.  f's numerator is prime to its denominator,
+        and h is squarefree, so that is when h does not divide the
+        denominator."""
+        return f.den.divmod_exact(self.h) is None
 
     def ring_contains(self, beta: Point) -> bool:
         """Whether the strict transform of h passes through beta.  The walk
@@ -125,15 +124,12 @@ class FirstKind:
 
 
 class SecondKind:
-    """The order valuation of the ring at a tree point, possibly scaled."""
+    """The order valuation of the ring at a tree point."""
 
-    kind = "second"
+    scale = 1
 
-    def __init__(self, point: Point, scale: int = 1):
-        if scale < 1:
-            raise InputError("scale must be a positive integer")
+    def __init__(self, point: Point):
         self.point = point
-        self.scale = scale
 
     def value(self, f: RatFunc) -> int:
         return self.scale * self.point.ord_at(f)
@@ -208,8 +204,6 @@ class MonomialValuation(SecondKind):
 class _MinimalBase:
     """Common machinery for valuations given by an infinite path."""
 
-    kind = "minimal"
-
     def step_at(self, index: int) -> Step:
         raise NotImplementedError
 
@@ -228,12 +222,15 @@ class _MinimalBase:
         """
         if f.has_slot(A):
             raise InputError("membership needs a concrete element")
-        pos, _ = settle(f, map(self.step_at, range(WALK_CAP)))
-        if pos is Position.UNDETERMINED:
-            raise DepthCapError(
-                f"position of {f} along the path did not settle within {WALK_CAP} steps",
-                open_points=[self.point_at(WALK_CAP)])
+        pos, _ = settle(f, self.walk(f"position of {f} along the path did not settle"))
         return pos is not Position.POLE
+
+    def walk(self, what: str) -> Iterator[Step]:
+        """The path's steps, read lazily; asked for one past `WALK_CAP`, a
+        `DepthCapError` "`what` within 64 steps" with P_64 as open point."""
+        yield from map(self.step_at, range(WALK_CAP))
+        raise DepthCapError(f"{what} within {WALK_CAP} steps",
+                            open_points=[self.point_at(WALK_CAP)])
 
     def ring_contains(self, beta: Point) -> bool:
         return self.agreement(beta.steps) == beta.level
@@ -334,12 +331,9 @@ class MinimalCurveBranch(_MinimalBase):
         # the positive denominator self._den
         self._den = _integer_scale(self.h)
         (self._strict,) = _integer_terms(self.h, scale=self._den)
+        steps = self.walk(f"the branch of {self.h} is not smooth")
         while xy_order(self._strict) > 1:
-            if len(self._steps) >= WALK_CAP:
-                raise DepthCapError(
-                    f"the branch of {self.h} is not smooth within {WALK_CAP} steps",
-                    open_points=[Point(tuple(self._steps))])
-            self._extend_to(len(self._steps) + 1)
+            next(steps)
 
     def _extend_to(self, level: int) -> None:
         while len(self._steps) < level:

@@ -59,7 +59,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, Iterator, List, Tuple
 
-from blowup import cli, oracle, tree
+from blowup import cli, tree
 from blowup.demos import demo_names
 
 INF = "inf"
@@ -354,19 +354,18 @@ def _edge_cases() -> Iterator[Tuple[List[str], Dict[str, str]]]:
 
 @contextlib.contextmanager
 def counting_charges() -> Iterator[List[int]]:
-    """A list that grows by one entry per `tree.charge` call in the block,
-    the calls through `oracle`'s own binding of it too."""
+    """A list that grows by one entry per `tree.charge` call in the block."""
     real, calls = tree.charge, []
 
     def counting(*args):
         calls.append(1)
         return real(*args)
 
-    tree.charge = oracle.charge = counting
+    tree.charge = counting
     try:
         yield calls
     finally:
-        tree.charge = oracle.charge = real
+        tree.charge = real
 
 
 def run(argv: List[str], files: Dict[str, str]) -> Dict[str, object]:

@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import pytest
 
-from blowup import oracle, tree
+from blowup import tree
 from blowup.errors import ComputationError, DepthCapError, InputError, ResolveError
 from blowup.expr import (INF, MAX_POWER_TERMS, ExprSyntaxError, _check_bits, _constant_bits,
                          _int_literal, _number_bits, _power_terms, _product_terms, _shown,
@@ -341,7 +341,9 @@ def reference_monomial_valuation(a, b) -> SecondKind:
         else:
             weight_y -= weight_x
     assert weight_x == weight_y
-    return SecondKind(Point(path), weight_x)
+    reference = SecondKind(Point(path))
+    reference.scale = weight_x
+    return reference
 
 
 # -- gcds and fraction arithmetic without shortcuts -------------------------
@@ -829,8 +831,7 @@ def _ref_atom(toks: _Tokenizer) -> RatFunc:
 
 DEFAULT_SEED = 20240817
 def count_charges(monkeypatch) -> List[int]:
-    """A list that grows by one entry per `tree.charge` call from now on,
-    the calls through `oracle`'s own binding of it too.
+    """A list that grows by one entry per `tree.charge` call from now on.
 
     Every `express_step` charges its step first, so its length counts
     the chart steps a computation takes."""
@@ -841,7 +842,6 @@ def count_charges(monkeypatch) -> List[int]:
         return real(*args)
 
     monkeypatch.setattr(tree, "charge", counting)
-    monkeypatch.setattr(oracle, "charge", counting)
     return calls
 
 

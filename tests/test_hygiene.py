@@ -101,6 +101,37 @@ def test_lowest_forms_are_read_in_one_place():
         {("position", "_form_directions")}
 
 
+def _readers(name: str):
+    """(module, definition) of every read of the name `name` in the package,
+    a method given as Class.method."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            owners = ([(f"{node.name}.{item.name}", item) for item in node.body
+                       if isinstance(item, ast.FunctionDef)]
+                      if isinstance(node, ast.ClassDef) else [(getattr(node, "name", None), node)])
+            found.update((path.stem, owner) for owner, definition in owners
+                         for sub in ast.walk(definition)
+                         if isinstance(sub, ast.Name) and sub.id == name
+                         and isinstance(sub.ctx, ast.Load))
+    return found
+
+
+def test_one_elimination_loop():
+    # the gcd and the resultant both consume the one subresultant remainder
+    # sequence; a second pseudo-division loop would be a second elimination
+    assert _callers("_pseudo_rem") == {("poly", "_subresultants")}
+
+
+def test_walks_down_a_path_take_their_steps_from_one_walker():
+    # every walk down a minimal valuation's path stops at the cap in
+    # `_MinimalBase.walk`; the monomial path and the chain's first level
+    # are bounded by it before any walk
+    assert _readers("WALK_CAP") == {("valuations", "_MinimalBase.walk"),
+                                    ("valuations", "monomial_path"),
+                                    ("families", "Chain.__post_init__")}
+
+
 def test_the_gcd_runs_on_int_term_maps():
     # inside `poly` only `coefficient_gcd` calls the Poly wrapper; the gcd
     # and the reduced-pair arithmetic call `_gcd` on int term maps, so no

@@ -6,18 +6,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from blowup.errors import CertificateError, InputError
+from blowup.errors import CertificateError, ComputationError, InputError
 from blowup.expr import INF, parse_element
 from blowup.families import Chain, Fiber, Siblings, Singleton
-from blowup.oracle import (MembershipAnswer, in_family, in_point,
+from blowup.oracle import (MembershipAnswer, _sibling_competitor, in_family, in_point,
                            irredundance_certificate, semigroup_member)
 from blowup.poly import A, Poly, RatFunc, T
-from blowup.tree import Point
-from blowup.valuations import MinimalCurveBranch, MinimalEventuallyPeriodic
+from blowup.tree import Point, transform_step
+from blowup.valuations import FirstKind, MinimalCurveBranch, MinimalEventuallyPeriodic
 
-from helpers import count_charges, first_members, variable
+from helpers import count_charges, curve_along, first_members, params, variable
 
 e = parse_element
 D = Point.root()
@@ -487,6 +487,56 @@ class TestIrredundance:
         assert cert.uniqueness_domain == (
             "the point D<2>; every member of the level-wise siblings of "
             "MinimalEventuallyPeriodic([], [1]) at offset 1")
+
+
+def _brute_sibling_competitor(h: Poly, part: Siblings, delta: Point, depth: int = 12):
+    """The first sibling member other than delta, to `depth`, that the
+    strict transform of h passes through, by a strict step to every
+    sibling; None once h has left the path, and "undecided" past depth."""
+    for level in range(depth + 1):
+        if h.xy_order() < 1:
+            return None
+        if level and part.member(level) != delta:
+            sibling = transform_step(h, part.sibling_step(level), h.xy_order())
+            if sibling.xy_order() >= 1:
+                return str(part.member(level))
+        h = transform_step(h, part.valuation.step_at(level), h.xy_order())
+    return "undecided"
+
+
+@st.composite
+def sibling_curves(draw):
+    """Siblings along a walk path, a member delta, and a curve: the second
+    parameter of a member, a curve that follows the path for a while or
+    for good, or the product of one of each kind."""
+    part = draw(PATH_PARTS.filter(lambda p: isinstance(p, Siblings)))
+    path = part.valuation
+    h = params(part.member(draw(st.integers(1, 8))))[1].num
+    if INF not in path.period and draw(st.booleans()):
+        along = curve_along(path.prefix, path.period, draw(st.sampled_from([0, 4, 8, 12])))
+        h = along * h if draw(st.booleans()) else along
+    return part, part.member(draw(st.integers(1, 4))), h
+
+
+@given(sibling_curves())
+@settings(max_examples=60, deadline=None)
+def test_sibling_competitor_read_off_lowest_forms_matches_a_step_per_sibling(drawn):
+    part, delta, h = drawn
+    try:
+        valuation = FirstKind(h)
+    except InputError:
+        assume(False)
+    expected = _brute_sibling_competitor(valuation.h, part, delta)
+    try:
+        found = _sibling_competitor(valuation, part, delta)
+    except ComputationError:
+        # past the cap or the chart budget: the walk went on past depth 12
+        assert expected == "undecided"
+        return
+    if expected == "undecided":
+        assert found not in {str(part.member(level)) for level in range(1, 13)}
+    else:
+        assert found == expected
 
 
 class TestSemigroup:

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from blowup.errors import ComputationError
 from blowup.poly import (
@@ -21,7 +21,6 @@ from blowup.poly import (
     _image_coprime,
     _integer_terms,
     coefficient_gcd,
-    factor_multiplicity,
     format_poly,
     format_ratfunc,
     poly_gcd,
@@ -408,13 +407,6 @@ def test_power_is_repeated_multiplication(p, n):
     assert p ** n == product
 
 
-def test_factor_multiplicity():
-    p = (x + y) ** 3 * (y ** 2 + x ** 3)
-    assert factor_multiplicity(p, x + y) == 3
-    assert factor_multiplicity(p, y ** 2 + x ** 3) == 1
-    assert factor_multiplicity(p, x - y) == 0
-
-
 # -- resultant --------------------------------------------------------------
 
 def test_resultant_of_coprime_lines_is_nonzero():
@@ -443,6 +435,53 @@ def test_resultant_matches_sympy():
         c * sy ** e[Y] * sa ** e[A] for e, c in r.terms.items()
     )
     assert sympy.simplify(got - expected) == 0
+
+
+def _sylvester_determinant(f: Poly, g: Poly, slot: int):
+    """The determinant of the Sylvester matrix of f and g in one slot, built
+    here row by row and expanded by sympy: deg g rows of f's coefficients,
+    highest first, then deg f rows of g's."""
+    sympy = pytest.importorskip("sympy")
+    symbols = sympy.symbols("x y a t")
+
+    def row(p: Poly):
+        coeffs = [0] * (p.degree(slot) + 1)
+        for exps, c in p.terms.items():
+            coeffs[-1 - exps[slot]] += sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+                *(s ** e for i, (s, e) in enumerate(zip(symbols, exps)) if i != slot))
+        return coeffs
+
+    cf, cg = row(f), row(g)
+    size = len(cf) + len(cg) - 2
+    rows = ([[0] * i + cf + [0] * (size - len(cf) - i) for i in range(len(cg) - 1)]
+            + [[0] * i + cg + [0] * (size - len(cg) - i) for i in range(len(cf) - 1)])
+    return sympy.expand(sympy.Matrix(rows).det(method="berkowitz"))
+
+
+@st.composite
+def resultant_pairs(draw):
+    """f and g of positive degree in a slot of x, y, a, t, sometimes with a
+    planted common factor, which makes the resultant 0 when it has degree
+    in the slot."""
+    slot = draw(st.sampled_from((X, Y, A, T)))
+    parts = polys(max_terms=3, max_exp=2, slots=(X, Y, A, T))
+    var = variable(slot)
+    f, g = (draw(parts) + draw(small_fractions.filter(bool).map(C)) * var ** draw(st.integers(1, 2))
+            for _ in range(2))
+    if draw(st.booleans()):
+        h = draw(polys(max_terms=2, max_exp=1, slots=(X, Y, A, T)).filter(lambda p: not p.is_zero))
+        f, g = f * h, g * h
+    assume(f.degree(slot) > 0 and g.degree(slot) > 0)
+    return f, g, slot
+
+
+@given(resultant_pairs())
+@settings(max_examples=60, deadline=None)
+def test_resultant_is_the_sylvester_determinant(pair):
+    sympy = pytest.importorskip("sympy")
+    f, g, slot = pair
+    r = sylvester_resultant(f, g, slot)
+    assert sympy.expand(_sympy_poly(r).as_expr() - _sylvester_determinant(f, g, slot)) == 0
 
 
 # -- univariate helpers -----------------------------------------------------
